@@ -496,14 +496,25 @@ def _cmd_lowerbound(args) -> tuple[int, str]:
 # ------------------------------------------------------------- parser
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are bad input."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add_family_flags(sub, families=FAMILIES, required=False) -> None:
     sub.add_argument("--family", choices=families, required=required, help="model family")
     sub.add_argument("--n", type=int, help="qubit count")
     sub.add_argument("--m", type=int, help="block size of the three-block models")
     sub.add_argument("--d", type=int, help="lattice dimension")
-    sub.add_argument("--alpha", type=float, help="power-law decay exponent")
+    sub.add_argument("--alpha", type=_finite_float, help="power-law decay exponent")
     sub.add_argument("--k", type=int, help="locality of the random model")
-    sub.add_argument("--j", type=float, default=1.0, help="coupling strength J")
+    sub.add_argument("--j", type=_finite_float, default=1.0, help="coupling strength J")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -532,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--gamma", type=int, help="term count (alternative to a file)")
     sub.add_argument("--order", type=int, required=True, help="product-formula order")
-    sub.add_argument("--t", type=float, required=True, help="segment duration tau")
+    sub.add_argument("--t", type=_finite_float, required=True, help="segment duration tau")
     sub.add_argument(
         "--no-merge",
         action="store_true",
@@ -543,10 +554,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("hamiltonian", help="Hamiltonian JSON path, or - for stdin")
     sub.add_argument("--regime", choices=REGIMES, default="nonrandom-typical")
     sub.add_argument("--order", type=int, default=2, help="product-formula order")
-    sub.add_argument("--t", type=float, required=True, help="evolution time")
-    sub.add_argument("--eps", type=float, required=True, help="error target")
-    sub.add_argument("--delta", type=float, default=0.1, help="failure probability")
-    sub.add_argument("--p", type=float, help="override the Schatten index p*")
+    sub.add_argument("--t", type=_finite_float, required=True, help="evolution time")
+    sub.add_argument("--eps", type=_finite_float, required=True, help="error target")
+    sub.add_argument("--delta", type=_finite_float, default=0.1, help="failure probability")
+    sub.add_argument("--p", type=_finite_float, help="override the Schatten index p*")
 
     sub = new("simulate", _cmd_simulate, "sample error statistics (CSV)")
     sub.add_argument(
@@ -561,18 +572,18 @@ def _build_parser() -> argparse.ArgumentParser:
         default="basis-1-design",
         help="input-state ensemble for typical-state sampling",
     )
-    sub.add_argument("--t", type=float, required=True, help="evolution time")
+    sub.add_argument("--t", type=_finite_float, required=True, help="evolution time")
     sub.add_argument("--r", type=int, default=1, help="number of segments")
     sub.add_argument("--order", type=int, default=1, help="product-formula order")
     sub.add_argument(
         "--p",
-        type=float,
+        type=_finite_float,
         action="append",
         help="Schatten index (repeatable; default 2 and 4)",
     )
     sub.add_argument(
         "--eps",
-        type=float,
+        type=_finite_float,
         action="append",
         help="tail threshold (repeatable; default 0.1)",
     )
@@ -593,7 +604,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, required=True, help="rng seed")
     sub.add_argument(
         "--p",
-        type=float,
+        type=_finite_float,
         action="append",
         help="Schatten index (repeatable; default 2 and 4)",
     )
@@ -601,9 +612,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = new("truncate", _cmd_truncate, "power-law interaction truncation plan")
     sub.add_argument("--n", type=int, required=True, help="qubit count")
     sub.add_argument("--d", type=int, required=True, help="lattice dimension")
-    sub.add_argument("--alpha", type=float, required=True, help="decay exponent")
-    sub.add_argument("--t", type=float, required=True, help="evolution time")
-    sub.add_argument("--eps", type=float, required=True, help="error budget")
+    sub.add_argument("--alpha", type=_finite_float, required=True, help="decay exponent")
+    sub.add_argument("--t", type=_finite_float, required=True, help="evolution time")
+    sub.add_argument("--eps", type=_finite_float, required=True, help="error budget")
 
     sub = new("table1", _cmd_table1, "asymptotic gate-count exponents")
     sub.add_argument(
@@ -613,13 +624,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--k", type=int, help="locality for k-local-uniform")
     sub.add_argument("--d", type=int, help="dimension for power-law")
-    sub.add_argument("--alpha", type=float, help="decay exponent for power-law")
+    sub.add_argument("--alpha", type=_finite_float, help="decay exponent for power-law")
 
     sub = new("lowerbound", _cmd_lowerbound, "counting lower bound on gates")
     sub.add_argument("--n", type=int, required=True, help="qubit count")
     sub.add_argument("--k", type=int, required=True, help="locality")
-    sub.add_argument("--eps", type=float, required=True, help="error target")
-    sub.add_argument("--j", type=float, default=1.0, help="coupling strength J")
+    sub.add_argument("--eps", type=_finite_float, required=True, help="error target")
+    sub.add_argument("--j", type=_finite_float, default=1.0, help="coupling strength J")
 
     return parser
 

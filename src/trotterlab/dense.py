@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -26,13 +25,6 @@ from .pauli import PauliHamiltonian, PauliString, PauliSum, PauliTerm
 from .suzuki import Schedule, build_schedule
 
 DEFAULT_CAP_N = 12
-
-_SITE_MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 MatrixLike = Union[np.ndarray, PauliSum, PauliTerm, PauliString]
 
@@ -46,32 +38,54 @@ def check_cap(n: int, cap_n: int = DEFAULT_CAP_N) -> None:
         )
 
 
+def _index_mask(bits: int, n: int) -> int:
+    """Site bitmask -> basis-index bitmask: site s is index bit n-1-s."""
+    return sum(1 << (n - 1 - s) for s in range(n) if (bits >> s) & 1)
+
+
+def _pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, vals) with P|j> = vals[j] |perm[j]> and perm[j] = j XOR x.
+
+    From P = i**(phase + popcount(x & z)) X^x Z^z: Z^z gives the sign
+    (-1)**popcount(j & z), X^x flips the bits of x, and each Y adds a factor i.
+    """
+    n = string.n
+    x = _index_mask(string.x_bits, n)
+    z = _index_mask(string.z_bits, n)
+    j = np.arange(2**n)
+    phase = 1j ** ((string.phase + (string.x_bits & string.z_bits).bit_count()) % 4)
+    vals = np.where(np.bitwise_count(j & z) & 1, -phase, phase)
+    return j ^ x, vals
+
+
 def string_matrix(string: PauliString) -> np.ndarray:
-    mats = [_SITE_MATS[ch] for ch in string.label()]
-    out = reduce(np.kron, mats, np.array([[1.0 + 0.0j]]))
-    if string.phase:
-        out = (1j**string.phase) * out
-    return out
+    return to_matrix(string, cap_n=string.n)
 
 
 def to_matrix(obj: MatrixLike, cap_n: int = DEFAULT_CAP_N) -> np.ndarray:
-    """Dense matrix of a Pauli string/term/sum (or pass through an ndarray)."""
+    """Dense matrix of a Pauli string/term/sum (or pass through an ndarray).
+
+    Each string is one scatter of its (perm, vals) action, O(dim) entries.
+    """
     if isinstance(obj, np.ndarray):
         return np.asarray(obj, dtype=complex)
     if isinstance(obj, PauliString):
-        check_cap(obj.n, cap_n)
-        return string_matrix(obj)
-    if isinstance(obj, PauliTerm):
-        check_cap(obj.n, cap_n)
-        return obj.coeff * string_matrix(obj.string)
-    if isinstance(obj, PauliSum):
-        check_cap(obj.n, cap_n)
-        dim = 2**obj.n
-        out = np.zeros((dim, dim), dtype=complex)
-        for t in obj.terms:
-            out += t.coeff * string_matrix(t.string)
-        return out
-    raise TypeError(f"cannot build a matrix from {type(obj).__name__}")
+        terms = [(1.0, obj)]
+    elif isinstance(obj, PauliTerm):
+        terms = [(obj.coeff, obj.string)]
+    elif isinstance(obj, PauliSum):
+        terms = [(t.coeff, t.string) for t in obj.terms]
+    else:
+        raise TypeError(f"cannot build a matrix from {type(obj).__name__}")
+    check_cap(obj.n, cap_n)
+    dim = 2**obj.n
+    cols = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    for coeff, string in terms:
+        perm, vals = _pauli_action(string)
+        # perm is a permutation, so no (row, col) pair repeats within a term.
+        out[perm, cols] += coeff * vals
+    return out
 
 
 def sites_of(matrix: np.ndarray) -> int:
@@ -111,20 +125,24 @@ def apply_schedule(
     """
     check_cap(h.n, cap_n)
     terms = h.terms
-    dim = 2**h.n
-    cache: dict[int, np.ndarray] = {}
-    eye = np.eye(dim, dtype=complex)
-    out = eye.copy()
+    out = np.eye(2**h.n, dtype=complex)
+    moved = np.empty_like(out)
+    # Row i of P M is vals[perm[i]] * M[perm[i]] (XOR is its own inverse).
+    actions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for idx, coeff in schedule.steps:
         if not 0 <= idx < len(terms):
             raise ValidationError(
                 f"schedule refers to term {idx} of a {len(terms)}-term Hamiltonian"
             )
-        if idx not in cache:
-            cache[idx] = string_matrix(terms[idx].string)
+        if idx not in actions:
+            perm, vals = _pauli_action(terms[idx].string)
+            actions[idx] = (perm, vals[perm])
+        perm, rowvals = actions[idx]
         angle = coeff * terms[idx].coeff.real
-        step = math.cos(angle) * eye + 1j * math.sin(angle) * cache[idx]
-        out = step @ out
+        np.take(out, perm, axis=0, out=moved)
+        moved *= (1j * math.sin(angle) * rowvals)[:, None]
+        out *= math.cos(angle)
+        out += moved
     return out
 
 
@@ -169,6 +187,30 @@ def trotter_error_op(
 # ---------------------------------------------------------------------------
 
 
+def _schatten_from_singular_values(
+    sv: np.ndarray, p: float, normalized: bool = False
+) -> float:
+    """(sum_i sigma_i^p)^{1/p} from the singular values of a square matrix."""
+    top = float(sv.max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    if math.isinf(p):
+        return top
+    val = top * float(np.sum((sv / top) ** p)) ** (1.0 / p)
+    if normalized:
+        val /= len(sv) ** (1.0 / p)
+    return val
+
+
+def _spectral_and_pnorms(
+    m: np.ndarray, p_values: Iterable[float]
+) -> tuple[float, dict[float, float]]:
+    """Spectral norm and normalized Schatten p-norms from one SVD of m."""
+    sv = scipy.linalg.svdvals(m)
+    pnorms = {p: _schatten_from_singular_values(sv, p, normalized=True) for p in p_values}
+    return _schatten_from_singular_values(sv, math.inf), pnorms
+
+
 def schatten_norm(
     a: MatrixLike, p: float, normalized: bool = False, hermitian: bool = False
 ) -> float:
@@ -183,15 +225,7 @@ def schatten_norm(
         sv = np.abs(np.linalg.eigvalsh(m))
     else:
         sv = scipy.linalg.svdvals(m)
-    top = float(sv.max(initial=0.0))
-    if top == 0.0:
-        return 0.0
-    if math.isinf(p):
-        return top
-    val = top * float(np.sum((sv / top) ** p)) ** (1.0 / p)
-    if normalized:
-        val /= m.shape[0] ** (1.0 / p)
-    return val
+    return _schatten_from_singular_values(sv, p, normalized)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import numpy as np
 from .bounds import markov_tail
 from .dense import (
     DEFAULT_CAP_N,
+    _spectral_and_pnorms,
     WeightedNormSpec,
     apply_schedule,
     basis_indices,
@@ -239,10 +240,7 @@ def sample_typical_error(
             "use sample_random_hamiltonian"
         )
     err_op = trotter_error_op(h, cfg.t, cfg.r, cfg.order, cfg.cap_n)
-    pnorms = {
-        p: schatten_norm(err_op, p, normalized=True) for p in cfg.p_values
-    }
-    spectral = schatten_norm(err_op, math.inf)
+    spectral, pnorms = _spectral_and_pnorms(err_op, cfg.p_values)
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     if cfg.ensemble == "basis-1-design":
@@ -314,9 +312,10 @@ def sample_random_hamiltonian(
         )
         approx = unitary_power(segment, cfg.r)
         err_op = exact - approx
-        spectrals.append(schatten_norm(err_op, math.inf))
+        spectral, pnorms = _spectral_and_pnorms(err_op, cfg.p_values)
+        spectrals.append(spectral)
         for p in cfg.p_values:
-            powers[p].append(schatten_norm(err_op, p, normalized=True) ** p)
+            powers[p].append(pnorms[p] ** p)
         l2 = float(np.linalg.norm(err_op[:, 0]))
         fixed_errors.append(l2)
         for p in cfg.p_values:

@@ -21,6 +21,7 @@ O^eta = (1 - eta)|occ><occ| - eta|emp><emp| = ((1 - 2 eta)/2) I + Z/2.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -619,11 +620,14 @@ def pauli_from_json(data: Mapping) -> PauliHamiltonian:
         pairs = [(str(t["pauli"]), float(t["coeff"])) for t in data["terms"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed Hamiltonian JSON: {exc}") from exc
-    for label, _ in pairs:
+    for label, coeff in pairs:
         if len(label) != n:
             raise ValidationError(
                 f"pauli label {label!r} has length {len(label)}, expected n={n}"
             )
+        # JSON parsers accept NaN and Infinity; PauliSum would drop a NaN term.
+        if not math.isfinite(coeff):
+            raise ValidationError(f"coefficient {coeff!r} of {label!r} is not finite")
     return PauliHamiltonian.from_labels(n, pairs)
 
 
@@ -660,4 +664,7 @@ def fermion_from_json(data: Mapping) -> FermionHamiltonian:
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed fermionic JSON: {exc}") from exc
+    for value in (eta, *(t.coeff for t in terms)):
+        if not math.isfinite(value):
+            raise ValidationError(f"fermionic JSON holds the non-finite value {value!r}")
     return FermionHamiltonian(n, terms)

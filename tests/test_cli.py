@@ -165,6 +165,39 @@ def test_module_entry_point_exit_code():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "coeff, argv",
+    [
+        ("NaN", ["gatecount", "{h}", "--t", "1", "--eps", "0.1"]),
+        ("Infinity", ["gatecount", "{h}", "--t", "1", "--eps", "0.1"]),
+        ("-Infinity", ["simulate", "{h}", "--t", "1", "--seed", "1"]),
+        ("1.0", ["gatecount", "{h}", "--t", "nan", "--eps", "0.1"]),
+        ("1.0", ["gatecount", "{h}", "--t", "inf", "--eps", "0.1"]),
+        ("1.0", ["simulate", "{h}", "--t", "nan", "--seed", "1"]),
+        ("1.0", ["simulate", "{h}", "--t", "1", "--seed", "1", "--p", "inf"]),
+        ("1.0", ["gatecount", "{h}", "--t", "1", "--eps", "0.1", "--delta=-inf"]),
+        ("1.0", ["truncate", "--n", "4", "--d", "1", "--alpha", "nan", "--t", "1", "--eps", "1"]),
+    ],
+)
+def test_non_finite_input_exits_2_without_traceback(tmp_path, coeff, argv):
+    path = tmp_path / "h.json"
+    path.write_text(
+        '{"n": 3, "terms": [{"pauli": "XXI", "coeff": 1.0}, '
+        f'{{"pauli": "IZZ", "coeff": {coeff}}}]}}'
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "trotterlab", *(a.format(h=path) for a in argv)],
+        capture_output=True,
+        text=True,
+        env=module_env(),
+    )
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 # ---------------------------------------------------------- schedule
 
 

@@ -1,10 +1,13 @@
 """Unit tests for the dense-matrix engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trotterlab.dense import (
     ParticleSector,
@@ -30,8 +33,24 @@ from trotterlab.dense import (
     weighted_norm_diagonal,
 )
 from trotterlab.errors import ResourceCapError, ValidationError
-from trotterlab.pauli import PauliHamiltonian, PauliString, PauliSum, jordan_wigner, FermionTerm, FermionHamiltonian
+from trotterlab.models import chain_heisenberg
+from trotterlab.pauli import PauliHamiltonian, PauliString, PauliSum, PauliTerm, jordan_wigner, FermionTerm, FermionHamiltonian
 from trotterlab.suzuki import build_schedule
+
+SITE_MATS = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_oracle(string: PauliString) -> np.ndarray:
+    """i^phase times the Kronecker chain of the label, site 0 leftmost."""
+    out = np.array([[1.0 + 0.0j]])
+    for ch in string.label():
+        out = np.kron(out, SITE_MATS[ch])
+    return (1j**string.phase) * out
 
 
 def test_to_matrix_examples():
@@ -104,6 +123,65 @@ def test_apply_schedule_single_term_equals_evolve():
     h = PauliHamiltonian.from_labels(2, [("XY", 0.77)])
     u = apply_schedule(h, build_schedule(1, 2, 0.5))
     np.testing.assert_allclose(u, evolve(h, 0.5), atol=1e-12)
+
+
+def pauli_labels(n):
+    return st.one_of(
+        st.just("I" * n),
+        st.just("Y" * n),
+        st.text(alphabet="IXYYZ", min_size=n, max_size=n),
+    )
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_pauli_engine_matches_kron_oracle(n, data):
+    labels = data.draw(st.lists(pauli_labels(n), min_size=1, max_size=5))
+    phases = data.draw(st.lists(st.integers(0, 3), min_size=len(labels), max_size=len(labels)))
+    coeffs = data.draw(
+        st.lists(st.floats(-2.0, 2.0), min_size=len(labels), max_size=len(labels))
+    )
+    strings = [PauliString.from_label(lab, ph) for lab, ph in zip(labels, phases)]
+    for string, c in zip(strings, coeffs):
+        oracle = kron_oracle(string)
+        np.testing.assert_allclose(string_matrix(string), oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(to_matrix(string), oracle, rtol=0, atol=1e-12)
+        term = PauliTerm(string, complex(c, -c / 3))
+        np.testing.assert_allclose(
+            to_matrix(term), complex(c, -c / 3) * oracle, rtol=0, atol=1e-12
+        )
+    terms = [PauliTerm(s, c) for s, c in zip(strings, coeffs)]
+    expected = sum((c * kron_oracle(s) for s, c in zip(strings, coeffs)), np.zeros((2**n, 2**n)))
+    np.testing.assert_allclose(to_matrix(PauliSum(n, terms)), expected, rtol=0, atol=1e-12)
+
+    h = PauliHamiltonian.from_labels(n, zip(labels, coeffs))
+    if h.gamma == 0:
+        return
+    order = data.draw(st.sampled_from((1, 2, 4)))
+    tau = data.draw(st.floats(-1.5, 1.5))
+    schedule = build_schedule(h.gamma, order, tau)
+    product = np.eye(2**n, dtype=complex)
+    for idx, a in schedule.steps:
+        angle = a * h.terms[idx].coeff.real
+        step = math.cos(angle) * np.eye(2**n) + 1j * math.sin(angle) * kron_oracle(
+            h.terms[idx].string
+        )
+        product = step @ product
+    np.testing.assert_allclose(apply_schedule(h, schedule), product, rtol=0, atol=1e-12)
+
+
+def test_apply_schedule_memory_stays_within_six_matrices():
+    # A dense matrix per term (27 here, 16 MiB each) would exceed this; the
+    # 12-site chain would then need about 8 GiB.
+    h = chain_heisenberg(10)
+    schedule = build_schedule(h.gamma, 2, 0.1)
+    tracemalloc.start()
+    try:
+        apply_schedule(h, schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 16 * 2**20
 
 
 def test_apply_schedule_index_validation():

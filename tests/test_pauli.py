@@ -516,6 +516,17 @@ def test_pauli_json_validates_label_length():
         pauli_from_json({"n": 3, "terms": [{"pauli": "XX", "coeff": 1.0}]})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "nan"])
+def test_json_loaders_reject_non_finite_values(bad):
+    with pytest.raises(ValidationError, match="finite"):
+        pauli_from_json({"n": 2, "terms": [{"pauli": "XX", "coeff": 1.0}, {"pauli": "ZZ", "coeff": bad}]})
+    term = {"ops": [["+", 0], ["-", 1]], "coeff": 1.0}
+    with pytest.raises(ValidationError, match="finite"):
+        fermion_from_json({"n": 2, "eta": 0.5, "terms": [dict(term, coeff=bad)]})
+    with pytest.raises(ValidationError, match="finite"):
+        fermion_from_json({"n": 2, "eta": bad, "terms": [term]})
+
+
 def test_fermion_json_round_trip():
     f = FermionHamiltonian(
         3,
