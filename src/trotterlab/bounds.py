@@ -87,6 +87,11 @@ class GateCountQuery:
     p: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # NaN fails every comparison below, so it is rejected here first.
+        for name in ("t", "eps", "delta", "p"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         if self.t < 0:
             raise ValidationError("t must be nonnegative")
         if self.eps <= 0:

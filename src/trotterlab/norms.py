@@ -79,6 +79,51 @@ def fermion_term_bound(term, n: int) -> float:
     return bound
 
 
+def _norm_pair(
+    data: list[tuple[tuple[int, ...], float]], c: int
+) -> tuple[float, float]:
+    """(||H||_{(c),1}, ||H||_{(c),2}) from one pass over the (support, bound) pairs.
+
+    Subset sums accumulate in term order over ``combinations(sup, c)``, so
+    both values are the same floats whichever caller asks.
+    """
+    if c == 0:
+        return sum(b for _, b in data), math.sqrt(sum(b * b for _, b in data))
+    ones: dict[tuple[int, ...], float] = {}
+    twos: dict[tuple[int, ...], float] = {}
+    for sup, b in data:
+        if len(sup) < c:
+            continue
+        b2 = b * b
+        for subset in combinations(sup, c):
+            ones[subset] = ones.get(subset, 0.0) + b
+            twos[subset] = twos.get(subset, 0.0) + b2
+    if not ones:
+        return 0.0, 0.0
+    return max(ones.values()), math.sqrt(max(twos.values()))
+
+
+def _norm_table(
+    data: list[tuple[tuple[int, ...], float]], c_max: int
+) -> dict[tuple[int, int], float]:
+    """(c, q) -> ||H||_{(c),q} for 0 <= c <= c_max, one loop over the terms per c.
+
+    Norms above the locality k are 0; asking for them warns.
+    """
+    k = max((len(sup) for sup, _ in data), default=0)
+    if c_max > k:
+        warnings.warn(
+            f"local norm requested at c={c_max} above the Hamiltonian locality k={k}; "
+            "no term support contains such a subset (returning 0)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    norms: dict[tuple[int, int], float] = {}
+    for c in range(c_max + 1):
+        norms[(c, 1)], norms[(c, 2)] = _norm_pair(data, c)
+    return norms
+
+
 def local_norm(h: AnyHamiltonian, c: int, q: int) -> float:
     """||H||_{(c),q} by exact enumeration of size-c subsets of term supports.
 
@@ -89,31 +134,43 @@ def local_norm(h: AnyHamiltonian, c: int, q: int) -> float:
         raise ValueError(f"q must be 1 or 2, got {q}")
     if c < 0:
         raise ValueError(f"c must be nonnegative, got {c}")
-    data = _term_data(h)
-    k = max((len(sup) for sup, _ in data), default=0)
-    if c > k:
-        warnings.warn(
-            f"local norm requested at c={c} above the Hamiltonian locality k={k}; "
-            "no term support contains such a subset (returning 0)",
-            RuntimeWarning,
-            stacklevel=2,
+    return _norm_table(_term_data(h), c)[(c, q)]
+
+
+def _lambda(norms: dict[tuple[int, int], float], k: int) -> float:
+    prefactor = 2.0 ** (k / 2.0 + 1.0) / math.factorial(k - 1)
+    total = 0.0
+    for j in range(1, k + 1):
+        total += 2.0 ** (j / 2.0) / math.factorial(k - j) * norms[(j, 2)]
+    return prefactor * total
+
+
+def _lambda_prime(norms: dict[tuple[int, int], float], k: int) -> float:
+    zero_one = norms[(0, 1)]
+    total = 0.0
+    for j in range(1, k + 1):
+        total += (
+            math.comb(k, j)
+            * math.sqrt(20.0) ** j
+            * math.sqrt(norms[(j, 1)] * zero_one / math.factorial(j))
         )
-        return 0.0
-    if c == 0:
-        if q == 2:
-            return math.sqrt(sum(b * b for _, b in data))
-        return sum(b for _, b in data)
-    accum: dict[tuple[int, ...], float] = {}
-    for sup, b in data:
-        if len(sup) < c:
-            continue
-        contrib = b * b if q == 2 else b
-        for subset in combinations(sup, c):
-            accum[subset] = accum.get(subset, 0.0) + contrib
-    if not accum:
-        return 0.0
-    best = max(accum.values())
-    return math.sqrt(best) if q == 2 else best
+    return 2.0 * total
+
+
+def _lambda_ferm(lam: float, ladder_zero_two: float, k: int) -> float:
+    return lam + (
+        2.0 ** (k / 2.0 + 1.0)
+        / math.factorial(k - 1)
+        / math.factorial(k)
+        * ladder_zero_two
+    )
+
+
+def _ladder_zero_two(
+    f: FermionHamiltonian, data: list[tuple[tuple[int, ...], float]]
+) -> float:
+    """||H_ladder||_{(0),2} from the bounds of the terms with ladder factors."""
+    return math.sqrt(sum(b * b for t, (_, b) in zip(f.terms, data) if t.has_ladder))
 
 
 def lambda_k(h: AnyHamiltonian, k: Optional[int] = None) -> float:
@@ -122,11 +179,7 @@ def lambda_k(h: AnyHamiltonian, k: Optional[int] = None) -> float:
         k = h.k
     if k < 1:
         raise ValueError("lambda(k) requires locality k >= 1")
-    prefactor = 2.0 ** (k / 2.0 + 1.0) / math.factorial(k - 1)
-    total = 0.0
-    for j in range(1, k + 1):
-        total += 2.0 ** (j / 2.0) / math.factorial(k - j) * local_norm(h, j, 2)
-    return prefactor * total
+    return _lambda(_norm_table(_term_data(h), k), k)
 
 
 def lambda_prime_k(h: AnyHamiltonian, k: Optional[int] = None) -> float:
@@ -135,15 +188,7 @@ def lambda_prime_k(h: AnyHamiltonian, k: Optional[int] = None) -> float:
         k = h.k
     if k < 1:
         raise ValueError("lambda'(k) requires locality k >= 1")
-    zero_one = local_norm(h, 0, 1)
-    total = 0.0
-    for j in range(1, k + 1):
-        total += (
-            math.comb(k, j)
-            * math.sqrt(20.0) ** j
-            * math.sqrt(local_norm(h, j, 1) * zero_one / math.factorial(j))
-        )
-    return 2.0 * total
+    return _lambda_prime(_norm_table(_term_data(h), k), k)
 
 
 def ladder_part(f: FermionHamiltonian) -> FermionHamiltonian:
@@ -161,32 +206,29 @@ def lambda_ferm_k(f: FermionHamiltonian, k: Optional[int] = None) -> float:
         )
     if k is None:
         k = f.k
-    base = lambda_k(f, k)
-    extra = (
-        2.0 ** (k / 2.0 + 1.0)
-        / math.factorial(k - 1)
-        / math.factorial(k)
-        * local_norm(ladder_part(f), 0, 2)
-    )
-    return base + extra
+    if k < 1:
+        raise ValueError("lambda(k) requires locality k >= 1")
+    data = _term_data(f)
+    return _lambda_ferm(_lambda(_norm_table(data, k), k), _ladder_zero_two(f, data), k)
 
 
 def norm_profile(h: AnyHamiltonian) -> NormProfile:
-    """Compute every (c, q) norm for 0 <= c <= k plus the derived constants."""
-    k = h.k
+    """Compute every (c, q) norm for 0 <= c <= k plus the derived constants.
+
+    The per-term data is built once; lambda, lambda' and lambda_ferm are read
+    off the finished norm table.
+    """
     data = _term_data(h)
-    norms = {}
-    for c in range(0, k + 1):
-        for q in (1, 2):
-            norms[(c, q)] = local_norm(h, c, q)
-    lam = lambda_k(h, k) if k >= 1 else 0.0
-    lam_p = lambda_prime_k(h, k) if k >= 1 else 0.0
+    k = max((len(sup) for sup, _ in data), default=0)
+    norms = _norm_table(data, k)
+    lam = _lambda(norms, k) if k >= 1 else 0.0
+    lam_p = _lambda_prime(norms, k) if k >= 1 else 0.0
     lam_f = None
     ferm02 = None
     if isinstance(h, FermionHamiltonian):
-        ferm02 = local_norm(ladder_part(h), 0, 2)
+        ferm02 = _ladder_zero_two(h, data)
         if h.is_number_preserving and k >= 1:
-            lam_f = lambda_ferm_k(h, k)
+            lam_f = _lambda_ferm(lam, ferm02, k)
     return NormProfile(
         gamma=h.gamma,
         k=k,

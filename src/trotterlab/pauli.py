@@ -32,7 +32,9 @@ MERGE_TOL = 1e-14
 _HERMITICITY_TOL = 1e-12
 
 _LABELS = "IXZY"  # index = x_bit + 2*z_bit
-_LABEL_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+_X_DIGITS = str.maketrans("IXZY", "0101")
+_Z_DIGITS = str.maketrans("IXZY", "0011")
+_DROP_LABELS = str.maketrans("", "", _LABELS)
 
 CREATE = "+"
 ANNIHILATE = "-"
@@ -63,14 +65,13 @@ class PauliString:
 
     @classmethod
     def from_label(cls, label: str, phase: int = 0) -> "PauliString":
-        x = z = 0
-        for site, ch in enumerate(label):
-            try:
-                xb, zb = _LABEL_BITS[ch]
-            except KeyError:
-                raise ValidationError(f"invalid Pauli letter {ch!r} in {label!r}") from None
-            x |= xb << site
-            z |= zb << site
+        invalid = label.translate(_DROP_LABELS)
+        if invalid:
+            raise ValidationError(f"invalid Pauli letter {invalid[0]!r} in {label!r}")
+        # Site s is bit s, so the reversed label reads as a binary number.
+        reverse = label[::-1]
+        x = int(reverse.translate(_X_DIGITS) or "0", 2)
+        z = int(reverse.translate(_Z_DIGITS) or "0", 2)
         return cls(len(label), x, z, phase)
 
     def label(self) -> str:
@@ -80,8 +81,14 @@ class PauliString:
         )
 
     def support(self) -> tuple[int, ...]:
+        """Ascending sites with a non-identity factor, in O(weight) steps."""
         bits = self.x_bits | self.z_bits
-        return tuple(s for s in range(self.n) if (bits >> s) & 1)
+        sites = []
+        while bits:
+            low = bits & -bits
+            sites.append(low.bit_length() - 1)
+            bits ^= low
+        return tuple(sites)
 
     @property
     def weight(self) -> int:

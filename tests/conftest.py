@@ -3,9 +3,18 @@
 Tests marked ``@pytest.mark.acceptance(num, title, budget=seconds)`` are
 collected into a final terminal section with one PASS/FAIL line per
 criterion, its wall time, and (on failure) the failing comparison.
+
+OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise: the
+suite's matrices are small (dim <= 1024), and on a 2-core machine two threads
+make criterion 7 take about twice as long as one.  The variable is set before
+anything imports numpy, since OpenBLAS reads it once at load.
 """
 
-import pytest
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 _RESULTS: dict[int, dict] = {}
 

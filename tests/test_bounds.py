@@ -556,3 +556,14 @@ def test_query_validation():
         GateCountQuery(t=1.0, eps=0.1, regime="nope")
     with pytest.raises(ValidationError):
         GateCountQuery(t=1.0, eps=0.1, p=1.0)
+
+
+@pytest.mark.parametrize("field", ["t", "eps", "delta", "p"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_query_rejects_non_finite_values(field, value):
+    # NaN passes every range check, so without a finiteness check p=nan
+    # reaches the r solver and yields a plausible r.
+    params = dict(t=1.0, eps=0.1, delta=0.1, order=2)
+    params[field] = value
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        GateCountQuery(**params)

@@ -232,3 +232,80 @@ def test_zero_two_matches_dense_normalized_norm():
         dense += t.coeff * m
     normalized_two = np.linalg.norm(dense, "fro") / math.sqrt(8)
     assert local_norm(h, 0, 2) == pytest.approx(normalized_two, rel=1e-12)
+
+
+def random_pauli_hamiltonian(rng, n=7, k_max=4):
+    pairs = []
+    for _ in range(rng.integers(1, 16)):
+        weight = int(rng.integers(1, k_max + 1))
+        label = ["I"] * n
+        for s in rng.choice(n, size=weight, replace=False):
+            label[s] = rng.choice(list("XYZ"))
+        pairs.append(("".join(label), float(rng.normal())))
+    return PauliHamiltonian.from_labels(n, pairs)
+
+
+def random_fermion_hamiltonian(rng, n=6, k_max=4, number_preserving=True):
+    terms = []
+    for _ in range(rng.integers(1, 10)):
+        kind = rng.integers(3)
+        coeff = float(rng.normal())
+        if kind == 0:
+            (s,) = rng.choice(n, size=1)
+            terms.append(FermionTerm(((int(s), "z"),), coeff, eta=0.25))
+        elif kind == 1 or k_max < 4:
+            i, j = (int(s) for s in rng.choice(n, size=2, replace=False))
+            terms += hop(i, j, coeff)
+        else:
+            a, b, c, d = (int(s) for s in rng.choice(n, size=4, replace=False))
+            terms.append(FermionTerm(((a, "+"), (b, "+"), (c, "-"), (d, "-")), coeff))
+            terms.append(FermionTerm(((d, "+"), (c, "+"), (b, "-"), (a, "-")), coeff))
+    if not number_preserving:
+        terms.append(FermionTerm(((int(rng.integers(n)), "+"),), 1.0))
+    return FermionHamiltonian(n, terms)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from(["pauli", "fermion", "fermion-nonpreserving"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_profile_equals_per_norm_functions_exactly(seed, k_max, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "pauli":
+        h = random_pauli_hamiltonian(rng, k_max=k_max)
+    else:
+        h = random_fermion_hamiltonian(
+            rng, k_max=k_max, number_preserving=kind == "fermion"
+        )
+    prof = norm_profile(h)
+    assert prof.k == h.k
+    assert set(prof.norms) == {(c, q) for c in range(h.k + 1) for q in (1, 2)}
+    for (c, q), value in prof.norms.items():
+        assert value == local_norm(h, c, q)
+    assert prof.lambda_k == lambda_k(h)
+    assert prof.lambda_prime_k == lambda_prime_k(h)
+    if kind == "pauli":
+        assert prof.lambda_ferm_k is None and prof.ferm_zero_two is None
+        return
+    assert prof.ferm_zero_two == local_norm(ladder_part(h), 0, 2)
+    if kind == "fermion":
+        assert prof.lambda_ferm_k == lambda_ferm_k(h)
+    else:
+        assert prof.lambda_ferm_k is None
+
+
+def test_profile_builds_term_data_once(monkeypatch):
+    import trotterlab.norms as norms_module
+
+    calls = []
+    real = norms_module._term_data
+
+    def counting(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(norms_module, "_term_data", counting)
+    norm_profile(zxyz_like(2))
+    assert len(calls) == 1

@@ -86,6 +86,46 @@ def test_string_validation():
         PauliString.from_label("XQ")
 
 
+@st.composite
+def wide_string(draw, max_n=300):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    x = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    z = draw(st.integers(min_value=0, max_value=(1 << n) - 1))
+    return PauliString(n, x, z)
+
+
+@given(wide_string())
+@settings(max_examples=200, deadline=None)
+def test_support_matches_site_scan_oracle(s):
+    bits = s.x_bits | s.z_bits
+    assert s.support() == tuple(site for site in range(s.n) if (bits >> site) & 1)
+
+
+@given(wide_string())
+@settings(max_examples=200, deadline=None)
+def test_from_label_inverts_label(s):
+    assert PauliString.from_label(s.label()) == s
+
+
+def test_from_label_empty_label():
+    assert PauliString.from_label("") == PauliString.identity(0)
+
+
+@given(
+    st.text(alphabet="IXYZ", max_size=40),
+    # lowercase, digits, whitespace and non-ASCII letters (incl. a fullwidth X)
+    st.sampled_from("ixyzq09 \t\nÄßαЖＸ"),
+    st.text(alphabet="IXYZ", max_size=40),
+    st.text(max_size=5),
+)
+@settings(max_examples=200, deadline=None)
+def test_from_label_rejects_foreign_letters(head, bad, tail, rest):
+    label = head + bad + tail + rest
+    with pytest.raises(ValidationError) as info:
+        PauliString.from_label(label)
+    assert str(info.value) == f"invalid Pauli letter {bad!r} in {label!r}"
+
+
 def test_multiply_z_x_gives_iy():
     z = PauliString.from_label("Z")
     x = PauliString.from_label("X")
