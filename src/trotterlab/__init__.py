@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 from .errors import (
     DimensionMismatchError,
     DivergentTailError,
-    InfeasibleError,
     PartitionError,
     ResourceCapError,
     TrotterlabError,
@@ -128,7 +127,6 @@ __all__ = [
     "DivergentTailError",
     "FermionHamiltonian",
     "FermionTerm",
-    "InfeasibleError",
     "LeadingError",
     "PartitionError",
     "PauliHamiltonian",

@@ -120,9 +120,13 @@ class GateCountResult:
 
 
 def _profile_of(h: HamiltonianLike) -> NormProfile:
-    if isinstance(h, NormProfile):
-        return h
-    return norm_profile(h)
+    profile = h if isinstance(h, NormProfile) else norm_profile(h)
+    # Every step-count formula has a (1, q) norm or a 1/lambda(k) in it.
+    if profile.gamma and not profile.k:
+        raise ValidationError(
+            "every term is the identity (locality k = 0); the bounds need k >= 1"
+        )
+    return profile
 
 
 def _merged_gates_per_segment(gamma: int, order: int) -> int:
@@ -602,20 +606,21 @@ def gatecount(
     """Dispatch a query to the calculator selected by its regime."""
     if n is None and not isinstance(h, NormProfile):
         n = h.n
-    if q.regime == "nonrandom-typical":
-        return gatecount_nonrandom(h, q)
-    if q.regime in ("random-spectral", "random-fixed"):
+    try:
+        if q.regime == "nonrandom-typical":
+            return gatecount_nonrandom(h, q)
+        if q.regime == "spectral-1norm-baseline":
+            return baseline_1norm(h, q)
         if n is None:
             raise ValidationError("random regimes need the qubit count n")
-        return gatecount_random_ho(h, n, q)
-    if q.regime in (
-        "first-order-random-spectral",
-        "first-order-random-fixed",
-    ):
-        if n is None:
-            raise ValidationError("random regimes need the qubit count n")
+        if q.regime in ("random-spectral", "random-fixed"):
+            return gatecount_random_ho(h, n, q)
         return gatecount_random_first(h, n, q)
-    return baseline_1norm(h, q)
+    except OverflowError as exc:
+        raise ValidationError(
+            f"the step count overflows floating point ({exc}); "
+            "rescale the coefficients or the time"
+        ) from exc
 
 
 # ------------------------------------------------------------- Table 1
@@ -839,6 +844,9 @@ def truncation_plan(
     exactly for lattices up to 4096 sites and bounded by the radial
     integral above that.
     """
+    for name, value in (("alpha", alpha), ("t", t), ("eps", eps)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     if 2.0 * alpha <= d:
         raise DivergentTailError(
             "2 alpha <= d: the far tail carries divergent weight"

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import pathlib
@@ -43,7 +44,6 @@ from .bounds import (
 from .dense import DEFAULT_CAP_N, WeightedNormSpec
 from .errors import (
     DivergentTailError,
-    InfeasibleError,
     ResourceCapError,
     TrotterlabError,
     ValidationError,
@@ -113,7 +113,12 @@ def _looks_fermionic(data: dict) -> bool:
     if "eta" in data:
         return True
     terms = data.get("terms")
-    return bool(terms) and isinstance(terms[0], dict) and "ops" in terms[0]
+    return (
+        isinstance(terms, list)
+        and bool(terms)
+        and isinstance(terms[0], dict)
+        and "ops" in terms[0]
+    )
 
 
 def load_hamiltonian(path: str):
@@ -228,7 +233,7 @@ def _cmd_schedule(args) -> tuple[int, str]:
         raise ValidationError("give exactly one of a Hamiltonian file or --gamma")
     gamma = args.gamma
     if gamma is None:
-        gamma = len(load_hamiltonian(args.hamiltonian).terms)
+        gamma = load_hamiltonian(args.hamiltonian).gamma
     sched = build_schedule(gamma, args.order, args.t, merge=not args.no_merge)
     payload = [{"gamma": idx + 1, "coeff": coeff} for idx, coeff in sched.steps]
     return 0, _json_text(payload)
@@ -517,6 +522,7 @@ def _add_family_flags(sub, families=FAMILIES, required=False) -> None:
     sub.add_argument("--j", type=_finite_float, default=1.0, help="coupling strength J")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="trotterlab",
@@ -645,7 +651,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (InfeasibleError, ResourceCapError, DivergentTailError) as exc:
+    except (ResourceCapError, DivergentTailError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except TrotterlabError as exc:

@@ -27,9 +27,5 @@ class ResourceCapError(TrotterlabError):
     """Dense-matrix request exceeds the configured qubit cap."""
 
 
-class InfeasibleError(TrotterlabError):
-    """No step count within the search range satisfies the bound's constraints."""
-
-
 class DivergentTailError(TrotterlabError):
     """Power-law interaction tail does not decay fast enough to truncate."""

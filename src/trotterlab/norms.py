@@ -30,11 +30,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .pauli import (
-    FermionHamiltonian,
-    PauliHamiltonian,
-    fermion_term_site_matrices,
-)
+from .errors import ValidationError
+from .pauli import FermionHamiltonian, PauliHamiltonian, _bit_sites, _jw_site_products
 
 AnyHamiltonian = Union[PauliHamiltonian, FermionHamiltonian]
 
@@ -59,7 +56,7 @@ class NormProfile:
 def _term_data(h: AnyHamiltonian) -> list[tuple[tuple[int, ...], float]]:
     """(support, bound) per term."""
     if isinstance(h, PauliHamiltonian):
-        return [(t.support(), t.bound) for t in h.terms]
+        return [(_bit_sites(x | z), abs(c)) for (x, z), c in h.coeff_map().items()]
     if isinstance(h, FermionHamiltonian):
         return [(t.support(), fermion_term_bound(t, h.n)) for t in h.terms]
     raise TypeError(f"unsupported Hamiltonian type {type(h).__name__}")
@@ -73,8 +70,9 @@ def fermion_term_bound(term, n: int) -> float:
     if term.is_zero:
         return 0.0
     bound = abs(term.coeff)
-    mats = fermion_term_site_matrices(term, n)
-    for site in term.support():
+    support = term.support()
+    mats = _jw_site_products(term, support)
+    for site in support:
         bound *= float(np.linalg.norm(mats[site], 2))
     return bound
 
@@ -229,6 +227,11 @@ def norm_profile(h: AnyHamiltonian) -> NormProfile:
         ferm02 = _ladder_zero_two(h, data)
         if h.is_number_preserving and k >= 1:
             lam_f = _lambda_ferm(lam, ferm02, k)
+    values = (*norms.values(), lam, lam_p, lam_f or 0.0, ferm02 or 0.0)
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(
+            "the local norms overflow floating point; rescale the coefficients"
+        )
     return NormProfile(
         gamma=h.gamma,
         k=k,

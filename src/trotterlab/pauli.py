@@ -21,6 +21,7 @@ O^eta = (1 - eta)|occ><occ| - eta|emp><emp| = ((1 - 2 eta)/2) I + Z/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,11 +36,45 @@ _LABELS = "IXZY"  # index = x_bit + 2*z_bit
 _X_DIGITS = str.maketrans("IXZY", "0101")
 _Z_DIGITS = str.maketrans("IXZY", "0011")
 _DROP_LABELS = str.maketrans("", "", _LABELS)
+_DIGIT_LABELS = str.maketrans("0123", _LABELS)
 
 CREATE = "+"
 ANNIHILATE = "-"
 OCCUPATION = "z"
 _FERMION_KINDS = (CREATE, ANNIHILATE, OCCUPATION)
+
+
+def _label_bits(label: str) -> tuple[int, int]:
+    """(x_bits, z_bits) of an I/X/Y/Z label; site s is bit s."""
+    invalid = label.translate(_DROP_LABELS)
+    if invalid:
+        raise ValidationError(f"invalid Pauli letter {invalid[0]!r} in {label!r}")
+    # The reversed label reads as a binary number.
+    reverse = label[::-1]
+    return (
+        int(reverse.translate(_X_DIGITS) or "0", 2),
+        int(reverse.translate(_Z_DIGITS) or "0", 2),
+    )
+
+
+def _bits_label(n: int, x_bits: int, z_bits: int) -> str:
+    """The I/X/Y/Z label of (x_bits, z_bits) on n sites."""
+    if not n:
+        return ""
+    # Read in hexadecimal, the binary digits of x and z become nibbles, so
+    # nibble s of the sum holds x_s + 2 z_s, the index of the letter at site s.
+    digits = int(format(x_bits, "b"), 16) + 2 * int(format(z_bits, "b"), 16)
+    return format(digits, f"0{n}x")[::-1].translate(_DIGIT_LABELS)
+
+
+def _bit_sites(bits: int) -> tuple[int, ...]:
+    """Ascending positions of the set bits, in O(popcount) steps."""
+    sites = []
+    while bits:
+        low = bits & -bits
+        sites.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(sites)
 
 
 @dataclass(frozen=True)
@@ -65,30 +100,15 @@ class PauliString:
 
     @classmethod
     def from_label(cls, label: str, phase: int = 0) -> "PauliString":
-        invalid = label.translate(_DROP_LABELS)
-        if invalid:
-            raise ValidationError(f"invalid Pauli letter {invalid[0]!r} in {label!r}")
-        # Site s is bit s, so the reversed label reads as a binary number.
-        reverse = label[::-1]
-        x = int(reverse.translate(_X_DIGITS) or "0", 2)
-        z = int(reverse.translate(_Z_DIGITS) or "0", 2)
+        x, z = _label_bits(label)
         return cls(len(label), x, z, phase)
 
     def label(self) -> str:
-        return "".join(
-            _LABELS[((self.x_bits >> s) & 1) + 2 * ((self.z_bits >> s) & 1)]
-            for s in range(self.n)
-        )
+        return _bits_label(self.n, self.x_bits, self.z_bits)
 
     def support(self) -> tuple[int, ...]:
         """Ascending sites with a non-identity factor, in O(weight) steps."""
-        bits = self.x_bits | self.z_bits
-        sites = []
-        while bits:
-            low = bits & -bits
-            sites.append(low.bit_length() - 1)
-            bits ^= low
-        return tuple(sites)
+        return _bit_sites(self.x_bits | self.z_bits)
 
     @property
     def weight(self) -> int:
@@ -172,6 +192,50 @@ def commutator(p: PauliTerm, q: PauliTerm) -> Optional[PauliTerm]:
 
 
 TermLike = Union[PauliTerm, tuple]
+_Table = dict[tuple[int, int], complex]
+
+
+def _merge(pairs: Iterable[tuple[tuple[int, int], complex]]) -> _Table:
+    """Sum coefficients per key in first-occurrence order, dropping those
+    whose magnitude ends below ``MERGE_TOL``."""
+    merged: _Table = {}
+    for key, coeff in pairs:
+        if key in merged:
+            merged[key] += coeff
+        else:
+            merged[key] = coeff
+    return {key: c for key, c in merged.items() if abs(c) >= MERGE_TOL}
+
+
+def _keyed(n: int, item: TermLike) -> tuple[tuple[int, int], complex]:
+    """(key, coefficient) of one term, with the string's phase folded in."""
+    if isinstance(item, PauliTerm):
+        string, coeff = item.string, item.coeff
+    else:
+        string, coeff = item
+    if isinstance(string, str):
+        size, key, phase = len(string), _label_bits(string), 0
+    else:
+        size, key, phase = string.n, (string.x_bits, string.z_bits), string.phase
+    coeff = complex(coeff) * (1j**phase) if phase else complex(coeff)
+    if size != n:
+        raise DimensionMismatchError(f"term on {size} qubits in a {n}-qubit sum")
+    return key, coeff
+
+
+def _ingest(n: int, items: Iterable[TermLike]) -> _Table:
+    """The merged (x_bits, z_bits) -> coefficient table of ``items``.
+
+    An item is a PauliTerm or a (string, coeff) pair whose string is a
+    PauliString or an I/X/Y/Z label.
+    """
+    if n < 0:
+        raise ValidationError(f"negative qubit count {n}")
+    return _merge(_keyed(n, item) for item in items)
+
+
+def _has_imaginary_part(c: complex) -> bool:
+    return abs(c.imag) > _HERMITICITY_TOL * max(1.0, abs(c.real))
 
 
 class PauliSum:
@@ -180,40 +244,27 @@ class PauliSum:
     Terms are merged on ingest by string identity; the surviving order is the
     first occurrence of each string.  Coefficients with magnitude below
     ``MERGE_TOL`` after merging are dropped.  Instances are immutable.
+
+    The sum is stored as one (x_bits, z_bits) -> coefficient table; the
+    ``PauliTerm`` tuple of ``terms`` is built the first time it is read.
     """
 
-    __slots__ = ("_n", "_terms")
+    __slots__ = ("_n", "_table", "_terms")
 
     def __init__(self, n: int, terms: Iterable[TermLike] = ()):
-        merged: dict[tuple[int, int], complex] = {}
-        keepers: dict[tuple[int, int], PauliString] = {}
-        for item in terms:
-            term = self._coerce(n, item)
-            if term.n != n:
-                raise DimensionMismatchError(
-                    f"term on {term.n} qubits in a {n}-qubit sum"
-                )
-            key = term.string.key()
-            if key in merged:
-                merged[key] += term.coeff
-            else:
-                merged[key] = term.coeff
-                keepers[key] = term.string
-        self._n = n
-        self._terms = tuple(
-            PauliTerm(keepers[key], c)
-            for key, c in merged.items()
-            if abs(c) >= MERGE_TOL
-        )
+        self._adopt(n, _ingest(n, terms))
 
-    @staticmethod
-    def _coerce(n: int, item: TermLike) -> PauliTerm:
-        if isinstance(item, PauliTerm):
-            return item
-        string, coeff = item
-        if isinstance(string, str):
-            string = PauliString.from_label(string)
-        return PauliTerm(string, coeff)
+    @classmethod
+    def _from_table(cls, n: int, table: _Table):
+        obj = cls.__new__(cls)
+        obj._adopt(n, table)
+        return obj
+
+    def _adopt(self, n: int, table: _Table) -> None:
+        """Take ownership of a merged table."""
+        self._n = n
+        self._table = table
+        self._terms: Optional[tuple[PauliTerm, ...]] = None
 
     @property
     def n(self) -> int:
@@ -221,42 +272,49 @@ class PauliSum:
 
     @property
     def terms(self) -> tuple[PauliTerm, ...]:
+        if self._terms is None:
+            n = self._n
+            self._terms = tuple(
+                PauliTerm(PauliString(n, x, z), c) for (x, z), c in self._table.items()
+            )
         return self._terms
 
     @property
     def gamma(self) -> int:
         """Number of (merged) terms."""
-        return len(self._terms)
+        return len(self._table)
 
     @property
     def k(self) -> int:
         """Maximum support size over terms (0 for the empty sum)."""
-        return max((t.string.weight for t in self._terms), default=0)
+        return max(((x | z).bit_count() for x, z in self._table), default=0)
 
     @property
     def is_empty(self) -> bool:
-        return not self._terms
+        return not self._table
 
     def coeff_map(self) -> dict[tuple[int, int], complex]:
-        return {t.string.key(): t.coeff for t in self._terms}
+        return dict(self._table)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_same_n(other)
-        return PauliSum(self._n, (*self._terms, *other._terms))
+        pairs = itertools.chain(self._table.items(), other._table.items())
+        return PauliSum._from_table(self._n, _merge(pairs))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + other.scaled(-1.0)
 
     def scaled(self, factor: complex) -> "PauliSum":
-        return PauliSum(self._n, (t.scaled(factor) for t in self._terms))
+        pairs = ((key, complex(c * factor)) for key, c in self._table.items())
+        return PauliSum._from_table(self._n, _merge(pairs))
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
             self._check_same_n(other)
             products = (
-                PauliTerm(multiply(a.string, b.string), a.coeff * b.coeff)
-                for a in self._terms
-                for b in other._terms
+                (multiply(a.string, b.string), a.coeff * b.coeff)
+                for a in self.terms
+                for b in other.terms
             )
             return PauliSum(self._n, products)
         return self.scaled(other)
@@ -265,9 +323,8 @@ class PauliSum:
         return self.scaled(factor)
 
     def adjoint(self) -> "PauliSum":
-        return PauliSum(
-            self._n, (PauliTerm(t.string, t.coeff.conjugate()) for t in self._terms)
-        )
+        pairs = ((key, c.conjugate()) for key, c in self._table.items())
+        return PauliSum._from_table(self._n, _merge(pairs))
 
     def _check_same_n(self, other: "PauliSum") -> None:
         if self._n != other._n:
@@ -276,12 +333,16 @@ class PauliSum:
             )
 
     def to_hamiltonian(self) -> "PauliHamiltonian":
-        return PauliHamiltonian(self._n, self._terms)
+        return PauliHamiltonian._from_table(self._n, dict(self._table))
 
     def __repr__(self) -> str:
-        body = " + ".join(f"({t.coeff:g})*{t.string.label() or 'I'}" for t in self._terms[:6])
-        more = " + ..." if len(self._terms) > 6 else ""
-        return f"PauliSum(n={self._n}, {body or '0'}{more})"
+        n = self._n
+        body = " + ".join(
+            f"({c:g})*{_bits_label(n, x, z) or 'I'}"
+            for (x, z), c in itertools.islice(self._table.items(), 6)
+        )
+        more = " + ..." if len(self._table) > 6 else ""
+        return f"PauliSum(n={n}, {body or '0'}{more})"
 
 
 def commutator_sum(a: PauliSum, b: PauliSum) -> PauliSum:
@@ -299,25 +360,23 @@ class PauliHamiltonian(PauliSum):
 
     __slots__ = ()
 
-    def __init__(self, n: int, terms: Iterable[TermLike] = ()):
-        super().__init__(n, terms)
-        cleaned = []
-        for t in self._terms:
-            if abs(t.coeff.imag) > _HERMITICITY_TOL * max(1.0, abs(t.coeff.real)):
+    def _adopt(self, n: int, table: _Table) -> None:
+        for key, c in table.items():
+            if _has_imaginary_part(c):
                 raise ValidationError(
-                    f"non-Hermitian total: term {t.string.label()} has coefficient "
-                    f"{t.coeff} with non-real part"
+                    f"non-Hermitian total: term {_bits_label(n, *key)} has coefficient "
+                    f"{c} with non-real part"
                 )
-            cleaned.append(PauliTerm(t.string, complex(t.coeff.real, 0.0)))
-        self._terms = tuple(cleaned)
+            table[key] = complex(c.real, 0.0)
+        super()._adopt(n, table)
 
     @classmethod
     def from_labels(cls, n: int, pairs: Iterable[tuple[str, float]]) -> "PauliHamiltonian":
-        return cls(n, ((PauliString.from_label(lab), c) for lab, c in pairs))
+        return cls._from_table(n, _ingest(n, pairs))
 
     def bounds(self) -> tuple[float, ...]:
         """Per-term bounds b_gamma = |coeff|."""
-        return tuple(t.bound for t in self._terms)
+        return tuple(abs(c) for c in self._table.values())
 
 
 def adjoint_apply(h_term: PauliTerm, operator: PauliSum) -> PauliSum:
@@ -418,6 +477,10 @@ class FermionTerm:
     is_zero: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("coeff", "eta"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value!r}")
         factors = tuple((int(s), str(kind)) for s, kind in self.factors)
         for site, kind in factors:
             if kind not in _FERMION_KINDS:
@@ -576,6 +639,12 @@ def fermion_term_site_matrices(term: FermionTerm, n: int):
     product of the 2x2 spectral norms.  Only sites in the term's support can
     carry a non-unitary factor; all others are powers of Z.
     """
+    return _jw_site_products(term, range(n))
+
+
+def _jw_site_products(term: FermionTerm, sites: Iterable[int]):
+    """The per-site factor products of ``fermion_term_site_matrices`` on
+    ``sites`` only; each site's product is formed in the same order."""
     import numpy as np
 
     sig_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -585,20 +654,17 @@ def fermion_term_site_matrices(term: FermionTerm, n: int):
     lower = (sig_x - 1j * sig_y) / 2.0  # |empty><occupied|
     raise_ = (sig_x + 1j * sig_y) / 2.0
 
-    site_mats = {s: eye.copy() for s in range(n)}
-
-    def apply(site_mat_target: int, mat) -> None:
-        site_mats[site_mat_target] = site_mats[site_mat_target] @ mat
-
+    site_mats = {s: eye.copy() for s in sites}
     for site, kind in term.factors:
         if kind == OCCUPATION:
             local = ((1.0 - 2.0 * term.eta) / 2.0) * eye + 0.5 * sig_z
-            apply(site, local)
+            site_mats[site] = site_mats[site] @ local
         else:
             local = raise_ if kind == CREATE else lower
-            apply(site, -local)
-            for j in range(site + 1, n):
-                apply(j, sig_z)
+            site_mats[site] = site_mats[site] @ -local
+            for j in site_mats:
+                if j > site:
+                    site_mats[j] = site_mats[j] @ sig_z
     return site_mats
 
 
@@ -614,10 +680,10 @@ def pauli_to_json(h: PauliSum) -> dict:
     describes Hamiltonians).
     """
     terms = []
-    for t in h.terms:
-        if abs(t.coeff.imag) > _HERMITICITY_TOL * max(1.0, abs(t.coeff.real)):
+    for (x, z), c in h._table.items():
+        if _has_imaginary_part(c):
             raise ValidationError("cannot serialize a sum with non-real coefficients")
-        terms.append({"pauli": t.string.label(), "coeff": t.coeff.real})
+        terms.append({"pauli": _bits_label(h.n, x, z), "coeff": c.real})
     return {"n": h.n, "terms": terms}
 
 
@@ -625,7 +691,7 @@ def pauli_from_json(data: Mapping) -> PauliHamiltonian:
     try:
         n = int(data["n"])
         pairs = [(str(t["pauli"]), float(t["coeff"])) for t in data["terms"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed Hamiltonian JSON: {exc}") from exc
     for label, coeff in pairs:
         if len(label) != n:
@@ -661,17 +727,13 @@ def fermion_from_json(data: Mapping) -> FermionHamiltonian:
     try:
         n = int(data["n"])
         eta = float(data.get("eta", 0.5))
-        terms = [
-            FermionTerm(
-                tuple((int(site), str(kind)) for kind, site in t["ops"]),
-                float(t["coeff"]),
-                eta,
-            )
+        raw = [
+            (tuple((int(site), str(kind)) for kind, site in t["ops"]), float(t["coeff"]))
             for t in data["terms"]
         ]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed fermionic JSON: {exc}") from exc
-    for value in (eta, *(t.coeff for t in terms)):
+    for value in (eta, *(coeff for _, coeff in raw)):
         if not math.isfinite(value):
             raise ValidationError(f"fermionic JSON holds the non-finite value {value!r}")
-    return FermionHamiltonian(n, terms)
+    return FermionHamiltonian(n, (FermionTerm(factors, coeff, eta) for factors, coeff in raw))

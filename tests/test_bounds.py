@@ -5,6 +5,7 @@ import math
 import pytest
 
 from trotterlab.bounds import (
+    REGIMES,
     CountingEstimate,
     GateCountQuery,
     GateCountResult,
@@ -567,3 +568,37 @@ def test_query_rejects_non_finite_values(field, value):
     params[field] = value
     with pytest.raises(ValidationError, match=f"{field} must be finite"):
         GateCountQuery(**params)
+
+
+@pytest.mark.parametrize("field", ["alpha", "t", "eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_truncation_plan_rejects_non_finite_values(field, value):
+    # t=nan gave residual_error nan; the others raised ValueError or OverflowError.
+    params = dict(n=16, d=1, alpha=2.0, t=1.0, eps=0.1)
+    params[field] = value
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        truncation_plan(**params)
+
+
+def _regime_query(regime):
+    order = 1 if regime.startswith("first") else 2
+    return GateCountQuery(t=1.0, eps=0.1, regime=regime, order=order)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_gatecount_rejects_identity_only_hamiltonian(regime):
+    # k = 0: every step-count formula divides by lambda(k) or reads ||H||_(1),q.
+    h = PauliHamiltonian.from_labels(2, [("II", 1.0)])
+    with pytest.raises(ValidationError, match="identity"):
+        gatecount(h, _regime_query(regime))
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_gatecount_overflow_is_a_validation_error(regime):
+    # 1e200 squared overflows the 2-norms; 3e100 overflows the higher-order
+    # step counts (the first-order and baseline counts stay finite).
+    with pytest.raises(ValidationError, match="overflow"):
+        gatecount(PauliHamiltonian.from_labels(2, [("XX", 1e200)]), _regime_query(regime))
+    if not regime.startswith(("first", "spectral")):
+        with pytest.raises(ValidationError, match="overflow"):
+            gatecount(PauliHamiltonian.from_labels(2, [("XX", 3e100)]), _regime_query(regime))

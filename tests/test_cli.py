@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, determinism, round-trips."""
 
+import contextlib
 import io
 import json
 import math
@@ -9,8 +10,11 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trotterlab
 from trotterlab.cli import main
@@ -196,6 +200,75 @@ def test_non_finite_input_exits_2_without_traceback(tmp_path, coeff, argv):
     assert "finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+_LABEL_TEXT = st.text(alphabet="IXYZ", min_size=0, max_size=5) | st.text(max_size=4)
+_COEFF_VALUES = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.sampled_from(["1.5", "abc", "nan", "", None, True, [1.0], {"re": 1.0}])
+)
+
+
+@st.composite
+def malformed_pauli_json(draw):
+    """Pauli Hamiltonian documents that are mostly well-formed: bad letters,
+    wrong label lengths, non-finite, huge or string coefficients, missing
+    keys, empty or cancelling term lists, and wrong JSON types."""
+    n = draw(st.integers(min_value=-1, max_value=4) | st.sampled_from([10**30, "3", 2.5, None]))
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        size = n if isinstance(n, int) and 0 <= n <= 4 else 3
+        label = draw(st.text(alphabet="IXYZ", min_size=size, max_size=size) | _LABEL_TEXT)
+        coeff = draw(st.floats(min_value=-2.0, max_value=2.0) | _COEFF_VALUES)
+        term = {"pauli": label, "coeff": coeff}
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            del term[draw(st.sampled_from(["pauli", "coeff"]))]
+        terms.append(term)
+        if draw(st.booleans()) and isinstance(coeff, float):
+            terms.append({"pauli": label, "coeff": -coeff})  # cancels the term
+    doc = {"n": n, "terms": terms}
+    shape = draw(st.integers(min_value=0, max_value=9))
+    if shape == 0:
+        doc["terms"] = draw(st.sampled_from([{}, {"0": 1}, 5, "XX", None, [1, 2]]))
+    elif shape == 1:
+        del doc[draw(st.sampled_from(["n", "terms"]))]
+    elif shape == 2:
+        doc = draw(st.sampled_from([[doc], 3, "doc", None]))
+    return json.dumps(doc)
+
+
+_FUZZ_ARGV = [["norms", "-"]] + [
+    ["gatecount", "-", "--regime", regime, "--order", order, "--t", "1", "--eps", "0.1"]
+    for regime, order in (
+        ("nonrandom-typical", "2"),
+        ("random-fixed", "2"),
+        ("first-order-random-spectral", "1"),
+        ("spectral-1norm-baseline", "2"),
+    )
+]
+
+
+@given(text=malformed_pauli_json(), argv=st.sampled_from(_FUZZ_ARGV))
+@settings(max_examples=100, deadline=None)
+def test_fuzz_malformed_pauli_json_exits_cleanly(text, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) <= 1
+    assert (code == 0) == (not errors)
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    first = run(capsys, "schedule", "--gamma", "3", "--order", "2", "--t", "0.5")
+    run(capsys, "schedule", "--gamma", "2", "--order", "1", "--t", "1", "--no-merge")
+    assert run(capsys, "schedule", "--gamma", "3", "--order", "2", "--t", "0.5") == first
+    assert run(capsys, "norms", "/nonexistent/h.json")[0] == 2
+    assert run(capsys, "schedule", "--gamma", "3", "--order", "2", "--t", "0.5") == first
 
 
 # ---------------------------------------------------------- schedule

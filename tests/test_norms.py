@@ -17,7 +17,13 @@ from trotterlab.norms import (
     local_norm,
     norm_profile,
 )
-from trotterlab.pauli import FermionHamiltonian, FermionTerm, PauliHamiltonian
+from trotterlab.pauli import (
+    FermionHamiltonian,
+    FermionTerm,
+    PauliHamiltonian,
+    _jw_site_products,
+    fermion_term_site_matrices,
+)
 
 
 def zfield(n):
@@ -179,6 +185,41 @@ def test_fermion_number_operator_bound():
 def test_fermion_occupation_bound_depends_on_eta():
     t = FermionTerm(((0, "z"),), 1.0, eta=0.25)
     assert fermion_term_bound(t, 1) == pytest.approx(0.75)
+
+
+@st.composite
+def fermion_terms(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    factors = draw(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=n - 1), st.sampled_from("+-z")),
+            max_size=4,
+        )
+    )
+    coeff = draw(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+    eta = draw(st.floats(min_value=0.0, max_value=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # repeated ladder factors
+        return FermionTerm(tuple(factors), coeff, eta), n
+
+
+@given(fermion_terms())
+@settings(max_examples=200, deadline=None)
+def test_support_site_products_equal_full_products(case):
+    term, n = case
+    full = fermion_term_site_matrices(term, n)
+    assert sorted(full) == list(range(n))
+    support = term.support()
+    restricted = _jw_site_products(term, support)
+    assert sorted(restricted) == list(support)
+    for site in support:
+        assert np.array_equal(restricted[site], full[site])
+    expected = 0.0
+    if not term.is_zero:
+        expected = abs(term.coeff)
+        for site in support:
+            expected *= float(np.linalg.norm(full[site], 2))
+    assert fermion_term_bound(term, n) == expected
 
 
 @pytest.mark.parametrize("m", [1, 2])

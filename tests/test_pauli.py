@@ -103,6 +103,17 @@ def test_support_matches_site_scan_oracle(s):
 
 @given(wide_string())
 @settings(max_examples=200, deadline=None)
+def test_label_matches_site_scan_oracle(s):
+    letters = "IXZY"  # index x + 2 z
+    expected = "".join(
+        letters[((s.x_bits >> site) & 1) + 2 * ((s.z_bits >> site) & 1)]
+        for site in range(s.n)
+    )
+    assert s.label() == expected
+
+
+@given(wide_string())
+@settings(max_examples=200, deadline=None)
 def test_from_label_inverts_label(s):
     assert PauliString.from_label(s.label()) == s
 
@@ -280,6 +291,146 @@ def test_hamiltonian_accepts_phase_folded_real():
     s = PauliString.from_label("Y", phase=3)
     h = PauliHamiltonian(1, [PauliTerm(s, 1.0j)])
     assert h.terms[0].coeff == 1.0
+
+
+def _three_pass(cls, n, items):
+    """The construction the merged table replaced, as an oracle: one
+    PauliTerm per item, one per merged key, and for a Hamiltonian one more
+    per key with the real coefficient."""
+    merged, keepers = {}, {}
+    for item in items:
+        if isinstance(item, PauliTerm):
+            term = item
+        else:
+            string, coeff = item
+            if isinstance(string, str):
+                string = PauliString.from_label(string)
+            term = PauliTerm(string, coeff)
+        if term.n != n:
+            raise DimensionMismatchError(f"term on {term.n} qubits in a {n}-qubit sum")
+        key = term.string.key()
+        if key in merged:
+            merged[key] += term.coeff
+        else:
+            merged[key] = term.coeff
+            keepers[key] = term.string
+    terms = tuple(PauliTerm(keepers[k], c) for k, c in merged.items() if abs(c) >= 1e-14)
+    if cls is PauliHamiltonian:
+        cleaned = []
+        for t in terms:
+            if abs(t.coeff.imag) > 1e-12 * max(1.0, abs(t.coeff.real)):
+                raise ValidationError(
+                    f"non-Hermitian total: term {t.string.label()} has coefficient "
+                    f"{t.coeff} with non-real part"
+                )
+            cleaned.append(PauliTerm(t.string, complex(t.coeff.real, 0.0)))
+        terms = tuple(cleaned)
+    return terms
+
+
+def _outcome(build):
+    """The terms with every coefficient bit visible (repr shows -0.0), or the error."""
+    try:
+        terms = build()
+    except (ValidationError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+    return [(t.string, repr(t.coeff.real), repr(t.coeff.imag)) for t in terms]
+
+
+_COEFFS = st.sampled_from([1.0, -1.0, 0.5, -0.5, 1e-15, 0.0, -0.0, 1j, -1j]) | st.complex_numbers(
+    max_magnitude=4.0
+) | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def ingest_items(draw):
+    """(n, items) with few distinct strings, so duplicates merge and cancel;
+    now and then a label of the wrong length or with a foreign letter."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    items = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        size = draw(st.sampled_from([n] * 8 + [n - 1, n + 1]))
+        label = draw(st.text(alphabet="IXYZ", min_size=size, max_size=size))
+        if draw(st.integers(min_value=0, max_value=19)) == 0:
+            label += draw(st.sampled_from("xq1 "))
+        coeff = draw(_COEFFS)
+        kind = draw(st.sampled_from(("label", "string", "term")))
+        if kind == "label":
+            items.append((label, coeff))
+            continue
+        try:
+            string = PauliString.from_label(label, phase=draw(st.integers(0, 3)))
+        except ValidationError:
+            items.append((label, coeff))
+            continue
+        items.append(PauliTerm(string, coeff) if kind == "term" else (string, coeff))
+    return n, items
+
+
+@pytest.mark.parametrize("cls", [PauliSum, PauliHamiltonian])
+@given(case=ingest_items())
+@settings(max_examples=300, deadline=None)
+def test_ingest_matches_three_pass_oracle(cls, case):
+    n, items = case
+    expected = _outcome(lambda: _three_pass(cls, n, items))
+    assert _outcome(lambda: cls(n, items).terms) == expected
+    if isinstance(expected, list):
+        built = cls(n, items)
+        assert built.gamma == len(expected)
+        assert built.coeff_map() == {t.string.key(): t.coeff for t in built.terms}
+        assert built.k == max((t.string.weight for t in built.terms), default=0)
+        if cls is PauliHamiltonian:
+            assert built.bounds() == tuple(abs(t.coeff) for t in built.terms)
+            labels = [(t.string.label(), t.coeff.real) for t in built.terms]
+            assert _outcome(lambda: PauliHamiltonian.from_labels(n, labels).terms) == expected
+
+
+@given(case=ingest_items(), factor=_COEFFS)
+@settings(max_examples=200, deadline=None)
+def test_sum_algebra_matches_term_wise_construction(case, factor):
+    n, items = case
+    try:
+        a = PauliSum(n, items)
+    except (ValidationError, DimensionMismatchError):
+        return
+    b = PauliSum(n, [("X" * n, 1.0), ("Z" * n, -0.5j)])
+    cases = [
+        (a + b, (*a.terms, *b.terms)),
+        (a.scaled(factor), (t.scaled(factor) for t in a.terms)),
+        (a.adjoint(), (PauliTerm(t.string, t.coeff.conjugate()) for t in a.terms)),
+    ]
+    for got, items_ in cases:
+        assert _outcome(lambda: got.terms) == _outcome(lambda: _three_pass(PauliSum, n, items_))
+    assert _outcome(lambda: a.to_hamiltonian().terms) == _outcome(
+        lambda: _three_pass(PauliHamiltonian, n, a.terms)
+    )
+
+
+def test_negative_qubit_count_is_rejected():
+    # Without terms, no PauliString checks n; the CLI planned an empty
+    # Hamiltonian on -1 qubits and exited 0.
+    with pytest.raises(ValidationError, match="negative qubit count -1"):
+        PauliSum(-1)
+    with pytest.raises(ValidationError, match="negative qubit count -1"):
+        pauli_from_json({"n": -1, "terms": []})
+
+
+def test_planner_path_builds_no_pauli_terms(monkeypatch):
+    from trotterlab.models import chain_heisenberg
+    from trotterlab.norms import norm_profile
+
+    built = []
+    original = PauliTerm.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PauliTerm, "__post_init__", counting)
+    doc = pauli_to_json(chain_heisenberg(8))
+    profile = norm_profile(pauli_from_json(doc))
+    assert profile.gamma == 21
+    assert built == []
 
 
 def test_sum_product_matches_dense():
@@ -531,6 +682,15 @@ def test_fermion_site_matrices_reconstruct_image():
     for s in range(n):
         out = np.kron(out, mats[s])
     np.testing.assert_allclose(dense_sum(jordan_wigner(t, n)), 0.9 * out, atol=1e-12)
+
+
+@pytest.mark.parametrize("field", ["coeff", "eta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_fermion_term_rejects_non_finite_values(field, value):
+    params = dict(factors=((0, "+"), (1, "-")), coeff=1.0, eta=0.5)
+    params[field] = value
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        FermionTerm(**params)
 
 
 def test_fermion_hamiltonian_site_bounds():
