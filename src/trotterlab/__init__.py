@@ -13,6 +13,8 @@ Subpackages:
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .errors import (
     DimensionMismatchError,
     DivergentTailError,
@@ -40,16 +42,6 @@ from .pauli import (
 )
 from .norms import NormProfile, lambda_k, lambda_prime_k, local_norm, norm_profile
 from .suzuki import Schedule, build_schedule, q_coefficient, upsilon
-from .dense import (
-    DEFAULT_CAP_N,
-    WeightedNormSpec,
-    apply_schedule,
-    evolve,
-    schatten_norm,
-    to_matrix,
-    trotter_error_op,
-    weighted_norm,
-)
 from .models import (
     KLocalGaussianModel,
     chain_heisenberg,
@@ -70,16 +62,32 @@ from .bounds import (
     table1_exponents,
     truncation_plan,
 )
-from .lab import (
-    ErrorReport,
-    ExperimentConfig,
-    check_hypercontractivity,
-    check_order_condition,
-    fermi_optimality_experiment,
-    optimality_experiment,
-    sample_random_hamiltonian,
-    sample_typical_error,
-)
+# dense and lab import scipy, which is most of the package's import time, so
+# their names load on first use (PEP 562) and planner commands never pay for it.
+_LAZY = {
+    "dense": (
+        "DEFAULT_CAP_N WeightedNormSpec apply_schedule evolve schatten_norm to_matrix "
+        "trotter_error_op weighted_norm"
+    ).split(),
+    "lab": (
+        "ErrorReport ExperimentConfig check_hypercontractivity check_order_condition "
+        "fermi_optimality_experiment optimality_experiment sample_random_hamiltonian "
+        "sample_typical_error"
+    ).split(),
+}
+_LAZY_MODULE = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    module = _LAZY_MODULE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "CountingEstimate",

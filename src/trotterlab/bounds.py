@@ -25,6 +25,7 @@ as displayed in their derivations.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -44,6 +45,7 @@ __all__ = [
     "TruncationPlan",
     "CountingEstimate",
     "Table1Cell",
+    "TABLE1_METHODS",
     "gatecount",
     "gatecount_nonrandom",
     "gatecount_random_first",
@@ -56,6 +58,24 @@ __all__ = [
     "counting_net_size",
     "markov_tail",
 ]
+
+
+def _float_guard(what: str, hint: str):
+    """Report an OverflowError or ZeroDivisionError raised inside the wrapped
+    calculator as bad input: a ValidationError saying ``what`` and ``hint``."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise ValidationError(f"{what} ({exc}); {hint}") from exc
+
+        return guarded
+
+    return wrap
+
 
 R_LIMIT = 1e15
 
@@ -157,6 +177,73 @@ def _attach_gates(result: GateCountResult, order: int) -> GateCountResult:
     return result
 
 
+def _staged_result(q, profile, r, p_star, diagnostics, feasible=True) -> GateCountResult:
+    """A higher-order result with its gate counts attached."""
+    result = GateCountResult(
+        regime=q.regime,
+        r=r,
+        gate_count=0.0,
+        gamma=profile.gamma,
+        upsilon=stage_count(q.order),
+        p_star=p_star,
+        feasible=feasible,
+        diagnostics=diagnostics,
+    )
+    return _attach_gates(result, q.order)
+
+
+def _constrained_steps(q, k, ck, c1, eta, r, p_target, bp_of, c2_over_c1):
+    """Double r from its start until the two small-step constraints hold at
+    (r, p_star), with p_star = max(p(r), p_target) and p(r) the Schatten
+    index at which the p-norm display meets eps.
+
+    Returns (r, p_star, p(r), feasible, diagnostics); ``bp_of(p)`` is the
+    per-step norm scale b_p of the calculator.
+    """
+    t, eps, ell = q.t, q.eps, q.order
+
+    def p_of(r: float) -> float:
+        return (
+            eps * r**ell / (2.0 * c1 * (ck * t) ** (ell + 1))
+        ) ** (1.0 / eta) / math.e
+
+    def constraints_ok(r: int, p: float) -> tuple[bool, dict]:
+        if k == 1:
+            return True, {"skipped_single_site": True}
+        bp = bp_of(p)
+        tau = t / r
+        lhs = (1.0 / (bp * tau)) ** (1.0 / (k - 1))
+        arg = c2_over_c1 * (1.0 / (bp * tau)) ** (ell + 1)
+        ok1 = lhs >= math.e * (ell + 3.0)
+        ok2 = arg <= 1.0 or lhs >= math.e * math.log(arg)
+        return ok1 and ok2, {
+            "constraint_lhs": lhs,
+            "constraint_1_rhs": math.e * (ell + 3.0),
+            "constraint_2_rhs": math.e * math.log(arg) if arg > 1.0 else 0.0,
+            "constraint_1_ok": ok1,
+            "constraint_2_ok": ok2,
+        }
+
+    feasible = True
+    doublings = 0
+    while True:
+        p_raw = p_of(r)
+        p_star = max(p_raw, p_target)
+        ok, diagnostics = constraints_ok(r, p_star)
+        if ok:
+            break
+        if r > R_LIMIT:
+            feasible = False
+            break
+        r *= 2
+        doublings += 1
+    diagnostics["constraint_doublings"] = doublings
+    pnorm_bound = p_star**eta * 2.0 * c1 * (ck * t) ** (ell + 1) / r**ell
+    diagnostics["pnorm_bound"] = pnorm_bound
+    diagnostics["tail_bound"] = markov_tail(pnorm_bound, eps, p_star)
+    return r, p_star, p_raw, feasible, diagnostics
+
+
 def solve_transcendental_floor(k: int, order: int) -> float:
     """Unique solution > e of x = 2 (e (order+1))**(k-1) ln**(k-1) (x).
 
@@ -216,7 +303,6 @@ def gatecount_nonrandom(
         return _empty_result(q.regime, q.order)
 
     k, ell = profile.k, q.order
-    ups = stage_count(ell)
     fermionic = profile.lambda_ferm_k is not None
     lam = profile.lambda_ferm_k if fermionic else profile.lambda_k
     lam_prime = profile.lambda_prime_k
@@ -234,18 +320,7 @@ def gatecount_nonrandom(
     )
 
     if t == 0:
-        return _attach_gates(
-            GateCountResult(
-                regime=q.regime,
-                r=0,
-                gate_count=0.0,
-                gamma=profile.gamma,
-                upsilon=ups,
-                p_star=p_target,
-                diagnostics={"zero_time": True},
-            ),
-            ell,
-        )
+        return _staged_result(q, profile, 0, p_target, {"zero_time": True})
 
     sqrt_ep = math.sqrt(math.e * p_target)
     r_prob = (
@@ -298,70 +373,19 @@ def gatecount_nonrandom(
         r_con = 0.0
         diagnostics["r_constraint"] = None
 
-    def p_of(r: float) -> float:
-        return (
-            eps * r**ell / (2.0 * c1 * (ck * t) ** (ell + 1))
-        ) ** (1.0 / eta) / math.e
-
-    def constraints_ok(r: int, p: float) -> tuple[bool, dict]:
-        if k == 1:
-            return True, {"skipped_single_site": True}
-        cp = p - 1.0
-        bp = cp ** ((k - 1) / 2.0) * ck
-        tau = t / r
-        lhs = (1.0 / (bp * tau)) ** (1.0 / (k - 1))
-        c2_over_c1 = (
-            (math.e - 1.0)
-            * (lam_prime / lam)
-            / (math.sqrt(k) ** k * (ell + 1.0) ** ((ell + 1) * (k - 1)))
-        )
-        arg = c2_over_c1 * (1.0 / (bp * tau)) ** (ell + 1)
-        ok1 = lhs >= math.e * (ell + 3.0)
-        ok2 = arg <= 1.0 or lhs >= math.e * math.log(arg)
-        return ok1 and ok2, {
-            "constraint_lhs": lhs,
-            "constraint_1_rhs": math.e * (ell + 3.0),
-            "constraint_2_rhs": math.e * math.log(arg) if arg > 1.0 else 0.0,
-            "constraint_1_ok": ok1,
-            "constraint_2_ok": ok2,
-        }
-
-    r = max(1, math.ceil(max(r_prob, r_con)))
-    feasible = True
-    doublings = 0
-    while True:
-        p_raw = p_of(r)
-        p_star = max(p_raw, p_target)
-        ok, details = constraints_ok(r, p_star)
-        if ok:
-            break
-        if r > R_LIMIT:
-            feasible = False
-            break
-        r *= 2
-        doublings += 1
-
+    c2_over_c1 = (
+        (math.e - 1.0)
+        * (lam_prime / lam)
+        / (math.sqrt(k) ** k * (ell + 1.0) ** ((ell + 1) * (k - 1)))
+    )
+    r, p_star, p_raw, feasible, details = _constrained_steps(
+        q, k, ck, c1, eta, max(1, math.ceil(max(r_prob, r_con))), p_target,
+        lambda p: (p - 1.0) ** ((k - 1) / 2.0) * ck, c2_over_c1,
+    )
     diagnostics.update(details)
     diagnostics["p_raw"] = p_raw
     diagnostics["p_star_floored"] = p_raw < p_target
-    diagnostics["constraint_doublings"] = doublings
-    pnorm_bound = p_star**eta * 2.0 * c1 * (ck * t) ** (ell + 1) / r**ell
-    diagnostics["pnorm_bound"] = pnorm_bound
-    diagnostics["tail_bound"] = markov_tail(pnorm_bound, eps, p_star)
-
-    return _attach_gates(
-        GateCountResult(
-            regime=q.regime,
-            r=r,
-            gate_count=0.0,
-            gamma=profile.gamma,
-            upsilon=ups,
-            p_star=p_star,
-            feasible=feasible,
-            diagnostics=diagnostics,
-        ),
-        ell,
-    )
+    return _staged_result(q, profile, r, p_star, diagnostics, feasible)
 
 
 def gatecount_random_first(
@@ -464,7 +488,6 @@ def gatecount_random_ho(
         return _empty_result(q.regime, q.order)
 
     k, ell = profile.k, q.order
-    ups = stage_count(ell)
     t, eps, delta = q.t, q.eps, q.delta
     h02, h12, h01 = profile.norm(0, 2), profile.norm(1, 2), profile.norm(0, 1)
 
@@ -486,58 +509,15 @@ def gatecount_random_ho(
             p_target = max(2.0, math.log(log_arg) / eta)
 
     if t == 0:
-        return _attach_gates(
-            GateCountResult(
-                regime=q.regime,
-                r=0,
-                gate_count=0.0,
-                gamma=profile.gamma,
-                upsilon=ups,
-                p_star=p_target,
-                diagnostics={"zero_time": True},
-            ),
-            ell,
-        )
+        return _staged_result(q, profile, 0, p_target, {"zero_time": True})
 
     r_real = (
         (math.e * p_target) ** eta * 2.0 * c1 * (ck * t) ** (ell + 1) / eps
     ) ** (1.0 / ell)
-
-    def p_of(r: float) -> float:
-        return (
-            eps * r**ell / (2.0 * c1 * (ck * t) ** (ell + 1))
-        ) ** (1.0 / eta) / math.e
-
-    def constraints_ok(r: int, p: float) -> tuple[bool, dict]:
-        if k == 1:
-            return True, {"skipped_single_site": True}
-        bp = math.sqrt(p - 1.0) * ck
-        tau = t / r
-        lhs = (1.0 / (bp * tau)) ** (1.0 / (k - 1))
-        arg = (c2 / c1) * (1.0 / (bp * tau)) ** (ell + 1)
-        ok1 = lhs >= math.e * (ell + 3.0)
-        ok2 = arg <= 1.0 or lhs >= math.e * math.log(arg)
-        return ok1 and ok2, {
-            "constraint_lhs": lhs,
-            "constraint_1_rhs": math.e * (ell + 3.0),
-            "constraint_2_rhs": math.e * math.log(arg) if arg > 1.0 else 0.0,
-            "constraint_1_ok": ok1,
-            "constraint_2_ok": ok2,
-        }
-
-    r = max(1, math.ceil(r_real))
-    feasible = True
-    doublings = 0
-    while True:
-        p_star = max(p_of(r), p_target)
-        ok, details = constraints_ok(r, p_star)
-        if ok:
-            break
-        if r > R_LIMIT:
-            feasible = False
-            break
-        r *= 2
-        doublings += 1
+    r, p_star, _, feasible, details = _constrained_steps(
+        q, k, ck, c1, eta, max(1, math.ceil(r_real)), p_target,
+        lambda p: math.sqrt(p - 1.0) * ck, c2 / c1,
+    )
 
     sqrt_term = (
         math.sqrt(n + math.log(1.0 / delta))
@@ -558,26 +538,9 @@ def gatecount_random_ho(
         "r_proof": r_real,
         "r_asymptotic": r_asymptotic,
         "asymptotic_form": True,
-        "constraint_doublings": doublings,
     }
     diagnostics.update(details)
-    pnorm_bound = p_star**eta * 2.0 * c1 * (ck * t) ** (ell + 1) / r**ell
-    diagnostics["pnorm_bound"] = pnorm_bound
-    diagnostics["tail_bound"] = markov_tail(pnorm_bound, eps, p_star)
-
-    return _attach_gates(
-        GateCountResult(
-            regime=q.regime,
-            r=r,
-            gate_count=0.0,
-            gamma=profile.gamma,
-            upsilon=ups,
-            p_star=p_star,
-            feasible=feasible,
-            diagnostics=diagnostics,
-        ),
-        ell,
-    )
+    return _staged_result(q, profile, r, p_star, diagnostics, feasible)
 
 
 def baseline_1norm(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
@@ -600,27 +563,24 @@ def baseline_1norm(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
     )
 
 
+@_float_guard(
+    "the step count overflows floating point", "rescale the coefficients or the time"
+)
 def gatecount(
     h: HamiltonianLike, q: GateCountQuery, n: Optional[int] = None
 ) -> GateCountResult:
     """Dispatch a query to the calculator selected by its regime."""
     if n is None and not isinstance(h, NormProfile):
         n = h.n
-    try:
-        if q.regime == "nonrandom-typical":
-            return gatecount_nonrandom(h, q)
-        if q.regime == "spectral-1norm-baseline":
-            return baseline_1norm(h, q)
-        if n is None:
-            raise ValidationError("random regimes need the qubit count n")
-        if q.regime in ("random-spectral", "random-fixed"):
-            return gatecount_random_ho(h, n, q)
-        return gatecount_random_first(h, n, q)
-    except OverflowError as exc:
-        raise ValidationError(
-            f"the step count overflows floating point ({exc}); "
-            "rescale the coefficients or the time"
-        ) from exc
+    if q.regime == "nonrandom-typical":
+        return gatecount_nonrandom(h, q)
+    if q.regime == "spectral-1norm-baseline":
+        return baseline_1norm(h, q)
+    if n is None:
+        raise ValidationError("random regimes need the qubit count n")
+    if q.regime in ("random-spectral", "random-fixed"):
+        return gatecount_random_ho(h, n, q)
+    return gatecount_random_first(h, n, q)
 
 
 # ------------------------------------------------------------- Table 1
@@ -644,7 +604,7 @@ class Table1Cell:
     asymptotic: bool = True
 
 
-_METHODS = (
+TABLE1_METHODS = (
     "qdrift",
     "qubitization",
     "higher-order-spectral",
@@ -746,19 +706,21 @@ def table1_exponents(
     'power-law' (requires d and alpha).  Power-law with alpha > d is
     tabulated only for the higher-order fixed/typical method.
     """
-    if method not in _METHODS:
+    if method not in TABLE1_METHODS:
         raise ValidationError(f"unknown method {method!r}")
     if family == "norm-form":
         te, ee = _METHOD_T_EPS[method]
         return Table1Cell(family, method, _NORM_FORM[method], None, te, ee)
     if family == "k-local-uniform":
-        if k is None:
-            raise ValidationError("k-local-uniform needs k")
+        if k is None or k < 1:
+            raise ValidationError(f"k-local-uniform needs k >= 1, got {k}")
         ne, te, ee = _klocal_exponents(method, float(k))
         return Table1Cell(family, method, _KLOCAL_SYMBOLIC[method], ne, te, ee)
     if family == "power-law":
         if d is None or alpha is None:
             raise ValidationError("power-law needs d and alpha")
+        if d < 1:
+            raise ValidationError(f"power-law needs d >= 1, got {d}")
         if alpha > d:
             if method != "higher-order-fixed":
                 raise ValidationError(
@@ -834,6 +796,10 @@ def _sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+@_float_guard(
+    "the truncation plan leaves the floating-point range",
+    "rescale the time or the error budget",
+)
 def truncation_plan(
     n: int, d: int, alpha: float, t: float, eps: float
 ) -> TruncationPlan:
@@ -847,6 +813,11 @@ def truncation_plan(
     for name, value in (("alpha", alpha), ("t", t), ("eps", eps)):
         if not math.isfinite(value):
             raise ValidationError(f"{name} must be finite, got {value!r}")
+    if n < 1:
+        raise ValidationError(f"need n >= 1 sites, got {n}")
+    d_max = max(1, n.bit_length())  # a lattice of side >= 2 on n sites has n >= 2**d
+    if not 1 <= d <= d_max:
+        raise ValidationError(f"need 1 <= d <= {d_max} for n={n} sites, got d={d}")
     if 2.0 * alpha <= d:
         raise DivergentTailError(
             "2 alpha <= d: the far tail carries divergent weight"
@@ -921,6 +892,13 @@ class CountingEstimate:
     infinite: bool
 
 
+_LN_TINIEST_FLOAT = math.log(5e-324)
+
+
+@_float_guard(
+    "the counting estimate leaves the floating-point range",
+    "rescale n, k, eps or the coupling",
+)
 def counting_net_size(
     n: int, k: int, eps: float, j_coupling: float = 1.0
 ) -> CountingEstimate:
@@ -933,8 +911,19 @@ def counting_net_size(
     exponent approaches (3/14) Gamma, so ln(net) approaches (3/28)
     Gamma.
     """
+    for name, value in (("eps", eps), ("j_coupling", j_coupling)):
+        if not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
+    if not 1 <= k <= n:
+        raise ValidationError(f"need 1 <= k <= n, got n={n}, k={k}")
+    # Below the smallest float, (k-1)!/(k n^(k-1)) reads 0 and every figure
+    # degenerates; refusing it also keeps the exact integers below small.
+    if math.lgamma(k) - math.log(k) - (k - 1) * math.log(n) < _LN_TINIEST_FLOAT:
+        raise ValidationError(
+            f"the variance scale of n={n}, k={k} underflows floating point"
+        )
     gamma = math.comb(n, k)
     m2 = (
         j_coupling**2

@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 from .bounds import (
     REGIMES,
+    TABLE1_METHODS,
     GateCountQuery,
     counting_net_size,
     gatecount,
@@ -41,25 +42,11 @@ from .bounds import (
     table1_exponents,
     truncation_plan,
 )
-from .dense import DEFAULT_CAP_N, WeightedNormSpec
 from .errors import (
     DivergentTailError,
     ResourceCapError,
     TrotterlabError,
     ValidationError,
-)
-from .lab import (
-    ExperimentConfig,
-    ErrorReport,
-    check_fermionic_smoothness,
-    check_two_point_inequality,
-    check_uniform_smoothness,
-    check_weighted_smoothness,
-    fermi_optimality_experiment,
-    fuzz_hypercontractivity,
-    optimality_experiment,
-    sample_random_hamiltonian,
-    sample_typical_error,
 )
 from .models import (
     KLocalGaussianModel,
@@ -79,16 +66,6 @@ from .pauli import (
 from .suzuki import build_schedule, q_coefficient, upsilon
 
 FAMILIES = ("chain-heisenberg", "power-law", "k-local-syk", "zxyz", "fermi-hop")
-TABLE1_METHODS = (
-    "qdrift",
-    "qubitization",
-    "higher-order-spectral",
-    "higher-order-all-inputs",
-    "higher-order-fixed",
-    "first-order-spectral",
-    "first-order-all-inputs",
-    "first-order-fixed",
-)
 
 _CSV_SCHEMA = "# schema=trotterlab-csv-1"
 _CSV_HEADER = "quantity,p,value,bound,margin,seed"
@@ -253,67 +230,42 @@ def _cmd_gatecount(args) -> tuple[int, str]:
     return (0 if res.feasible else 3), _json_text(res)
 
 
-def _report_rows(rep: ErrorReport) -> list[tuple]:
-    seed = rep.seed
+def _report_rows(rep) -> list[tuple]:
+    """CSV rows of a ``lab.ErrorReport``."""
+
+    def row(name, p, value, bound=None, margin=None):
+        return (name, p, value, bound, margin, rep.seed)
+
     rows = [
-        ("spectral", None, rep.spectral, None, None, seed),
-        ("spectral-se", None, rep.spectral_se, None, None, seed),
-        ("mean-error", None, rep.mean_error, None, None, seed),
-        ("mean-error-se", None, rep.mean_error_se, None, None, seed),
+        row("spectral", None, rep.spectral),
+        row("spectral-se", None, rep.spectral_se),
+        row("mean-error", None, rep.mean_error),
+        row("mean-error-se", None, rep.mean_error_se),
     ]
-    for p in rep.p_values:
-        if p in rep.exact_pnorms:  # absent for the random-Hamiltonian experiment
-            rows.append(("exact-pnorm", p, rep.exact_pnorms[p], None, None, seed))
-    for p in rep.p_values:
-        rows.append(("expected-pnorm", p, rep.expected_pnorms[p], None, None, seed))
-        rows.append(
-            ("expected-pnorm-se", p, rep.expected_pnorm_se[p], None, None, seed)
-        )
-    for p in rep.p_values:
-        rows.append(("fixed-pnorm-lower", p, rep.fixed_pnorms[p], None, None, seed))
-    for level in sorted(rep.quantiles):
-        rows.append((f"quantile-{level}", None, rep.quantiles[level], None, None, seed))
+    p_values = rep.p_values
+    # exact p-norms are absent for the random-Hamiltonian experiment
+    rows += [row("exact-pnorm", p, rep.exact_pnorms[p]) for p in p_values if p in rep.exact_pnorms]
+    for p in p_values:
+        rows.append(row("expected-pnorm", p, rep.expected_pnorms[p]))
+        rows.append(row("expected-pnorm-se", p, rep.expected_pnorm_se[p]))
+    rows += [row("fixed-pnorm-lower", p, rep.fixed_pnorms[p]) for p in p_values]
+    rows += [row(f"quantile-{q}", None, rep.quantiles[q]) for q in sorted(rep.quantiles)]
     for tail in rep.markov_rows:
-        rows.append(
-            (
-                f"markov-tail@eps={tail.eps!r}",
-                tail.p,
-                tail.empirical,
-                tail.bound,
-                tail.bound - tail.empirical,
-                seed,
-            )
-        )
+        name = f"markov-tail@eps={tail.eps!r}"
+        rows.append(row(name, tail.p, tail.empirical, tail.bound, tail.bound - tail.empirical))
     if rep.kind == "random-hamiltonian":
         extras = rep.extras
-        rows.append(
-            ("trace-distance-mean", None, extras["trace_distance_mean"], None, None, seed)
-        )
-        rows.append(
-            (
-                "trace-distance-violations",
-                None,
-                extras["trace_distance_violations"],
-                0,
-                None,
-                seed,
-            )
-        )
-        for level in sorted(extras["fixed_quantiles"]):
-            rows.append(
-                (
-                    f"fixed-quantile-{level}",
-                    None,
-                    extras["fixed_quantiles"][level],
-                    None,
-                    None,
-                    seed,
-                )
-            )
+        rows.append(row("trace-distance-mean", None, extras["trace_distance_mean"]))
+        rows.append(row("trace-distance-violations", None, extras["trace_distance_violations"], 0))
+        fixed = extras["fixed_quantiles"]
+        rows += [row(f"fixed-quantile-{q}", None, fixed[q]) for q in sorted(fixed)]
     return rows
 
 
 def _cmd_simulate(args) -> tuple[int, str]:
+    from .dense import DEFAULT_CAP_N
+    from .lab import ExperimentConfig, sample_random_hamiltonian, sample_typical_error
+
     if (args.family is None) == (args.hamiltonian is None):
         raise ValidationError("give exactly one of a Hamiltonian file or --family")
     cfg = ExperimentConfig(
@@ -325,7 +277,7 @@ def _cmd_simulate(args) -> tuple[int, str]:
         r=args.r,
         order=args.order,
         eps_grid=tuple(args.eps or (0.1,)),
-        cap_n=args.cap_n,
+        cap_n=DEFAULT_CAP_N if args.cap_n is None else args.cap_n,
     )
     if args.family == "k-local-syk":
         _need(args, args.family, "n", "k")
@@ -342,6 +294,17 @@ def _cmd_simulate(args) -> tuple[int, str]:
 
 
 def _verify_rows(args) -> list[tuple]:
+    from .dense import WeightedNormSpec
+    from .lab import (
+        check_fermionic_smoothness,
+        check_two_point_inequality,
+        check_uniform_smoothness,
+        check_weighted_smoothness,
+        fermi_optimality_experiment,
+        fuzz_hypercontractivity,
+        optimality_experiment,
+    )
+
     seed = args.seed
     trials = args.trials
     p_values = tuple(args.p or (2.0, 4.0))
@@ -350,122 +313,46 @@ def _verify_rows(args) -> list[tuple]:
         if args.suite == "all"
         else (args.suite,)
     )
+
+    def violations(name, p, rep):
+        return (f"{name}-violations", p, rep.violations, 0, rep.worst_relative_margin, seed)
+
+    def compared(name, value, claimed):
+        return (name, None, value, claimed, value - claimed, seed)
+
     rows: list[tuple] = []
     for suite in suites:
         if suite == "hypercontractivity":
-            rep = fuzz_hypercontractivity(trials, seed)
-            rows.append(
-                (
-                    "hypercontractivity-violations",
-                    None,
-                    rep.violations,
-                    0,
-                    rep.worst_relative_margin,
-                    seed,
-                )
-            )
+            rows.append(violations(suite, None, fuzz_hypercontractivity(trials, seed)))
         elif suite == "smoothness":
             for p in p_values:
                 rep = check_uniform_smoothness(site=0, p=p, trials=trials, seed=seed)
-                rows.append(
-                    (
-                        "subsystem-smoothness-violations",
-                        p,
-                        rep.violations,
-                        0,
-                        rep.worst_relative_margin,
-                        seed,
-                    )
-                )
+                rows.append(violations("subsystem-smoothness", p, rep))
             spec = WeightedNormSpec(weights=(0.3, 0.7, 0.5), s=0.5, p=4.0)
             rep = check_weighted_smoothness(spec, trials, site=1, seed=seed)
-            rows.append(
-                (
-                    "weighted-smoothness-violations",
-                    4.0,
-                    rep.violations,
-                    0,
-                    rep.worst_relative_margin,
-                    seed,
-                )
-            )
+            rows.append(violations("weighted-smoothness", 4.0, rep))
             rep = check_fermionic_smoothness(n=4, trials=trials, p=4.0, seed=seed)
-            rows.append(
-                (
-                    "fermionic-smoothness-violations",
-                    4.0,
-                    rep.violations,
-                    0,
-                    rep.worst_relative_margin,
-                    seed,
-                )
-            )
+            rows.append(violations("fermionic-smoothness", 4.0, rep))
         elif suite == "two-point":
-            rep = check_two_point_inequality(trials, seed=seed)
-            rows.append(
-                (
-                    "two-point-violations",
-                    None,
-                    rep.violations,
-                    0,
-                    rep.worst_relative_margin,
-                    seed,
-                )
-            )
+            rows.append(violations(suite, None, check_two_point_inequality(trials, seed=seed)))
         elif suite == "optimality":
             for order in (1, 2):
                 for m in (1, 2):
                     rep = optimality_experiment(m, order)
+                    tag = f"order{order}-m{m}"
+                    rows.append(compared(f"commutator-2norm-{tag}", rep.norm2, rep.closed_norm2))
                     rows.append(
-                        (
-                            f"commutator-2norm-order{order}-m{m}",
-                            None,
-                            rep.norm2,
-                            rep.closed_norm2,
-                            rep.norm2 - rep.closed_norm2,
-                            seed,
-                        )
-                    )
-                    rows.append(
-                        (
-                            f"commutator-spectral-order{order}-m{m}",
-                            None,
-                            rep.spectral,
-                            rep.closed_spectral,
-                            rep.spectral - rep.closed_spectral,
-                            seed,
-                        )
+                        compared(f"commutator-spectral-{tag}", rep.spectral, rep.closed_spectral)
                     )
             for m in (1, 2):
-                frep = fermi_optimality_experiment(m)
-                rows.append(
-                    (
-                        f"fermi-commutator-2norm-first-m{m}",
-                        None,
-                        frep.first_norm2,
-                        frep.first_claimed,
-                        frep.first_norm2 - frep.first_claimed,
-                        seed,
-                    )
-                )
-                rows.append(
-                    (
-                        f"fermi-commutator-2norm-second-m{m}",
-                        None,
-                        frep.second_norm2,
-                        frep.second_claimed,
-                        frep.second_norm2 - frep.second_claimed,
-                        seed,
-                    )
-                )
+                rep = fermi_optimality_experiment(m)
+                name = f"fermi-commutator-2norm-{{}}-m{m}"
+                rows.append(compared(name.format("first"), rep.first_norm2, rep.first_claimed))
+                rows.append(compared(name.format("second"), rep.second_norm2, rep.second_claimed))
         elif suite == "suzuki":
-            q2 = q_coefficient(2)
-            rows.append(("q2", None, q2, _Q2_REFERENCE, q2 - _Q2_REFERENCE, seed))
+            rows.append(compared("q2", q_coefficient(2), _Q2_REFERENCE))
             for order, expected in sorted(_UPSILON_REFERENCE.items()):
-                got = upsilon(order)
-                rows.append(
-                    (f"upsilon-order{order}", None, got, expected, got - expected, seed)
-                )
+                rows.append(compared(f"upsilon-order{order}", upsilon(order), expected))
         else:  # pragma: no cover - argparse restricts choices
             raise ValidationError(f"unknown suite {suite!r}")
     return rows
@@ -596,7 +483,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--cap-n",
         type=int,
-        default=DEFAULT_CAP_N,
         help="refuse dense work above this qubit count",
     )
 

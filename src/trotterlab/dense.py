@@ -358,20 +358,27 @@ def sector_norm(a: MatrixLike, m: int, p: float) -> SectorNormResult:
 # ---------------------------------------------------------------------------
 
 
-def _conditional_expectation(tensor: np.ndarray, site: int, n: int) -> np.ndarray:
-    """E_s[F] = I_s (x) normalized-partial-trace_s F, in tensor layout."""
-    row, col = site, n + site
-    traced = (np.take(np.take(tensor, 0, axis=col), 0, axis=row)
-              + np.take(np.take(tensor, 1, axis=col), 1, axis=row)) / 2.0
-    # traced has 2(n-1) axes; rebuild with an identity at `site`
-    out = np.zeros(tensor.shape, dtype=tensor.dtype)
-    idx0 = [slice(None)] * (2 * n)
-    idx1 = [slice(None)] * (2 * n)
-    idx0[row], idx0[col] = 0, 0
-    idx1[row], idx1[col] = 1, 1
-    out[tuple(idx0)] = traced
-    out[tuple(idx1)] = traced
+def _with_identity(rest: np.ndarray, site: int, n: int) -> np.ndarray:
+    """I_site (x) an operator on the other n - 1 sites, in tensor layout."""
+    out = np.zeros((2,) * (2 * n), dtype=rest.dtype)
+    idx: list = [slice(None)] * (2 * n)
+    for b in (0, 1):
+        idx[site] = idx[n + site] = b
+        out[tuple(idx)] = rest
     return out
+
+
+def _conditional_expectation(
+    tensor: np.ndarray, site: int, n: int, weight: float = 0.5
+) -> np.ndarray:
+    """E_s[F] = I_s (x) Tr_s[(rho_s (x) I) F], in tensor layout, with rho_s
+    placing ``weight`` on the occupied basis vector (0.5: the normalized
+    partial trace)."""
+    row, col = site, n + site
+    traced = weight * np.take(np.take(tensor, 0, axis=col), 0, axis=row) + (
+        1.0 - weight
+    ) * np.take(np.take(tensor, 1, axis=col), 1, axis=row)
+    return _with_identity(traced, site, n)
 
 
 def subset_component(
@@ -406,14 +413,6 @@ def state_error(e: np.ndarray, psi: np.ndarray) -> float:
     if abs(nrm - 1.0) > 1e-10:
         raise ValidationError(f"state is not normalized (|psi| = {nrm})")
     return float(np.linalg.norm(e @ psi))
-
-
-def trace_distance_pure(u: np.ndarray, v: np.ndarray, psi: np.ndarray) -> float:
-    """(1/2)||U psi psi U^+ - V psi psi V^+||_1 = sqrt(1 - |<U psi, V psi>|^2)."""
-    a = u @ psi
-    b = v @ psi
-    overlap = abs(complex(np.vdot(a, b))) / (np.linalg.norm(a) * np.linalg.norm(b))
-    return math.sqrt(max(0.0, 1.0 - overlap * overlap))
 
 
 def basis_indices(n: int, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,7 +26,9 @@ import numpy as np
 from .bounds import markov_tail
 from .dense import (
     DEFAULT_CAP_N,
+    _conditional_expectation,
     _spectral_and_pnorms,
+    _with_identity,
     WeightedNormSpec,
     apply_schedule,
     basis_indices,
@@ -549,6 +551,42 @@ class SmoothnessReport:
     dump_path: Optional[str] = None
 
 
+class _Tally:
+    """The worst relative margin, the violations and the first
+    counterexample dump of one inequality suite."""
+
+    def __init__(self, tag: str) -> None:
+        self.tag = tag
+        self.checks = 0
+        self.violations = 0
+        self.worst = math.inf
+        self.dump_path: Optional[str] = None
+
+    def record(self, margin: float, violated: bool, arrays) -> None:
+        """One check; ``arrays()`` gives the operators to dump if it failed."""
+        self.checks += 1
+        self.worst = min(self.worst, margin)
+        if violated:
+            self.violations += 1
+            if self.dump_path is None:
+                self.dump_path = _dump_counterexample(self.tag, arrays())
+
+    def inequality(self, lhs: float, rhs: float, arrays) -> None:
+        """Check lhs <= rhs up to the relative slack."""
+        scale = max(rhs, 1e-300)
+        self.record((rhs - lhs) / scale, lhs > rhs + _REL_SLACK * scale, arrays)
+
+    def report(self, trials: int) -> SmoothnessReport:
+        return SmoothnessReport(
+            trials=trials,
+            checks=self.checks,
+            violations=self.violations,
+            worst_relative_margin=self.worst,
+            passed=self.violations == 0,
+            dump_path=self.dump_path,
+        )
+
+
 def random_local_operator(
     n: int,
     k: int,
@@ -591,35 +629,17 @@ def fuzz_hypercontractivity(
     p_values: tuple[float, ...] = (2.0, 4.0, 6.0, 8.0),
 ) -> SmoothnessReport:
     """Random-operator fuzz over all three hypercontractive forms."""
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    violations = 0
-    checks = 0
-    worst = math.inf
-    dump_path = None
-    for child in seeds:
+    tally = _Tally("hypercontractivity")
+    for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         k = min(k_max, n)
         f = random_local_operator(n, k, int(rng.integers(1, 9)), rng)
         for p in p_values:
             res = check_hypercontractivity(f, p, n)
-            checks += 1
-            scale = max(res.rhs, 1e-300)
-            worst = min(worst, res.margin / scale)
-            if not res.passed:
-                violations += 1
-                if dump_path is None:
-                    dump_path = _dump_counterexample(
-                        "hypercontractivity", {"operator": to_matrix(f)}
-                    )
-    return SmoothnessReport(
-        trials=trials,
-        checks=checks,
-        violations=violations,
-        worst_relative_margin=worst,
-        passed=violations == 0,
-        dump_path=dump_path,
-    )
+            margin = res.margin / max(res.rhs, 1e-300)
+            tally.record(margin, not res.passed, lambda: {"operator": to_matrix(f)})
+    return tally.report(trials)
 
 
 def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -628,29 +648,14 @@ def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _with_identity_site(mat_rest: np.ndarray, site: int, n: int) -> np.ndarray:
     """Embed an operator on sites != site as (rest) tensor I_site."""
-    t = mat_rest.reshape((2,) * (2 * (n - 1)))
-    full = np.zeros((2,) * (2 * n), dtype=complex)
-    idx: list = [slice(None)] * (2 * n)
-    for b in (0, 1):
-        idx[site] = b
-        idx[n + site] = b
-        full[tuple(idx)] = t
-    return full.reshape(2**n, 2**n)
+    rest = mat_rest.reshape((2,) * (2 * (n - 1)))
+    return _with_identity(rest, site, n).reshape(2**n, 2**n)
 
 
 def _recenter_site(y: np.ndarray, site: int, n: int, weight: float = 0.5) -> np.ndarray:
-    """Remove the site marginal: subtract I_site (x) Tr_site[(rho_site (x) I) Y].
-
-    ``weight`` is the probability rho_site places on the occupied basis
-    vector; 0.5 recovers the unweighted (normalized-trace) recentering.
-    """
-    t = y.reshape((2,) * (2 * n))
-    row, col = site, n + site
-    reduced = weight * np.take(np.take(t, 0, axis=col), 0, axis=row) + (
-        1.0 - weight
-    ) * np.take(np.take(t, 1, axis=col), 1, axis=row)
-    reduced_mat = reduced.reshape(2 ** (n - 1), 2 ** (n - 1))
-    return y - _with_identity_site(reduced_mat, site, n)
+    """Remove the site marginal: subtract I_site (x) Tr_site[(rho_site (x) I) Y]."""
+    tensor = y.reshape((2,) * (2 * n))
+    return y - _conditional_expectation(tensor, site, n, weight).reshape(2**n, 2**n)
 
 
 def check_uniform_smoothness(
@@ -666,11 +671,8 @@ def check_uniform_smoothness(
         raise ValidationError("uniform smoothness needs p >= 2")
     if not 0 <= site < n:
         raise ValidationError("site out of range")
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    violations = 0
-    worst = math.inf
-    dump_path = None
-    for child in seeds:
+    tally = _Tally("uniform-smoothness")
+    for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         x = _with_identity_site(_ginibre(2 ** (n - 1), rng), site, n)
         y = _recenter_site(_ginibre(2**n, rng), site, n)
@@ -679,22 +681,8 @@ def check_uniform_smoothness(
             y = y + y.conj().T
         lhs = schatten_norm(x + y, p) ** 2
         rhs = schatten_norm(x, p) ** 2 + (p - 1.0) * schatten_norm(y, p) ** 2
-        scale = max(rhs, 1e-300)
-        worst = min(worst, (rhs - lhs) / scale)
-        if lhs > rhs + _REL_SLACK * scale:
-            violations += 1
-            if dump_path is None:
-                dump_path = _dump_counterexample(
-                    "uniform-smoothness", {"x": x, "y": y}
-                )
-    return SmoothnessReport(
-        trials=trials,
-        checks=trials,
-        violations=violations,
-        worst_relative_margin=worst,
-        passed=violations == 0,
-        dump_path=dump_path,
-    )
+        tally.inequality(lhs, rhs, lambda: {"x": x, "y": y})
+    return tally.report(trials)
 
 
 def check_two_point_inequality(
@@ -741,12 +729,9 @@ def check_weighted_smoothness(
     n = len(spec.weights)
     if not 0 <= site < n:
         raise ValidationError("site out of range")
-    seeds = np.random.SeedSequence(seed).spawn(trials)
     w = spec.weights[site]
-    violations = 0
-    worst = math.inf
-    dump_path = None
-    for child in seeds:
+    tally = _Tally("weighted-smoothness")
+    for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         x = _with_identity_site(_ginibre(2 ** (n - 1), rng), site, n)
         y = _recenter_site(_ginibre(2**n, rng), site, n, weight=w)
@@ -755,22 +740,8 @@ def check_weighted_smoothness(
             weighted_norm(x, spec) ** 2
             + (spec.p - 1.0) * weighted_norm(y, spec) ** 2
         )
-        scale = max(rhs, 1e-300)
-        worst = min(worst, (rhs - lhs) / scale)
-        if lhs > rhs + _REL_SLACK * scale:
-            violations += 1
-            if dump_path is None:
-                dump_path = _dump_counterexample(
-                    "weighted-smoothness", {"x": x, "y": y}
-                )
-    return SmoothnessReport(
-        trials=trials,
-        checks=trials,
-        violations=violations,
-        worst_relative_margin=worst,
-        passed=violations == 0,
-        dump_path=dump_path,
-    )
+        tally.inequality(lhs, rhs, lambda: {"x": x, "y": y})
+    return tally.report(trials)
 
 
 def _random_fermion_sum(
@@ -800,11 +771,8 @@ def check_fermionic_smoothness(
     |A|_p^2 <= sum_S (p-1)^|S| |A_S|_p^2, S the ladder site supports."""
     if p < 2:
         raise ValidationError("needs p >= 2")
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-    violations = 0
-    worst = math.inf
-    dump_path = None
-    for child in seeds:
+    tally = _Tally("fermionic-smoothness")
+    for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         total, groups = _random_fermion_sum(n, rng)
         m = to_matrix(total)
@@ -814,22 +782,8 @@ def check_fermionic_smoothness(
             * schatten_norm(to_matrix(g), p, normalized=True) ** 2
             for s, g in groups.items()
         )
-        scale = max(rhs, 1e-300)
-        worst = min(worst, (rhs - lhs) / scale)
-        if lhs > rhs + _REL_SLACK * scale:
-            violations += 1
-            if dump_path is None:
-                dump_path = _dump_counterexample(
-                    "fermionic-smoothness", {"a": m}
-                )
-    return SmoothnessReport(
-        trials=trials,
-        checks=trials,
-        violations=violations,
-        worst_relative_margin=worst,
-        passed=violations == 0,
-        dump_path=dump_path,
-    )
+        tally.inequality(lhs, rhs, lambda: {"a": m})
+    return tally.report(trials)
 
 
 # -------------------------------------------------- order condition
@@ -872,8 +826,7 @@ def check_order_condition(
     for _ in range(4):
         errors = []
         for tau in window:
-            seg = apply_schedule(h, build_schedule(h.gamma, order, tau), cap_n)
-            errors.append(schatten_norm(evolve(h, tau, cap_n) - seg, math.inf))
+            errors.append(schatten_norm(trotter_error_op(h, tau, 1, order, cap_n), math.inf))
         if max(errors) >= _ERROR_FLOOR or window.max() >= 0.5:
             break
         window = window * 10.0

@@ -25,13 +25,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Optional, Union
+from itertools import chain, combinations
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .errors import ValidationError
-from .pauli import FermionHamiltonian, PauliHamiltonian, _bit_sites, _jw_site_products
+from .pauli import FermionHamiltonian, PauliHamiltonian, _jw_site_products
 
 AnyHamiltonian = Union[PauliHamiltonian, FermionHamiltonian]
 
@@ -53,13 +53,32 @@ class NormProfile:
         return self.norms[(c, q)]
 
 
-def _term_data(h: AnyHamiltonian) -> list[tuple[tuple[int, ...], float]]:
-    """(support, bound) per term."""
+class _TermData(NamedTuple):
+    """Supports and bounds of the terms of a Hamiltonian on n sites.
+
+    ``term`` and ``site`` list every (term, site) pair of a support,
+    term-major with sites ascending; ``bound`` holds b_gamma per term and
+    ``k`` the largest support size.
+    """
+
+    n: int
+    term: np.ndarray
+    site: np.ndarray
+    bound: np.ndarray
+    k: int
+
+
+def _term_data(h: AnyHamiltonian) -> _TermData:
     if isinstance(h, PauliHamiltonian):
-        return [(_bit_sites(x | z), abs(c)) for (x, z), c in h.coeff_map().items()]
-    if isinstance(h, FermionHamiltonian):
-        return [(t.support(), fermion_term_bound(t, h.n)) for t in h.terms]
-    raise TypeError(f"unsupported Hamiltonian type {type(h).__name__}")
+        term, site, bound = h._incidence()
+    elif isinstance(h, FermionHamiltonian):
+        supports = [t.support() for t in h.terms]
+        term = np.repeat(np.arange(len(supports)), [len(s) for s in supports])
+        site = np.fromiter(chain.from_iterable(supports), np.intp)
+        bound = np.array([fermion_term_bound(t, h.n) for t in h.terms], dtype=float)
+    else:
+        raise TypeError(f"unsupported Hamiltonian type {type(h).__name__}")
+    return _TermData(h.n, term, site, bound, int(np.bincount(term).max(initial=0)))
 
 
 def fermion_term_bound(term, n: int) -> float:
@@ -77,23 +96,66 @@ def fermion_term_bound(term, n: int) -> float:
     return bound
 
 
-def _norm_pair(
-    data: list[tuple[tuple[int, ...], float]], c: int
-) -> tuple[float, float]:
-    """(||H||_{(c),1}, ||H||_{(c),2}) from one pass over the (support, bound) pairs.
+def _norm_pair(data: _TermData, c: int) -> tuple[float, float]:
+    """(||H||_{(c),1}, ||H||_{(c),2}) from one pass over the terms.
 
-    Subset sums accumulate in term order over ``combinations(sup, c)``, so
-    both values are the same floats whichever caller asks.
+    For c = 1 and 2 the subset sums are bincounts over the site, or site
+    pair, of each (term, subset) incidence.  bincount adds in input order,
+    which is term order, so every sum is the same float as adding the bounds
+    term by term, as the ``combinations`` path for c >= 3 does.
     """
+    b = data.bound
+    with np.errstate(over="ignore"):  # inf, as in float arithmetic; norm_profile rejects it
+        b2 = b * b
     if c == 0:
-        return sum(b for _, b in data), math.sqrt(sum(b * b for _, b in data))
+        return sum(b.tolist()), math.sqrt(sum(b2.tolist()))
+    if c >= 3:
+        return _subset_norm_pair(data, c)
+    index, owner = (data.site, data.term) if c == 1 else _pair_incidence(data)
+    if not len(index):
+        return 0.0, 0.0
+    ones = np.bincount(index, weights=b[owner])
+    twos = np.bincount(index, weights=b2[owner])
+    return float(ones.max()), math.sqrt(twos.max())
+
+
+def _pair_incidence(data: _TermData) -> tuple[np.ndarray, np.ndarray]:
+    """(pair bin, term) of every site pair i < j inside a support, in term
+    order; the bins number the distinct pairs i*n + j that occur.
+
+    Terms of one weight w share the w(w-1)/2 index pairs of their entries,
+    so the work and memory are those of the pairs themselves.
+    """
+    weight = np.bincount(data.term, minlength=len(data.bound))
+    start = np.cumsum(weight) - weight  # each term's first incidence
+    empty = np.empty(0, np.intp)
+    firsts, seconds, owners = [empty], [empty], [empty]
+    for w in np.unique(weight[weight >= 2]).tolist():
+        terms = np.flatnonzero(weight == w)
+        i, j = np.triu_indices(w, 1)
+        firsts.append((start[terms, None] + i).ravel())
+        seconds.append((start[terms, None] + j).ravel())
+        owners.append(np.repeat(terms, len(i)))
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    first, second = np.concatenate(firsts)[order], np.concatenate(seconds)[order]
+    pair = data.site[first] * data.n + data.site[second]
+    return np.unique(pair, return_inverse=True)[1], owner[order]
+
+
+def _subset_norm_pair(data: _TermData, c: int) -> tuple[float, float]:
+    """_norm_pair for c >= 3: sums over ``combinations(sup, c)``, term by term."""
     ones: dict[tuple[int, ...], float] = {}
     twos: dict[tuple[int, ...], float] = {}
-    for sup, b in data:
-        if len(sup) < c:
+    starts = np.flatnonzero(np.diff(data.term, prepend=-1)).tolist()
+    ends = starts[1:] + [len(data.term)]
+    term, site, bounds = data.term.tolist(), data.site.tolist(), data.bound.tolist()
+    for start, end in zip(starts, ends):
+        if end - start < c:
             continue
+        b = bounds[term[start]]
         b2 = b * b
-        for subset in combinations(sup, c):
+        for subset in combinations(site[start:end], c):
             ones[subset] = ones.get(subset, 0.0) + b
             twos[subset] = twos.get(subset, 0.0) + b2
     if not ones:
@@ -101,14 +163,12 @@ def _norm_pair(
     return max(ones.values()), math.sqrt(max(twos.values()))
 
 
-def _norm_table(
-    data: list[tuple[tuple[int, ...], float]], c_max: int
-) -> dict[tuple[int, int], float]:
+def _norm_table(data: _TermData, c_max: int) -> dict[tuple[int, int], float]:
     """(c, q) -> ||H||_{(c),q} for 0 <= c <= c_max, one loop over the terms per c.
 
     Norms above the locality k are 0; asking for them warns.
     """
-    k = max((len(sup) for sup, _ in data), default=0)
+    k = data.k
     if c_max > k:
         warnings.warn(
             f"local norm requested at c={c_max} above the Hamiltonian locality k={k}; "
@@ -164,11 +224,10 @@ def _lambda_ferm(lam: float, ladder_zero_two: float, k: int) -> float:
     )
 
 
-def _ladder_zero_two(
-    f: FermionHamiltonian, data: list[tuple[tuple[int, ...], float]]
-) -> float:
+def _ladder_zero_two(f: FermionHamiltonian, data: _TermData) -> float:
     """||H_ladder||_{(0),2} from the bounds of the terms with ladder factors."""
-    return math.sqrt(sum(b * b for t, (_, b) in zip(f.terms, data) if t.has_ladder))
+    bounds = data.bound.tolist()
+    return math.sqrt(sum(b * b for t, b in zip(f.terms, bounds) if t.has_ladder))
 
 
 def lambda_k(h: AnyHamiltonian, k: Optional[int] = None) -> float:
@@ -217,7 +276,7 @@ def norm_profile(h: AnyHamiltonian) -> NormProfile:
     off the finished norm table.
     """
     data = _term_data(h)
-    k = max((len(sup) for sup, _ in data), default=0)
+    k = data.k
     norms = _norm_table(data, k)
     lam = _lambda(norms, k) if k >= 1 else 0.0
     lam_p = _lambda_prime(norms, k) if k >= 1 else 0.0
@@ -240,5 +299,5 @@ def norm_profile(h: AnyHamiltonian) -> NormProfile:
         lambda_prime_k=lam_p,
         lambda_ferm_k=lam_f,
         ferm_zero_two=ferm02,
-        bounds=tuple(b for _, b in data),
+        bounds=tuple(data.bound.tolist()),
     )

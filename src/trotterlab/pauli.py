@@ -21,11 +21,13 @@ O^eta = (1 - eta)|occ><occ| - eta|emp><emp| = ((1 - 2 eta)/2) I + Z/2.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import DimensionMismatchError, PartitionError, ValidationError
 
@@ -33,38 +35,11 @@ MERGE_TOL = 1e-14
 _HERMITICITY_TOL = 1e-12
 
 _LABELS = "IXZY"  # index = x_bit + 2*z_bit
-_X_DIGITS = str.maketrans("IXZY", "0101")
-_Z_DIGITS = str.maketrans("IXZY", "0011")
-_DROP_LABELS = str.maketrans("", "", _LABELS)
-_DIGIT_LABELS = str.maketrans("0123", _LABELS)
 
 CREATE = "+"
 ANNIHILATE = "-"
 OCCUPATION = "z"
 _FERMION_KINDS = (CREATE, ANNIHILATE, OCCUPATION)
-
-
-def _label_bits(label: str) -> tuple[int, int]:
-    """(x_bits, z_bits) of an I/X/Y/Z label; site s is bit s."""
-    invalid = label.translate(_DROP_LABELS)
-    if invalid:
-        raise ValidationError(f"invalid Pauli letter {invalid[0]!r} in {label!r}")
-    # The reversed label reads as a binary number.
-    reverse = label[::-1]
-    return (
-        int(reverse.translate(_X_DIGITS) or "0", 2),
-        int(reverse.translate(_Z_DIGITS) or "0", 2),
-    )
-
-
-def _bits_label(n: int, x_bits: int, z_bits: int) -> str:
-    """The I/X/Y/Z label of (x_bits, z_bits) on n sites."""
-    if not n:
-        return ""
-    # Read in hexadecimal, the binary digits of x and z become nibbles, so
-    # nibble s of the sum holds x_s + 2 z_s, the index of the letter at site s.
-    digits = int(format(x_bits, "b"), 16) + 2 * int(format(z_bits, "b"), 16)
-    return format(digits, f"0{n}x")[::-1].translate(_DIGIT_LABELS)
 
 
 def _bit_sites(bits: int) -> tuple[int, ...]:
@@ -100,11 +75,13 @@ class PauliString:
 
     @classmethod
     def from_label(cls, label: str, phase: int = 0) -> "PauliString":
-        x, z = _label_bits(label)
-        return cls(len(label), x, z, phase)
+        x, z, _ = _label_rows(len(label), [label], [0.0])
+        return cls(len(label), *_row_ints(x), *_row_ints(z), phase)
 
     def label(self) -> str:
-        return _bits_label(self.n, self.x_bits, self.z_bits)
+        words = _word_count(self.n)
+        x, z = (_pack_ints([bits], words) for bits in (self.x_bits, self.z_bits))
+        return _row_labels(self.n, x, z)[0]
 
     def support(self) -> tuple[int, ...]:
         """Ascending sites with a non-identity factor, in O(weight) steps."""
@@ -192,50 +169,165 @@ def commutator(p: PauliTerm, q: PauliTerm) -> Optional[PauliTerm]:
 
 
 TermLike = Union[PauliTerm, tuple]
-_Table = dict[tuple[int, int], complex]
+
+# ---------------------------------------------------------------------------
+# The columnar table
+# ---------------------------------------------------------------------------
+
+_WORD = np.dtype("<u8")
+# Bit planes are sized by n, so a qubit count must fit an array dimension.
+_MAX_QUBITS = 2**32
+_LETTER_BYTES = np.frombuffer(_LABELS.encode("ascii"), np.uint8)
+# The x_bit + 2*z_bit code of each ASCII byte that is a Pauli letter; 4 marks
+# every other byte.
+_LETTER_CODES = np.full(256, 4, np.uint8)
+_LETTER_CODES[_LETTER_BYTES] = np.arange(4)
 
 
-def _merge(pairs: Iterable[tuple[tuple[int, int], complex]]) -> _Table:
-    """Sum coefficients per key in first-occurrence order, dropping those
-    whose magnitude ends below ``MERGE_TOL``."""
-    merged: _Table = {}
-    for key, coeff in pairs:
-        if key in merged:
-            merged[key] += coeff
-        else:
-            merged[key] = coeff
-    return {key: c for key, c in merged.items() if abs(c) >= MERGE_TOL}
+class _Rows(NamedTuple):
+    """Rows of a Pauli table, one per string.
+
+    ``x`` and ``z`` are bit planes: (rows, words) arrays of little-endian
+    64-bit words in which site s is bit s % 64 of word s // 64.  ``c`` holds
+    the complex coefficients.
+    """
+
+    x: np.ndarray
+    z: np.ndarray
+    c: np.ndarray
 
 
-def _keyed(n: int, item: TermLike) -> tuple[tuple[int, int], complex]:
-    """(key, coefficient) of one term, with the string's phase folded in."""
-    if isinstance(item, PauliTerm):
-        string, coeff = item.string, item.coeff
-    else:
-        string, coeff = item
-    if isinstance(string, str):
-        size, key, phase = len(string), _label_bits(string), 0
-    else:
-        size, key, phase = string.n, (string.x_bits, string.z_bits), string.phase
-    coeff = complex(coeff) * (1j**phase) if phase else complex(coeff)
-    if size != n:
-        raise DimensionMismatchError(f"term on {size} qubits in a {n}-qubit sum")
-    return key, coeff
+def _word_count(n: int) -> int:
+    """Words per row of a bit plane on n qubits (at least one, so that every
+    row has a nonempty byte key)."""
+    if n < 0:
+        raise ValidationError(f"negative qubit count {n}")
+    if n > _MAX_QUBITS:
+        raise ValidationError(f"qubit count {n} is above the supported {_MAX_QUBITS}")
+    return max(1, -(-n // 64))
 
 
-def _ingest(n: int, items: Iterable[TermLike]) -> _Table:
-    """The merged (x_bits, z_bits) -> coefficient table of ``items``.
+def _pack_sites(bits: np.ndarray, words: int) -> np.ndarray:
+    """A (rows, n) 0/1 site matrix as a bit plane."""
+    packed = np.zeros((len(bits), 8 * words), np.uint8)
+    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view(_WORD)
+
+
+def _pack_ints(masks: Sequence[int], words: int) -> np.ndarray:
+    """Python-int bit masks (site s is bit s) as a bit plane."""
+    data = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    return np.frombuffer(data, _WORD).reshape(len(masks), words)
+
+
+def _site_bits(plane: np.ndarray, n: int) -> np.ndarray:
+    """A bit plane as a (rows, n) 0/1 site matrix."""
+    return np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little")[:, :n]
+
+
+def _row_bytes(plane: np.ndarray) -> list[bytes]:
+    return plane.view(np.dtype((np.void, plane.itemsize * plane.shape[1]))).ravel().tolist()
+
+
+def _row_ints(plane: np.ndarray) -> list[int]:
+    return [int.from_bytes(row, "little") for row in _row_bytes(plane)]
+
+
+def _row_labels(n: int, x: np.ndarray, z: np.ndarray) -> list[str]:
+    """The I/X/Y/Z label of every row."""
+    if not n:
+        return [""] * len(x)
+    text = _LETTER_BYTES[_site_bits(x, n) + 2 * _site_bits(z, n)].tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, len(text), n)]
+
+
+def _imaginary(c: np.ndarray) -> np.ndarray:
+    """Which coefficients have a non-real part beyond the Hermiticity tolerance."""
+    return np.abs(c.imag) > _HERMITICITY_TOL * np.fmax(1.0, np.abs(c.real))
+
+
+def _label_rows(n: int, labels: Sequence[str], coeffs) -> _Rows:
+    """The rows of I/X/Y/Z labels, all parsed in one pass.
+
+    The first label with a letter other than I/X/Y/Z or a length other than
+    n raises; a label with both faults reports the letter.
+    """
+    words = _word_count(n)
+    wrong = np.fromiter(map(len, labels), np.intp, len(labels)) != n
+    size = int(wrong.argmax()) if wrong.any() else len(labels)
+    text = "".join(labels[: size + 1])
+    # One byte per character: "?" stands for every non-ASCII one.
+    codes = _LETTER_CODES.take(np.frombuffer(text.encode("ascii", "replace"), np.uint8))
+    foreign = codes > 3
+    if foreign.any():
+        pos = int(foreign.argmax())
+        label = labels[pos // n] if pos < size * n else labels[size]
+        raise ValidationError(f"invalid Pauli letter {text[pos]!r} in {label!r}")
+    if size < len(labels):
+        raise DimensionMismatchError(f"term on {len(labels[size])} qubits in a {n}-qubit sum")
+    codes = codes.reshape(size, n)
+    return _Rows(
+        _pack_sites(codes & 1, words),
+        _pack_sites(codes >> 1, words),
+        np.asarray(coeffs, dtype=complex),
+    )
+
+
+def _ingest(n: int, items: Iterable[TermLike]) -> _Rows:
+    """One row per item, with the string's phase folded into the coefficient.
 
     An item is a PauliTerm or a (string, coeff) pair whose string is a
     PauliString or an I/X/Y/Z label.
     """
-    if n < 0:
-        raise ValidationError(f"negative qubit count {n}")
-    return _merge(_keyed(n, item) for item in items)
+    words = _word_count(n)
+    xs, zs, cs = [], [], []
+    for item in items:
+        string, coeff = (item.string, item.coeff) if isinstance(item, PauliTerm) else item
+        if isinstance(string, str):
+            string = PauliString.from_label(string)
+        phase = string.phase
+        cs.append(complex(coeff) * (1j**phase) if phase else complex(coeff))
+        if string.n != n:
+            raise DimensionMismatchError(f"term on {string.n} qubits in a {n}-qubit sum")
+        xs.append(string.x_bits)
+        zs.append(string.z_bits)
+    return _Rows(_pack_ints(xs, words), _pack_ints(zs, words), np.array(cs, dtype=complex))
 
 
-def _has_imaginary_part(c: complex) -> bool:
-    return abs(c.imag) > _HERMITICITY_TOL * max(1.0, abs(c.real))
+def _merged(n: int, rows: _Rows, hermitian: bool) -> _Rows:
+    """Rows with equal strings summed in first-occurrence order, sums of
+    magnitude below ``MERGE_TOL`` dropped, and for a Hermitian table the
+    real parts kept after checking that no imaginary part is left.
+
+    A sum starts from the first coefficient and adds the others in
+    occurrence order, so it is the same complex number, bit for bit and sign
+    of zero included, as adding the Python numbers one by one.
+    """
+    x, z, c = rows
+    keys = _row_bytes(np.concatenate([x, z], axis=1))
+    if len(set(keys)) < len(keys):
+        index: dict[bytes, int] = {}
+        rank = np.array([index.setdefault(key, len(index)) for key in keys], np.intp)
+        first = np.ones(len(keys), bool)
+        first[1:] = rank[1:] > np.maximum.accumulate(rank)[:-1]
+        later = ~first
+        x, z, total = x[first], z[first], c[first]
+        np.add.at(total, rank[later], c[later])
+        c = total
+    kept = np.abs(c) >= MERGE_TOL
+    if not kept.all():
+        x, z, c = x[kept], z[kept], c[kept]
+    if hermitian:
+        imaginary = _imaginary(c)
+        if imaginary.any():
+            i = int(imaginary.argmax())
+            label = _row_labels(n, x[i : i + 1], z[i : i + 1])[0]
+            raise ValidationError(
+                f"non-Hermitian total: term {label} has coefficient "
+                f"{complex(c[i])} with non-real part"
+            )
+        c = c.real.astype(complex)
+    return _Rows(x, z, c)
 
 
 class PauliSum:
@@ -245,25 +337,18 @@ class PauliSum:
     first occurrence of each string.  Coefficients with magnitude below
     ``MERGE_TOL`` after merging are dropped.  Instances are immutable.
 
-    The sum is stored as one (x_bits, z_bits) -> coefficient table; the
-    ``PauliTerm`` tuple of ``terms`` is built the first time it is read.
+    The sum is stored as a columnar table: x and z bit planes with one row
+    per string, and a coefficient array.  ``terms`` and ``coeff_map()`` build
+    Python objects from it on request.
     """
 
-    __slots__ = ("_n", "_table", "_terms")
+    __slots__ = ("_n", "_rows", "_terms")
+    _hermitian = False
 
     def __init__(self, n: int, terms: Iterable[TermLike] = ()):
-        self._adopt(n, _ingest(n, terms))
-
-    @classmethod
-    def _from_table(cls, n: int, table: _Table):
-        obj = cls.__new__(cls)
-        obj._adopt(n, table)
-        return obj
-
-    def _adopt(self, n: int, table: _Table) -> None:
-        """Take ownership of a merged table."""
+        rows = terms if isinstance(terms, _Rows) else _ingest(n, terms)
         self._n = n
-        self._table = table
+        self._rows = _merged(n, rows, self._hermitian)
         self._terms: Optional[tuple[PauliTerm, ...]] = None
 
     @property
@@ -274,39 +359,52 @@ class PauliSum:
     def terms(self) -> tuple[PauliTerm, ...]:
         if self._terms is None:
             n = self._n
+            x, z, c = self._rows
             self._terms = tuple(
-                PauliTerm(PauliString(n, x, z), c) for (x, z), c in self._table.items()
+                PauliTerm(PauliString(n, xb, zb), coeff)
+                for xb, zb, coeff in zip(_row_ints(x), _row_ints(z), c.tolist())
             )
         return self._terms
 
     @property
     def gamma(self) -> int:
         """Number of (merged) terms."""
-        return len(self._table)
+        return len(self._rows.c)
 
     @property
     def k(self) -> int:
         """Maximum support size over terms (0 for the empty sum)."""
-        return max(((x | z).bit_count() for x, z in self._table), default=0)
+        support = _site_bits(self._rows.x | self._rows.z, self._n)
+        return int(support.sum(axis=1).max(initial=0))
 
     @property
     def is_empty(self) -> bool:
-        return not self._table
+        return not len(self._rows.c)
 
     def coeff_map(self) -> dict[tuple[int, int], complex]:
-        return dict(self._table)
+        return {t.string.key(): t.coeff for t in self.terms}
+
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(term, site, magnitude): the term and site index of every
+        non-identity factor, term-major with sites ascending, and |coeff|
+        per term."""
+        x, z, c = self._rows
+        support = _site_bits(x | z, self._n).view(bool)
+        term, site = np.divmod(np.flatnonzero(support), max(1, self._n))
+        return term, site, np.abs(c)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         self._check_same_n(other)
-        pairs = itertools.chain(self._table.items(), other._table.items())
-        return PauliSum._from_table(self._n, _merge(pairs))
+        return PauliSum(self._n, _Rows(*map(np.concatenate, zip(self._rows, other._rows))))
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + other.scaled(-1.0)
 
     def scaled(self, factor: complex) -> "PauliSum":
-        pairs = ((key, complex(c * factor)) for key, c in self._table.items())
-        return PauliSum._from_table(self._n, _merge(pairs))
+        x, z, c = self._rows
+        # Python arithmetic per term, the same products as PauliTerm.scaled.
+        scaled = np.array([coeff * factor for coeff in c.tolist()], dtype=complex)
+        return PauliSum(self._n, _Rows(x, z, scaled))
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
@@ -323,8 +421,8 @@ class PauliSum:
         return self.scaled(factor)
 
     def adjoint(self) -> "PauliSum":
-        pairs = ((key, c.conjugate()) for key, c in self._table.items())
-        return PauliSum._from_table(self._n, _merge(pairs))
+        x, z, c = self._rows
+        return PauliSum(self._n, _Rows(x, z, c.conj()))
 
     def _check_same_n(self, other: "PauliSum") -> None:
         if self._n != other._n:
@@ -333,15 +431,16 @@ class PauliSum:
             )
 
     def to_hamiltonian(self) -> "PauliHamiltonian":
-        return PauliHamiltonian._from_table(self._n, dict(self._table))
+        return PauliHamiltonian(self._n, self._rows)
 
     def __repr__(self) -> str:
         n = self._n
+        x, z, c = (plane[:6] for plane in self._rows)
         body = " + ".join(
-            f"({c:g})*{_bits_label(n, x, z) or 'I'}"
-            for (x, z), c in itertools.islice(self._table.items(), 6)
+            f"({coeff:g})*{label or 'I'}"
+            for label, coeff in zip(_row_labels(n, x, z), c.tolist())
         )
-        more = " + ..." if len(self._table) > 6 else ""
+        more = " + ..." if self.gamma > 6 else ""
         return f"PauliSum(n={n}, {body or '0'}{more})"
 
 
@@ -359,24 +458,17 @@ class PauliHamiltonian(PauliSum):
     """
 
     __slots__ = ()
-
-    def _adopt(self, n: int, table: _Table) -> None:
-        for key, c in table.items():
-            if _has_imaginary_part(c):
-                raise ValidationError(
-                    f"non-Hermitian total: term {_bits_label(n, *key)} has coefficient "
-                    f"{c} with non-real part"
-                )
-            table[key] = complex(c.real, 0.0)
-        super()._adopt(n, table)
+    _hermitian = True
 
     @classmethod
     def from_labels(cls, n: int, pairs: Iterable[tuple[str, float]]) -> "PauliHamiltonian":
-        return cls._from_table(n, _ingest(n, pairs))
+        pairs = list(pairs)
+        labels = [label for label, _ in pairs]
+        return cls(n, _label_rows(n, labels, [coeff for _, coeff in pairs]))
 
     def bounds(self) -> tuple[float, ...]:
         """Per-term bounds b_gamma = |coeff|."""
-        return tuple(abs(c) for c in self._table.values())
+        return tuple(np.abs(self._rows.c).tolist())
 
 
 def adjoint_apply(h_term: PauliTerm, operator: PauliSum) -> PauliSum:
@@ -645,8 +737,6 @@ def fermion_term_site_matrices(term: FermionTerm, n: int):
 def _jw_site_products(term: FermionTerm, sites: Iterable[int]):
     """The per-site factor products of ``fermion_term_site_matrices`` on
     ``sites`` only; each site's product is formed in the same order."""
-    import numpy as np
-
     sig_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sig_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
     sig_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -679,29 +769,45 @@ def pauli_to_json(h: PauliSum) -> dict:
     Only real-coefficient sums are serializable (the interchange format
     describes Hamiltonians).
     """
-    terms = []
-    for (x, z), c in h._table.items():
-        if _has_imaginary_part(c):
-            raise ValidationError("cannot serialize a sum with non-real coefficients")
-        terms.append({"pauli": _bits_label(h.n, x, z), "coeff": c.real})
-    return {"n": h.n, "terms": terms}
+    x, z, c = h._rows
+    if _imaginary(c).any():
+        raise ValidationError("cannot serialize a sum with non-real coefficients")
+    pairs = zip(_row_labels(h.n, x, z), c.real.tolist())
+    return {"n": h.n, "terms": [{"pauli": label, "coeff": coeff} for label, coeff in pairs]}
+
+
+def _json_columns(terms) -> tuple[list[str], np.ndarray]:
+    """The labels and coefficients of JSON terms, read column by column.
+
+    A malformed term raises the error that reading the terms one by one
+    would raise first.
+    """
+    try:
+        labels = list(map(str, map(itemgetter("pauli"), terms)))
+        return labels, np.array(list(map(float, map(itemgetter("coeff"), terms))))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        for t in terms:
+            str(t["pauli"]), float(t["coeff"])
+        raise
 
 
 def pauli_from_json(data: Mapping) -> PauliHamiltonian:
     try:
         n = int(data["n"])
-        pairs = [(str(t["pauli"]), float(t["coeff"])) for t in data["terms"]]
+        labels, coeffs = _json_columns(data["terms"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed Hamiltonian JSON: {exc}") from exc
-    for label, coeff in pairs:
+    # JSON parsers accept NaN and Infinity; PauliSum would drop a NaN term.
+    faulty = (np.fromiter(map(len, labels), np.intp, len(labels)) != n) | ~np.isfinite(coeffs)
+    if faulty.any():
+        i = int(faulty.argmax())
+        label, coeff = labels[i], float(coeffs[i])
         if len(label) != n:
             raise ValidationError(
                 f"pauli label {label!r} has length {len(label)}, expected n={n}"
             )
-        # JSON parsers accept NaN and Infinity; PauliSum would drop a NaN term.
-        if not math.isfinite(coeff):
-            raise ValidationError(f"coefficient {coeff!r} of {label!r} is not finite")
-    return PauliHamiltonian.from_labels(n, pairs)
+        raise ValidationError(f"coefficient {coeff!r} of {label!r} is not finite")
+    return PauliHamiltonian(n, _label_rows(n, labels, coeffs))
 
 
 def fermion_to_json(f: FermionHamiltonian) -> dict:

@@ -415,6 +415,51 @@ def test_table1_rejects_fast_decay_below_half_d():
         table1_exponents("power-law", "qdrift", d=2, alpha=0.5)
 
 
+@pytest.mark.parametrize(
+    "family, params",
+    [
+        ("k-local-uniform", {"k": None}),
+        ("k-local-uniform", {"k": 0}),
+        ("k-local-uniform", {"k": -3}),
+        ("power-law", {"d": 0, "alpha": 0.0}),  # used to divide 0 by 0
+        ("power-law", {"d": -2, "alpha": -1.0}),
+    ],
+)
+def test_table1_rejects_degenerate_k_and_d(family, params):
+    with pytest.raises(ValidationError):
+        table1_exponents(family, "higher-order-fixed", **params)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0, 1, 2.0, 1.0, 0.1),  # no sites
+        (1, 10**9, 1e9, 1.0, 1.0),  # used to build a 10**9-tuple coordinate
+        (4, 1, 2.0, 1e200, 0.1),  # t**2 overflows
+        (4, 1, 2.0, 1.0, 1e-300),  # eps**2 underflows to 0
+    ],
+)
+def test_truncation_plan_rejects_degenerate_or_overflowing_input(args):
+    with pytest.raises(ValidationError):
+        truncation_plan(*args)
+
+
+@pytest.mark.parametrize(
+    "n, k, eps, j",
+    [
+        (0, 1, 0.1, 1.0),  # no sites
+        (3, 4, 0.1, 1.0),  # k > n
+        (-5, 2, 0.1, 1.0),
+        (10**30, 4097, 0.1, 1.0),  # used to run for minutes on exact integers
+        (1, 1, 1e-300, 1e-123),  # used to divide by an underflowed zero
+        (8, 2, 0.1, math.inf),
+    ],
+)
+def test_counting_rejects_degenerate_or_out_of_range_input(n, k, eps, j):
+    with pytest.raises(ValidationError):
+        counting_net_size(n, k, eps, j_coupling=j)
+
+
 def test_table1_norm_form_strings():
     assert table1_exponents("norm-form", "qdrift").formula == "H(0,1)^2 t^2/eps"
     assert (

@@ -170,6 +170,36 @@ def test_module_entry_point_exit_code():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--family", "chain-heisenberg", "--n", "4", "--out", "{h}"],
+        ["norms", "{h}"],
+        ["gatecount", "{h}", "--t", "1", "--eps", "0.1"],
+        ["truncate", "--n", "4", "--d", "1", "--alpha", "2", "--t", "1", "--eps", "2"],
+        ["table1"],
+        ["lowerbound", "--n", "8", "--k", "2", "--eps", "0.1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_planner_commands_never_import_scipy(tmp_path, argv):
+    """Only the dense engine needs scipy, which is most of the import time;
+    `python -X importtime` lists every module the command imported."""
+    path = tmp_path / "h.json"
+    if argv[0] != "model":
+        assert main(["model", "--family", "chain-heisenberg", "--n", "4", "--out", str(path)]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "trotterlab", *(a.format(h=path) for a in argv)],
+        capture_output=True,
+        text=True,
+        env=module_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if "|" in line]
+    assert "trotterlab.cli" in imported
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+@pytest.mark.parametrize(
     "coeff, argv",
     [
         ("NaN", ["gatecount", "{h}", "--t", "1", "--eps", "0.1"]),
@@ -261,6 +291,70 @@ def test_fuzz_malformed_pauli_json_exits_cleanly(text, argv):
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
     assert len(errors) <= 1
     assert (code == 0) == (not errors)
+
+
+def _call(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, out, err):
+    """Exit 0, 2 or 3; a failure prints one error line and no result; exit 3
+    without an error line is an infeasible plan, printed as JSON."""
+    assert code in (0, 2, 3)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if code == 0:
+        assert not errors
+    elif errors:
+        assert len(errors) == 1 and out == ""
+    else:
+        assert code == 3 and json.loads(out)["feasible"] is False
+
+
+# Small and large, zero and negative: n stays at most 70 below the lattice
+# enumeration cap (4096 sites), whose distance matrix grows as n**2.
+_FUZZ_INT = st.integers(min_value=-3, max_value=70) | st.sampled_from(
+    [4097, 10**6, 10**30, -(10**30)]
+)
+_FUZZ_FLOAT = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1e-300, 5e-324, 1e200, -1e200, 1.7e308]
+)
+
+
+@st.composite
+def numeric_flag_argv(draw):
+    """truncate, table1 and lowerbound with every numeric flag drawn."""
+    command = draw(st.sampled_from(["truncate", "table1", "lowerbound"]))
+    if command == "truncate":
+        flags = {"n": _FUZZ_INT, "d": st.integers(-2, 6), "alpha": _FUZZ_FLOAT,
+                 "t": _FUZZ_FLOAT, "eps": _FUZZ_FLOAT}
+    elif command == "table1":
+        family = draw(st.sampled_from(["norm-form", "k-local-uniform", "power-law"]))
+        flags = {"family": st.just(family), "k": _FUZZ_INT, "d": _FUZZ_INT, "alpha": _FUZZ_FLOAT}
+    else:
+        flags = {"n": _FUZZ_INT, "k": st.integers(-2, 6) | _FUZZ_INT, "eps": _FUZZ_FLOAT,
+                 "j": _FUZZ_FLOAT}
+    # --flag=value, since argparse reads a separate "-1" as a flag
+    return [command] + [f"--{name}={draw(value)}" for name, value in flags.items()]
+
+
+@given(argv=numeric_flag_argv())
+@settings(max_examples=300, deadline=None)
+def test_fuzz_numeric_flags_exit_cleanly(argv):
+    _assert_clean_exit(*_call(argv))
+
+
+def test_truncate_overflow_is_a_validation_error(capsys):
+    code, out, err = run(
+        capsys, "truncate", "--n", "4", "--d", "1", "--alpha", "2", "--t", "1e200",
+        "--eps", "0.1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "floating-point range" in err
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys):

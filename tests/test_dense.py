@@ -26,7 +26,6 @@ from trotterlab.dense import (
     string_matrix,
     subset_component,
     to_matrix,
-    trace_distance_pure,
     trotter_error_op,
     unitary_power,
     weighted_norm,
@@ -409,20 +408,6 @@ def test_state_error_unitary_range():
     e = q - np.eye(8)  # difference of two unitaries
     for psi in haar_states(3, 10, rng):
         assert 0.0 <= state_error(e, psi) <= 2.0 + 1e-12
-
-
-def test_trace_distance_pure_bounds():
-    rng = np.random.default_rng(14)
-    h = PauliHamiltonian.from_labels(2, [("XZ", 0.9), ("ZY", -0.4)])
-    u = evolve(h, 1.0)
-    sched = build_schedule(2, 1, 0.5)
-    v = unitary_power(apply_schedule(h, sched), 2)
-    e = u - v
-    for psi in haar_states(2, 20, rng):
-        td = trace_distance_pure(u, v, psi)
-        l2 = state_error(e, psi)
-        assert td <= l2 + 1e-10
-        assert td <= 2.0 * l2 + 1e-10
 
 
 def test_basis_and_haar_ensembles_deterministic():

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -350,3 +351,112 @@ def test_profile_builds_term_data_once(monkeypatch):
     monkeypatch.setattr(norms_module, "_term_data", counting)
     norm_profile(zxyz_like(2))
     assert len(calls) == 1
+
+
+def _combinations_norms(supports_and_bounds, c):
+    """(||H||_{(c),1}, ||H||_{(c),2}) by a dictionary of subset sums over
+    ``combinations(support, c)``, added term by term: the computation the
+    bincount norms replaced, kept as their oracle."""
+    ones, twos = {}, {}
+    for sup, b in supports_and_bounds:
+        for subset in combinations(sup, c):
+            ones[subset] = ones.get(subset, 0.0) + b
+            twos[subset] = twos.get(subset, 0.0) + b * b
+    if not ones:
+        return 0.0, 0.0
+    return max(ones.values()), math.sqrt(max(twos.values()))
+
+
+def _random_wide_pauli(rng, n, gamma, k_max):
+    """Up to gamma terms on n sites with weights 0..k_max (weight 0 is the
+    identity), repeated strings, and zero or sub-tolerance coefficients."""
+    labels = []
+    for _ in range(gamma):
+        label = ["I"] * n
+        weight = int(rng.integers(0, k_max + 1))
+        for s in rng.choice(n, size=weight, replace=False):
+            label[s] = "XYZ"[int(rng.integers(3))]
+        labels.append("".join(label))
+    coeffs = rng.choice([0.0, 1e-15, 1.0, -2.5], size=gamma) * rng.random(gamma)
+    coeffs = np.where(rng.random(gamma) < 0.7, rng.normal(size=gamma), coeffs)
+    repeats = rng.integers(0, max(1, gamma), size=gamma // 5)
+    pairs = list(zip(labels, coeffs.tolist()))
+    pairs += [(labels[i], float(rng.normal())) for i in repeats]
+    return PauliHamiltonian.from_labels(n, pairs)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=64),
+    gamma=st.integers(min_value=0, max_value=500),
+    k_max=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_bincount_norms_equal_combinations_oracle_bit_for_bit(seed, n, gamma, k_max):
+    rng = np.random.default_rng(seed)
+    h = _random_wide_pauli(rng, n, gamma, min(k_max, n))
+    data = [(t.string.support(), abs(t.coeff)) for t in h.terms]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # c above k
+        for c in (1, 2):
+            one, two = _combinations_norms(data, c)
+            assert local_norm(h, c, 1) == one
+            assert local_norm(h, c, 2) == two
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_fermionic_bincount_norms_equal_oracle_with_zero_terms(seed):
+    rng = np.random.default_rng(seed)
+    h = random_fermion_hamiltonian(rng, n=8, k_max=4)
+    n = h.n
+    # A repeated creation on one site is the zero operator: bound 0.
+    site = int(rng.integers(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        zero = FermionTerm(((site, "+"), (site, "+"), ((site + 1) % n, "-")), 1.0)
+    assert zero.is_zero
+    h = FermionHamiltonian(n, [*h.terms, zero, *h.terms[:2]])
+    data = [(t.support(), fermion_term_bound(t, n)) for t in h.terms]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for c in (1, 2):
+            one, two = _combinations_norms(data, c)
+            assert local_norm(h, c, 1) == one
+            assert local_norm(h, c, 2) == two
+
+
+def test_planner_model_profiles_equal_pinned_values():
+    """norm_profile of the benchmark's five planner Hamiltonians, read back
+    from their JSON files, equals the values recorded before the bincount
+    norms, float for float."""
+    import json
+    from pathlib import Path
+
+    from trotterlab.models import KLocalGaussianModel, chain_heisenberg, power_law
+    from trotterlab.pauli import pauli_from_json, pauli_to_json
+
+    models = {
+        "power-law-n64-d1-a2": lambda: power_law(64, 1, 2.0),
+        "power-law-n64-d2-a3": lambda: power_law(64, 2, 3.0),
+        "power-law-n128-d1-a2": lambda: power_law(128, 1, 2.0),
+        "k-local-syk-n20-k3-seed827628876": lambda: KLocalGaussianModel(
+            n=20, k=3, j_coupling=1.0, seed=827628876
+        ).sample(827628876),
+        "chain-heisenberg-n256": lambda: chain_heisenberg(256),
+    }
+    pinned = json.loads(
+        (Path(__file__).parent / "data" / "planner_norm_profiles.json").read_text()
+    )
+    assert set(pinned) == set(models)
+    for name, build in models.items():
+        h = pauli_from_json(json.loads(json.dumps(pauli_to_json(build()))))
+        prof = norm_profile(h)
+        got = {
+            "gamma": prof.gamma,
+            "k": prof.k,
+            "norms": {f"{c},{q}": v for (c, q), v in sorted(prof.norms.items())},
+            "lambda": prof.lambda_k,
+            "lambda_prime": prof.lambda_prime_k,
+        }
+        assert got == pinned[name], name

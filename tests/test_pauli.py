@@ -5,9 +5,12 @@ oracle built directly from 2x2 numpy arrays inside this file (no reuse of the
 package's own dense engine).
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trotterlab.errors import (
@@ -369,6 +372,7 @@ def ingest_items(draw):
 
 @pytest.mark.parametrize("cls", [PauliSum, PauliHamiltonian])
 @given(case=ingest_items())
+@example(case=(1, [("I", 1e-14j)]))
 @settings(max_examples=300, deadline=None)
 def test_ingest_matches_three_pass_oracle(cls, case):
     n, items = case
@@ -382,7 +386,11 @@ def test_ingest_matches_three_pass_oracle(cls, case):
         if cls is PauliHamiltonian:
             assert built.bounds() == tuple(abs(t.coeff) for t in built.terms)
             labels = [(t.string.label(), t.coeff.real) for t in built.terms]
-            assert _outcome(lambda: PauliHamiltonian.from_labels(n, labels).terms) == expected
+            # Reading the labels back merges again, and drops a real part
+            # below MERGE_TOL: a term kept for a sub-tolerance imaginary part
+            # alone, such as ("I", 1e-14j), holds 0.0 after the projection.
+            kept = [term for term in expected if abs(float(term[1])) >= 1e-14]
+            assert _outcome(lambda: PauliHamiltonian.from_labels(n, labels).terms) == kept
 
 
 @given(case=ingest_items(), factor=_COEFFS)
@@ -404,6 +412,104 @@ def test_sum_algebra_matches_term_wise_construction(case, factor):
     assert _outcome(lambda: a.to_hamiltonian().terms) == _outcome(
         lambda: _three_pass(PauliHamiltonian, n, a.terms)
     )
+
+
+def _dict_ingest(data):
+    """pauli_from_json as a per-term dictionary merge, the ingest the columnar
+    table replaced, kept as its oracle: the same checks in the same order,
+    then the terms as (label, repr of the real part, repr of the imaginary
+    part)."""
+    import math
+
+    try:
+        n = int(data["n"])
+        pairs = [(str(t["pauli"]), float(t["coeff"])) for t in data["terms"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed Hamiltonian JSON: {exc}") from exc
+    for label, coeff in pairs:
+        if len(label) != n:
+            raise ValidationError(
+                f"pauli label {label!r} has length {len(label)}, expected n={n}"
+            )
+        if not math.isfinite(coeff):
+            raise ValidationError(f"coefficient {coeff!r} of {label!r} is not finite")
+    if n < 0:
+        raise ValidationError(f"negative qubit count {n}")
+    merged = {}
+    for label, coeff in pairs:
+        foreign = [ch for ch in label if ch not in "IXYZ"]
+        if foreign:
+            raise ValidationError(f"invalid Pauli letter {foreign[0]!r} in {label!r}")
+        merged[label] = merged[label] + complex(coeff) if label in merged else complex(coeff)
+    return [
+        (label, repr(c.real), repr(0.0))
+        for label, c in merged.items()
+        if abs(c) >= 1e-14
+    ]
+
+
+_FOREIGN = st.sampled_from("ixyz01 9\u00e9\u0416\u00a0\U0001f600")
+_JSON_COEFFS = st.sampled_from([1.0, -1.0, 0.5, 0.0, -0.0, 1e-15, -1e-15, 3e-14]) | st.floats(
+    min_value=-4.0, max_value=4.0
+)
+
+
+@st.composite
+def pauli_documents(draw, repeats):
+    """Pauli JSON documents with distinct labels (repeats=False) or with
+    repeated, cancelling and sub-tolerance keys (repeats=True); now and then a
+    label of the wrong length, a foreign letter at any position or a
+    non-finite coefficient."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    labels = draw(
+        st.lists(
+            st.text(alphabet="IXYZ", min_size=n, max_size=n),
+            max_size=8,
+            unique=not repeats,
+        )
+    )
+    if repeats and labels:
+        labels += draw(st.lists(st.sampled_from(labels), min_size=1, max_size=8))
+        labels = draw(st.permutations(labels))
+    terms = []
+    for label in labels:
+        fault = draw(st.integers(min_value=0, max_value=29))
+        if fault == 0:
+            label = label + draw(st.sampled_from(["I", "XX"])) if draw(st.booleans()) else label[:-1]
+        elif fault == 1 and label:
+            pos = draw(st.integers(min_value=0, max_value=len(label) - 1))
+            label = label[:pos] + draw(_FOREIGN) + label[pos + 1 :]
+        coeff = draw(_JSON_COEFFS)
+        if fault == 2:
+            coeff = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        terms.append({"pauli": label, "coeff": coeff})
+        if repeats and draw(st.integers(min_value=0, max_value=3)) == 0:
+            terms.append({"pauli": label, "coeff": -coeff})  # cancels to (signed) zero
+    return json.loads(json.dumps({"n": n, "terms": terms}))
+
+
+def _caught(build):
+    try:
+        return build()
+    except (ValidationError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("repeats", [False, True], ids=["distinct-keys", "repeated-keys"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_columnar_json_ingest_matches_dict_oracle(repeats, data):
+    """Distinct keys take the merge's fast path, repeated keys the summing one."""
+    doc = data.draw(pauli_documents(repeats))
+    labels = [t["pauli"] for t in doc["terms"]]
+    assume((len(set(labels)) < len(labels)) == repeats)
+    got = _caught(
+        lambda: [
+            (t.string.label(), repr(t.coeff.real), repr(t.coeff.imag))
+            for t in pauli_from_json(doc).terms
+        ]
+    )
+    assert got == _caught(lambda: _dict_ingest(doc))
 
 
 def test_negative_qubit_count_is_rejected():
