@@ -13,15 +13,16 @@ rho_zeta places probability zeta on the occupied state of each site.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ResourceCapError, ValidationError
-from .pauli import PauliHamiltonian, PauliString, PauliSum, PauliTerm
+from .pauli import PauliHamiltonian, PauliString, PauliSum, PauliTerm, _ingest, _site_bits
 from .suzuki import Schedule, build_schedule
 
 DEFAULT_CAP_N = 12
@@ -38,24 +39,109 @@ def check_cap(n: int, cap_n: int = DEFAULT_CAP_N) -> None:
         )
 
 
-def _index_mask(bits: int, n: int) -> int:
-    """Site bitmask -> basis-index bitmask: site s is index bit n-1-s."""
-    return sum(1 << (n - 1 - s) for s in range(n) if (bits >> s) & 1)
+class _Actions(NamedTuple):
+    """A Pauli table as actions on the coset blocks of its x-masks.
 
-
-def _pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, vals) with P|j> = vals[j] |perm[j]> and perm[j] = j XOR x.
-
-    From P = i**(phase + popcount(x & z)) X^x Z^z: Z^z gives the sign
-    (-1)**popcount(j & z), X^x flips the bits of x, and each Y adds a factor i.
+    Term t maps basis state |j> to phase[t] * (-1)**popcount(j & z[t]) times
+    |j XOR x[t]>, where x and z are index masks (site s is index bit n-1-s)
+    and phase[t] = i**popcount(x & z) (each Y adds a factor i).  j XOR x
+    stays inside j's coset of the GF(2) span V of all the x-masks, so every
+    term, and everything built from the terms, is block diagonal:
+    ``index[b, a]`` is basis index rep_b XOR v_a, and term t maps local
+    position a to ``a ^ shift[t]`` in every block.  One block of size dim is
+    the general case (V is everything); a diagonal table has dim blocks.
     """
-    n = string.n
-    x = _index_mask(string.x_bits, n)
-    z = _index_mask(string.z_bits, n)
-    j = np.arange(2**n)
-    phase = 1j ** ((string.phase + (string.x_bits & string.z_bits).bit_count()) % 4)
-    vals = np.where(np.bitwise_count(j & z) & 1, -phase, phase)
-    return j ^ x, vals
+
+    index: np.ndarray
+    shift: tuple[int, ...]
+    z: tuple[int, ...]
+    phase: tuple[complex, ...]
+    coeff: np.ndarray
+
+
+def _cosets(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, shift) for index masks of x-parts; see ``_Actions``.
+
+    The span's basis is kept reduced, so that each pivot bit is set in its
+    own vector only.  Then v_a, the XOR of the basis vectors picked by the
+    bits of a (pivots ascending), has exactly a's bits on the pivots, a
+    mask's coordinates are its pivot bits, and each coset holds one rep_b
+    that is zero on every pivot bit.
+    """
+    basis: dict[int, int] = {}  # pivot bit -> vector
+    for mask in set(masks.tolist()):
+        for pivot, vec in basis.items():
+            if mask >> pivot & 1:
+                mask ^= vec
+        if mask:
+            pivot = mask.bit_length() - 1
+            for p, vec in list(basis.items()):
+                if vec >> pivot & 1:
+                    basis[p] = vec ^ mask
+            basis[pivot] = mask
+    span = np.zeros(1, np.int64)
+    shift = np.zeros_like(masks)
+    for i, pivot in enumerate(sorted(basis)):
+        span = np.concatenate([span, span ^ basis[pivot]])
+        shift |= (masks >> pivot & 1) << i
+    reps = np.arange(2**n)
+    reps = reps[(reps & sum(1 << p for p in basis)) == 0]
+    return reps[:, None] ^ span[None, :], shift
+
+
+@functools.lru_cache(maxsize=1)
+def _actions(obj: Union[PauliSum, PauliTerm, PauliString]) -> _Actions:
+    """The coset actions of a Pauli string, term or sum, read off its bit
+    planes.  Cached for the last object, so that a Hamiltonian's evolution
+    and schedule share one; the cached arrays are read-only."""
+    if isinstance(obj, PauliString):
+        obj = PauliTerm(obj, 1.0)
+    rows = _ingest(obj.n, [obj]) if isinstance(obj, PauliTerm) else obj._rows
+    n = obj.n
+    bit_values = np.left_shift(1, np.arange(n - 1, -1, -1), dtype=np.int64)
+    x, z = _site_bits(rows.x, n), _site_bits(rows.z, n)
+    y_count = (x & z).sum(axis=1, dtype=np.int64) % 4
+    index, shift = _cosets(x.astype(np.int64) @ bit_values, n)
+    index.flags.writeable = False
+    return _Actions(
+        index,
+        tuple(shift.tolist()),
+        tuple((z.astype(np.int64) @ bit_values).tolist()),
+        tuple(1j**k for k in y_count.tolist()),
+        rows.c,
+    )
+
+
+def _term_values(act: _Actions, t: int, index: np.ndarray, weight: complex) -> np.ndarray:
+    """weight * (-1)**popcount(j & z) for the basis indices j of ``index``."""
+    return np.where(np.bitwise_count(index & act.z[t]) & 1, -weight, weight)
+
+
+def _blocks(act: _Actions) -> np.ndarray:
+    """The (blocks, k, k) stack of the sum, real when every term is."""
+    weights = act.coeff * np.array(act.phase, dtype=complex)
+    if not weights.imag.any():
+        weights = weights.real
+    index = act.index
+    blocks, k = index.shape
+    out = np.zeros((blocks, k, k), weights.dtype)
+    cols = np.arange(k)
+    # Column a of P holds its value at row a ^ shift, one scatter per term.
+    for t, weight in enumerate(weights.tolist()):
+        out[:, cols ^ act.shift[t], cols] += _term_values(act, t, index, weight)
+    return out
+
+
+def _block_entries(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, column) fancy index of a (blocks, k, k) stack in the full matrix."""
+    return index[:, :, None], index[:, None, :]
+
+
+def _assembled(index: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The dim x dim complex matrix of a block stack."""
+    out = np.zeros((index.size, index.size), dtype=complex)
+    out[_block_entries(index)] = blocks
+    return out
 
 
 def string_matrix(string: PauliString) -> np.ndarray:
@@ -65,27 +151,15 @@ def string_matrix(string: PauliString) -> np.ndarray:
 def to_matrix(obj: MatrixLike, cap_n: int = DEFAULT_CAP_N) -> np.ndarray:
     """Dense matrix of a Pauli string/term/sum (or pass through an ndarray).
 
-    Each string is one scatter of its (perm, vals) action, O(dim) entries.
+    Each string is one scatter of O(dim) entries into its coset blocks.
     """
     if isinstance(obj, np.ndarray):
         return np.asarray(obj, dtype=complex)
-    if isinstance(obj, PauliString):
-        terms = [(1.0, obj)]
-    elif isinstance(obj, PauliTerm):
-        terms = [(obj.coeff, obj.string)]
-    elif isinstance(obj, PauliSum):
-        terms = [(t.coeff, t.string) for t in obj.terms]
-    else:
+    if not isinstance(obj, (PauliString, PauliTerm, PauliSum)):
         raise TypeError(f"cannot build a matrix from {type(obj).__name__}")
     check_cap(obj.n, cap_n)
-    dim = 2**obj.n
-    cols = np.arange(dim)
-    out = np.zeros((dim, dim), dtype=complex)
-    for coeff, string in terms:
-        perm, vals = _pauli_action(string)
-        # perm is a permutation, so no (row, col) pair repeats within a term.
-        out[perm, cols] += coeff * vals
-    return out
+    act = _actions(obj)
+    return _assembled(act.index, _blocks(act))
 
 
 def sites_of(matrix: np.ndarray) -> int:
@@ -105,10 +179,31 @@ def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.allclose(a @ a.conj().T, eye, atol=tol))
 
 
+def _exact_blocks(act: _Actions, t: float) -> np.ndarray:
+    """e^{i H t} on every coset block of H, through one batched eigh.
+
+    A real symmetric H (no term with an odd number of Y) takes a real eigh,
+    and e^{i H t} = V cos(t W) V^T + i V sin(t W) V^T in real products.
+    """
+    w, v = np.linalg.eigh(_blocks(act))
+    if np.iscomplexobj(v):
+        return (v * np.exp(1j * t * w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    vt = v.swapaxes(1, 2)
+    out = np.empty(v.shape, dtype=complex)
+    out.real = (v * np.cos(t * w)[:, None, :]) @ vt
+    out.imag = (v * np.sin(t * w)[:, None, :]) @ vt
+    return out
+
+
 def evolve(h: MatrixLike, t: float, cap_n: int = DEFAULT_CAP_N) -> np.ndarray:
-    """e^{i H t} through a Hermitian eigendecomposition (unitary to 1e-10)."""
+    """e^{i H t} through a Hermitian eigendecomposition (unitary to 1e-10);
+    per coset block for a PauliHamiltonian."""
+    if isinstance(h, PauliHamiltonian):
+        check_cap(h.n, cap_n)
+        act = _actions(h)
+        return _assembled(act.index, _exact_blocks(act, t))
     m = to_matrix(h, cap_n)
-    if not isinstance(h, (PauliHamiltonian,)) and not is_hermitian(m):
+    if not is_hermitian(m):
         raise ValidationError("evolve requires a Hermitian operator")
     w, v = np.linalg.eigh(m)
     return (v * np.exp(1j * t * w)) @ v.conj().T
@@ -121,29 +216,36 @@ def apply_schedule(
 
     Each step exponentiates one term exactly:
     e^{i a c P} = cos(a c) I + i sin(a c) P for a unit Pauli string P with real
-    coefficient c and step coefficient a (which already carries tau).
+    coefficient c and step coefficient a (which already carries tau).  The
+    product is formed on the coset blocks, each entry by the same scalar
+    operations as on the full matrix.
     """
     check_cap(h.n, cap_n)
-    terms = h.terms
-    out = np.eye(2**h.n, dtype=complex)
+    act = _actions(h)
+    coeffs = act.coeff.real.tolist()
+    index = act.index
+    blocks, k = index.shape
+    cols = np.arange(k)
+    out = np.zeros((blocks, k, k), dtype=complex)
+    out[:, cols, cols] = 1.0
     moved = np.empty_like(out)
-    # Row i of P M is vals[perm[i]] * M[perm[i]] (XOR is its own inverse).
-    actions: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # Row a of P M is vals[a ^ shift] * M[a ^ shift] (XOR is its own inverse).
+    factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for idx, coeff in schedule.steps:
-        if not 0 <= idx < len(terms):
+        if not 0 <= idx < len(coeffs):
             raise ValidationError(
-                f"schedule refers to term {idx} of a {len(terms)}-term Hamiltonian"
+                f"schedule refers to term {idx} of a {len(coeffs)}-term Hamiltonian"
             )
-        if idx not in actions:
-            perm, vals = _pauli_action(terms[idx].string)
-            actions[idx] = (perm, vals[perm])
-        perm, rowvals = actions[idx]
-        angle = coeff * terms[idx].coeff.real
-        np.take(out, perm, axis=0, out=moved)
-        moved *= (1j * math.sin(angle) * rowvals)[:, None]
+        if idx not in factors:
+            perm = cols ^ act.shift[idx]
+            factors[idx] = (perm, _term_values(act, idx, index[:, perm], act.phase[idx]))
+        perm, rowvals = factors[idx]
+        angle = coeff * coeffs[idx]
+        np.take(out, perm, axis=1, out=moved)
+        moved *= (1j * math.sin(angle) * rowvals)[:, :, None]
         out *= math.cos(angle)
         out += moved
-    return out
+    return _assembled(index, out)
 
 
 def unitary_power(u: np.ndarray, r: int) -> np.ndarray:
@@ -162,9 +264,10 @@ def unitary_power(u: np.ndarray, r: int) -> np.ndarray:
         # Binary powering: ~log2(r) products, unitarity drift O(r eps).
         return np.linalg.matrix_power(u, r)
     t, q = scipy.linalg.schur(u, output="complex")
-    lam = np.diag(t)
-    powered = np.exp(1j * r * np.angle(lam))
-    return (q * powered) @ q.conj().T
+    powered = np.exp(1j * r * np.angle(np.diag(t)))
+    scaled = q * powered
+    # q is conjugated in place: one dim x dim buffer fewer at the peak.
+    return scaled @ np.conjugate(q, out=q).T
 
 
 def trotter_error_op(
@@ -174,12 +277,18 @@ def trotter_error_op(
     order: int,
     cap_n: int = DEFAULT_CAP_N,
 ) -> np.ndarray:
-    """The exact error operator e^{iHt} - S_order(t/r)^r."""
+    """The exact error operator e^{iHt} - S_order(t/r)^r.
+
+    The power is negated in place and the exact evolution added block by
+    block, so no full exact matrix is held next to it.
+    """
     if r < 1:
         raise ValidationError("need at least one segment (r >= 1)")
-    exact = evolve(h, t, cap_n)
-    segment = apply_schedule(h, build_schedule(h.gamma, order, t / r), cap_n)
-    return exact - unitary_power(segment, r)
+    out = unitary_power(apply_schedule(h, build_schedule(h.gamma, order, t / r), cap_n), r)
+    np.negative(out, out=out)
+    act = _actions(h)
+    out[_block_entries(act.index)] += _exact_blocks(act, t)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ O^eta = (1 - eta)|occ><occ| - eta|emp><emp| = ((1 - 2 eta)/2) I + Z/2.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -776,6 +777,23 @@ def pauli_to_json(h: PauliSum) -> dict:
     return {"n": h.n, "terms": [{"pauli": label, "coeff": coeff} for label, coeff in pairs]}
 
 
+def _number_type(kind: type) -> bool:
+    """Whether values of a type are JSON numbers: ints or floats, not bools."""
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
+
+
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be a JSON integer, got {json.dumps(value, default=repr)}")
+    return value
+
+
+def _json_float(value, what: str) -> float:
+    if not _number_type(type(value)):
+        raise TypeError(f"{what} must be a finite JSON number, got {json.dumps(value, default=repr)}")
+    return float(value)
+
+
 def _json_columns(terms) -> tuple[list[str], np.ndarray]:
     """The labels and coefficients of JSON terms, read column by column.
 
@@ -784,16 +802,19 @@ def _json_columns(terms) -> tuple[list[str], np.ndarray]:
     """
     try:
         labels = list(map(str, map(itemgetter("pauli"), terms)))
-        return labels, np.array(list(map(float, map(itemgetter("coeff"), terms))))
+        coeffs = list(map(itemgetter("coeff"), terms))
+        if not all(map(_number_type, set(map(type, coeffs)))):
+            raise TypeError
+        return labels, np.fromiter(coeffs, float, len(coeffs))
     except (KeyError, TypeError, ValueError, OverflowError):
         for t in terms:
-            str(t["pauli"]), float(t["coeff"])
+            str(t["pauli"]), _json_float(t["coeff"], '"coeff"')
         raise
 
 
 def pauli_from_json(data: Mapping) -> PauliHamiltonian:
     try:
-        n = int(data["n"])
+        n = _json_int(data["n"], '"n"')
         labels, coeffs = _json_columns(data["terms"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed Hamiltonian JSON: {exc}") from exc
@@ -831,10 +852,13 @@ def fermion_to_json(f: FermionHamiltonian) -> dict:
 
 def fermion_from_json(data: Mapping) -> FermionHamiltonian:
     try:
-        n = int(data["n"])
-        eta = float(data.get("eta", 0.5))
+        n = _json_int(data["n"], '"n"')
+        eta = _json_float(data.get("eta", 0.5), '"eta"')
         raw = [
-            (tuple((int(site), str(kind)) for kind, site in t["ops"]), float(t["coeff"]))
+            (
+                tuple((_json_int(site, "site index"), str(kind)) for kind, site in t["ops"]),
+                _json_float(t["coeff"], '"coeff"'),
+            )
             for t in data["terms"]
         ]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -232,6 +232,57 @@ def test_non_finite_input_exits_2_without_traceback(tmp_path, coeff, argv):
     assert proc.stdout == ""
 
 
+_PAULI_DOC = {"n": 2, "terms": [{"pauli": "XX", "coeff": 1.0}]}
+_FERMION_DOC = {"n": 2, "eta": 0.5, "terms": [{"ops": [["+", 0], ["-", 1]], "coeff": 1.0}]}
+
+
+def _with(doc, value, *path):
+    """A copy of doc with the value at path replaced."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_with(_PAULI_DOC, 2.9, "n"), '"n" must be a JSON integer, got 2.9'),
+        (_with(_PAULI_DOC, True, "n"), '"n" must be a JSON integer, got true'),
+        (_with(_PAULI_DOC, "2", "n"), '"n" must be a JSON integer, got "2"'),
+        (_with(_PAULI_DOC, True, "terms", 0, "coeff"), '"coeff" must be a finite JSON number, got true'),
+        (_with(_PAULI_DOC, "2.5", "terms", 0, "coeff"), '"coeff" must be a finite JSON number, got "2.5"'),
+        (_with(_FERMION_DOC, 2.9, "n"), '"n" must be a JSON integer, got 2.9'),
+        (_with(_FERMION_DOC, True, "n"), '"n" must be a JSON integer, got true'),
+        (_with(_FERMION_DOC, True, "eta"), '"eta" must be a finite JSON number, got true'),
+        (_with(_FERMION_DOC, "0.5", "eta"), '"eta" must be a finite JSON number, got "0.5"'),
+        (_with(_FERMION_DOC, True, "terms", 0, "coeff"), '"coeff" must be a finite JSON number, got true'),
+        (_with(_FERMION_DOC, "2.5", "terms", 0, "coeff"), '"coeff" must be a finite JSON number, got "2.5"'),
+        (_with(_FERMION_DOC, [["+", 0.5], ["-", 1]], "terms", 0, "ops"), "site index must be a JSON integer, got 0.5"),
+    ],
+)
+def test_json_with_wrong_value_types_exits_2(monkeypatch, doc, message):
+    # These used to be coerced by int()/float() and planned with exit 0.
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = _call(["norms", "-"])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: malformed {'fermionic' if 'eta' in doc else 'Hamiltonian'} JSON: {message}"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [_with(_PAULI_DOC, 2, "terms", 0, "coeff"), _with(_FERMION_DOC, 0, "eta"), _with(_FERMION_DOC, -3, "terms", 0, "coeff")],
+)
+def test_json_integer_numbers_are_accepted(monkeypatch, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = _call(["norms", "-"])
+    assert code == 0, err
+    assert json.loads(out)["gamma"] >= 1
+
+
 _LABEL_TEXT = st.text(alphabet="IXYZ", min_size=0, max_size=5) | st.text(max_size=4)
 _COEFF_VALUES = (
     st.floats(allow_nan=True, allow_infinity=True)

@@ -6,9 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trotterlab import dense
 from trotterlab.dense import (
     ParticleSector,
     WeightedNormSpec,
@@ -229,6 +230,162 @@ def test_trotter_error_decreases_with_r():
     ]
     assert norms[0] > 0
     assert all(a > b for a, b in zip(norms, norms[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Coset blocks
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def block_hamiltonians(draw, max_n=6):
+    """Hamiltonians of the four block shapes: diagonal-only (dim blocks),
+    chain-like nearest-neighbour XX or YY, maybe with ZZ and Z terms (two
+    parity blocks), full-rank (an
+    X or Y on every site: one block) and complex ones with odd-Y terms."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    kind = draw(st.sampled_from(["diagonal", "chain", "full-rank", "odd-y"]))
+    coeff = st.floats(-2.0, 2.0).filter(lambda c: abs(c) > 1e-3)
+    labels = []
+    if kind == "diagonal":
+        labels = draw(st.lists(st.text(alphabet="IZ", min_size=n, max_size=n), min_size=1, max_size=6))
+    elif kind == "chain":
+        for s in range(n - 1):
+            letters = draw(st.sampled_from("XY")) + draw(st.sampled_from(["", "Z", "YZ", "XZ"]))
+            labels += ["I" * s + letter * 2 + "I" * (n - s - 2) for letter in letters]
+        labels += draw(st.lists(st.text(alphabet="IZ", min_size=n, max_size=n), max_size=2))
+    elif kind == "full-rank":
+        labels = ["I" * s + draw(st.sampled_from("XY")) + "I" * (n - s - 1) for s in range(n)]
+        labels += draw(st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), max_size=4))
+    else:
+        labels = ["I" * s + "Y" + "I" * (n - s - 1) for s in draw(st.sets(st.integers(0, n - 1), min_size=1))]
+        labels += draw(st.lists(st.text(alphabet="IXYZ", min_size=n, max_size=n), max_size=4))
+    labels = draw(st.permutations(labels))
+    h = PauliHamiltonian.from_labels(n, [(label, draw(coeff)) for label in labels])
+    assume(h.gamma > 0)
+    return kind, h
+
+
+def _index_x(string: PauliString) -> int:
+    """The basis-index mask flipped by a string (site s is index bit n-1-s)."""
+    return sum(1 << (string.n - 1 - s) for s in range(string.n) if string.x_bits >> s & 1)
+
+
+@given(block_hamiltonians())
+@settings(max_examples=80, deadline=None)
+def test_cosets_partition_the_basis_into_invariant_blocks(case):
+    kind, h = case
+    act = dense._actions(h)
+    n, dim = h.n, 2**h.n
+    blocks, k = act.index.shape
+    assert sorted(act.index.ravel().tolist()) == list(range(dim))
+    # The span of the x-masks, by closure; its size is 2**rank.
+    span = {0}
+    for term in h.terms:
+        span |= {v ^ _index_x(term.string) for v in span}
+    assert k == len(span) and blocks * k == dim
+    assert {"diagonal": k == 1, "chain": blocks == 2, "full-rank": blocks == 1}.get(kind, True)
+    for t, term in enumerate(h.terms):
+        x = _index_x(term.string)
+        for b in range(blocks):
+            assert set((act.index[b] ^ x).tolist()) == set(act.index[b].tolist())
+            np.testing.assert_array_equal(act.index[b] ^ x, act.index[b, np.arange(k) ^ act.shift[t]])
+
+
+def _single_matrix_schedule(h, schedule):
+    """apply_schedule as it ran on the full dim x dim matrix before the coset
+    blocks, kept as the oracle: same (perm, vals), same step arithmetic."""
+    n, dim = h.n, 2**h.n
+    j = np.arange(dim)
+    out = np.eye(dim, dtype=complex)
+    moved = np.empty_like(out)
+    for idx, coeff in schedule.steps:
+        string = h.terms[idx].string
+        z = sum(1 << (n - 1 - s) for s in range(n) if string.z_bits >> s & 1)
+        phase = 1j ** ((string.x_bits & string.z_bits).bit_count() % 4)
+        perm = j ^ _index_x(string)
+        rowvals = np.where(np.bitwise_count(j & z) & 1, -phase, phase)[perm]
+        angle = coeff * h.terms[idx].coeff.real
+        np.take(out, perm, axis=0, out=moved)
+        moved *= (1j * math.sin(angle) * rowvals)[:, None]
+        out *= math.cos(angle)
+        out += moved
+    return out
+
+
+@given(block_hamiltonians(), st.sampled_from((1, 2, 4)), st.floats(-1.5, 1.5))
+@settings(max_examples=60, deadline=None)
+def test_block_schedule_is_bit_identical_to_single_matrix_loop(case, order, tau):
+    _, h = case
+    schedule = build_schedule(h.gamma, order, tau)
+    assert np.array_equal(apply_schedule(h, schedule), _single_matrix_schedule(h, schedule))
+
+
+@given(block_hamiltonians(max_n=5), st.sampled_from((1, 2)), st.integers(1, 5000))
+@settings(max_examples=40, deadline=None)
+def test_trotter_error_op_is_bit_identical_to_public_parts(case, order, r):
+    _, h = case
+    segment = apply_schedule(h, build_schedule(h.gamma, order, 0.7 / r))
+    expected = evolve(h, 0.7) - unitary_power(segment, r)
+    assert np.array_equal(trotter_error_op(h, 0.7, r, order), expected)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        chain_heisenberg(4),
+        chain_heisenberg(5),
+        PauliHamiltonian.from_labels(4, [("ZZII", 0.3), ("IZIZ", -0.7), ("IIIZ", 1.1)]),
+        PauliHamiltonian.from_labels(3, [("XII", 0.9), ("IYI", -0.4), ("ZZX", 0.6), ("YXZ", 0.25)]),
+        PauliHamiltonian.from_labels(5, [("XXIII", 1.0), ("IYYII", 0.8), ("IIXZX", -0.5), ("ZIIIZ", 0.3)]),
+    ],
+    ids=["chain-4", "chain-5", "diagonal-4", "odd-y-3", "mixed-5"],
+)
+def test_evolve_matches_extended_precision_oracle(h):
+    mpmath = pytest.importorskip("mpmath")
+    t = 1.3
+    with mpmath.workdps(40):
+        m = to_matrix(h)
+        exponent = mpmath.matrix([[1j * t * complex(v) for v in row] for row in m])
+        oracle = np.array(mpmath.expm(exponent).tolist(), dtype=complex)
+    assert np.abs(evolve(h, t) - oracle).max() <= 1e-14
+
+
+def test_trotter_error_op_memory_stays_below_six_matrices():
+    # The full exact matrix is never held next to the power, and the last
+    # product of the Schur power reuses the buffer of its unitary factor.
+    h = chain_heisenberg(10)
+    tracemalloc.start()
+    try:
+        trotter_error_op(h, 1.0, 11436, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "h, t, r, order",
+    [
+        (chain_heisenberg(4), 1.0, 3, 1),
+        (chain_heisenberg(5), 2.0, 2, 2),
+        (PauliHamiltonian.from_labels(3, [("XII", 0.9), ("IYI", -0.4), ("ZZX", 0.6), ("YXZ", 0.25)]), 1.0, 1, 1),
+        (PauliHamiltonian.from_labels(4, [("XXII", 1.0), ("IZZI", 0.7), ("IIYY", -0.5), ("ZIIX", 0.3)]), 1.5, 4, 2),
+    ],
+    ids=["chain-4", "chain-5", "odd-y-3", "mixed-4"],
+)
+def test_error_singular_values_match_eigenphases(h, t, r, order):
+    """sigma(U - V) = |1 - e^{i theta}| = 2|sin(theta/2)| over the eigenphases
+    theta of U^dagger V, an SVD-free path to the same norms."""
+    u = evolve(h, t)
+    v = unitary_power(apply_schedule(h, build_schedule(h.gamma, order, t / r)), r)
+    theta = np.angle(np.linalg.eigvals(u.conj().T @ v))
+    sv = np.sort(2.0 * np.abs(np.sin(theta / 2.0)))
+    np.testing.assert_allclose(sv, np.sort(scipy.linalg.svdvals(u - v)), rtol=0, atol=1e-12)
+    spectral, pnorms = dense._spectral_and_pnorms(trotter_error_op(h, t, r, order), (2.0, 4.0))
+    assert spectral == pytest.approx(sv.max(), rel=1e-10)
+    for p, value in pnorms.items():
+        assert value == pytest.approx(float(np.mean(sv**p)) ** (1.0 / p), rel=1e-10)
 
 
 def test_schatten_norm_examples():
