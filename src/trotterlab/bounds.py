@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -149,11 +149,6 @@ def _profile_of(h: HamiltonianLike) -> NormProfile:
     return profile
 
 
-def _merged_gates_per_segment(gamma: int, order: int) -> int:
-    ups = stage_count(order)
-    return ups * gamma - (ups - 1) if gamma > 0 else 0
-
-
 def _empty_result(regime: str, order: int) -> GateCountResult:
     return GateCountResult(
         regime=regime,
@@ -166,30 +161,22 @@ def _empty_result(regime: str, order: int) -> GateCountResult:
     )
 
 
-def _attach_gates(result: GateCountResult, order: int) -> GateCountResult:
-    """Fill nominal and merged exponential counts from (gamma, r)."""
-    ups = result.upsilon
-    result.gate_count = float(ups * result.gamma * result.r)
-    result.diagnostics["gates_nominal"] = result.gate_count
-    result.diagnostics["gates_merged"] = float(
-        _merged_gates_per_segment(result.gamma, order) * result.r
-    )
-    return result
-
-
 def _staged_result(q, profile, r, p_star, diagnostics, feasible=True) -> GateCountResult:
-    """A higher-order result with its gate counts attached."""
-    result = GateCountResult(
+    """A result with its nominal and merged exponential counts attached."""
+    ups, gamma = stage_count(q.order), profile.gamma
+    gates = float(ups * gamma * r)
+    diagnostics["gates_nominal"] = gates
+    diagnostics["gates_merged"] = float((ups * gamma - (ups - 1)) * r)
+    return GateCountResult(
         regime=q.regime,
         r=r,
-        gate_count=0.0,
-        gamma=profile.gamma,
-        upsilon=stage_count(q.order),
+        gate_count=gates,
+        gamma=gamma,
+        upsilon=ups,
         p_star=p_star,
         feasible=feasible,
         diagnostics=diagnostics,
     )
-    return _attach_gates(result, q.order)
 
 
 def _constrained_steps(q, k, ck, c1, eta, r, p_target, bp_of, c2_over_c1):
@@ -388,6 +375,16 @@ def gatecount_nonrandom(
     return _staged_result(q, profile, r, p_star, diagnostics, feasible)
 
 
+def _first_order_log_term(regime: str, n: int, delta: float, d_local: int) -> float:
+    """log(e^2/delta), plus n ln d in the spectral regime."""
+    if regime not in ("first-order-random-spectral", "first-order-random-fixed"):
+        raise ValidationError("regime must be a first-order-random variant")
+    log_term = math.log(math.e**2 / delta)
+    if regime == "first-order-random-spectral":
+        log_term += n * math.log(d_local)
+    return log_term
+
+
 def gatecount_random_first(
     h: HamiltonianLike,
     n: int,
@@ -400,11 +397,7 @@ def gatecount_random_first(
     |H|_(0),2 |H|_(1),2 t^2 / eps.  The fixed-input regime drops the
     n ln d term.  Logarithms are natural.
     """
-    if q.regime not in (
-        "first-order-random-spectral",
-        "first-order-random-fixed",
-    ):
-        raise ValidationError("regime must be a first-order-random variant")
+    log_term = _first_order_log_term(q.regime, n, q.delta, d_local)
     if q.order != 1:
         raise ValidationError(
             f"first-order-random regimes require order 1, got {q.order}"
@@ -413,28 +406,17 @@ def gatecount_random_first(
     if profile.gamma == 0:
         return _empty_result(q.regime, 1)
     h02, h12 = profile.norm(0, 2), profile.norm(1, 2)
-    log_term = math.log(math.e**2 / q.delta)
-    if q.regime == "first-order-random-spectral":
-        log_term += n * math.log(d_local)
     r_real = 2.0 * math.sqrt(2.0) * log_term * h02 * h12 * q.t**2 / q.eps
     r = max(1, math.ceil(r_real)) if q.t > 0 else 0
     step_norm = (q.t / r) * h12 if r else 0.0
-    result = GateCountResult(
-        regime=q.regime,
-        r=r,
-        gate_count=0.0,
-        gamma=profile.gamma,
-        upsilon=1,
-        p_star=None,
-        diagnostics={
-            "r_formula": r_real,
-            "gate_count_formula": profile.gamma * r_real,
-            "log_term": log_term,
-            "step_norm_condition": step_norm,
-            "step_norm_ok": step_norm <= 4.0,
-        },
-    )
-    return _attach_gates(result, 1)
+    diagnostics = {
+        "r_formula": r_real,
+        "gate_count_formula": profile.gamma * r_real,
+        "log_term": log_term,
+        "step_norm_condition": step_norm,
+        "step_norm_ok": step_norm <= 4.0,
+    }
+    return _staged_result(q, profile, r, None, diagnostics)
 
 
 def syk_first_order_gate_count(
@@ -452,14 +434,7 @@ def syk_first_order_gate_count(
     G = (2 sqrt(2) / (k k!)) (n ln d + log(e^2/delta)) n^{k+1/2}
     (J t)^2 / eps; the fixed-input variant keeps only log(e^2/delta).
     """
-    if regime not in (
-        "first-order-random-spectral",
-        "first-order-random-fixed",
-    ):
-        raise ValidationError("regime must be a first-order-random variant")
-    log_term = math.log(math.e**2 / delta)
-    if regime == "first-order-random-spectral":
-        log_term += n * math.log(d_local)
+    log_term = _first_order_log_term(regime, n, delta, d_local)
     return (
         2.0
         * math.sqrt(2.0)
@@ -604,92 +579,75 @@ class Table1Cell:
     asymptotic: bool = True
 
 
-TABLE1_METHODS = (
-    "qdrift",
-    "qubitization",
-    "higher-order-spectral",
-    "higher-order-all-inputs",
-    "higher-order-fixed",
-    "first-order-spectral",
-    "first-order-all-inputs",
-    "first-order-fixed",
-)
+class _Table1Row(NamedTuple):
+    """One method's row: its norm form, then the symbolic form and the n
+    exponent for the k-local-uniform family (a function of k) and for the
+    power-law family (a function of a/d); the t and 1/eps exponents are the
+    method's, whatever the family."""
 
-_NORM_FORM = {
-    "qdrift": "H(0,1)^2 t^2/eps",
-    "qubitization": "Gamma' H(0,1) t",
-    "higher-order-spectral": "Gamma H(1,1) t",
-    "higher-order-all-inputs": "sqrt(n) Gamma H(1,2) t",
-    "higher-order-fixed": "Gamma H(1,2) t",
-    "first-order-spectral": "Gamma H(0,1) H(1,1) t^2/eps",
-    "first-order-all-inputs": "n Gamma H(0,2) H(1,2) t^2/eps",
-    "first-order-fixed": "Gamma H(0,2) H(1,2) t^2/eps",
+    norm_form: str
+    k_local: str
+    k_local_n: Callable[[float], float]
+    power_law: str
+    power_law_n: Callable[[float], float]
+    t: float
+    inv_eps: float
+
+
+_TABLE1 = {
+    "qdrift": _Table1Row(
+        "H(0,1)^2 t^2/eps",
+        "n^(k+1) t^2/eps", lambda k: k + 1.0,
+        "n^(4-2a/d) t^2/eps", lambda ratio: 4.0 - 2.0 * ratio,
+        2.0, 1.0,
+    ),
+    "qubitization": _Table1Row(
+        "Gamma' H(0,1) t",
+        "n^((3k+1)/2) t", lambda k: (3.0 * k + 1.0) / 2.0,
+        "n^(4-a/d) t", lambda ratio: 4.0 - ratio,
+        1.0, 0.0,
+    ),
+    "higher-order-spectral": _Table1Row(
+        "Gamma H(1,1) t",
+        "n^((3k-1)/2) t", lambda k: (3.0 * k - 1.0) / 2.0,
+        "n^(3-a/d) t", lambda ratio: 3.0 - ratio,
+        1.0, 0.0,
+    ),
+    "higher-order-all-inputs": _Table1Row(
+        "sqrt(n) Gamma H(1,2) t",
+        "n^(k+1/2) t", lambda k: k + 0.5,
+        "n^(5/2) t", lambda ratio: 2.5,
+        1.0, 0.0,
+    ),
+    "higher-order-fixed": _Table1Row(
+        "Gamma H(1,2) t",
+        "n^k t", lambda k: k,
+        "n^2 t", lambda ratio: 2.0,
+        1.0, 0.0,
+    ),
+    "first-order-spectral": _Table1Row(
+        "Gamma H(0,1) H(1,1) t^2/eps",
+        "n^(2k) t^2/eps", lambda k: 2.0 * k,
+        "n^(5-2a/d) t^2/eps", lambda ratio: 5.0 - 2.0 * ratio,
+        2.0, 1.0,
+    ),
+    "first-order-all-inputs": _Table1Row(
+        "n Gamma H(0,2) H(1,2) t^2/eps",
+        "n^(k+3/2) t^2/eps", lambda k: k + 1.5,
+        "n^(7/2) t^2/eps", lambda ratio: 3.5,
+        2.0, 1.0,
+    ),
+    "first-order-fixed": _Table1Row(
+        "Gamma H(0,2) H(1,2) t^2/eps",
+        "n^(k+1/2) t^2/eps", lambda k: k + 0.5,
+        "n^(5/2) t^2/eps", lambda ratio: 2.5,
+        2.0, 1.0,
+    ),
 }
 
-_KLOCAL_SYMBOLIC = {
-    "qdrift": "n^(k+1) t^2/eps",
-    "qubitization": "n^((3k+1)/2) t",
-    "higher-order-spectral": "n^((3k-1)/2) t",
-    "higher-order-all-inputs": "n^(k+1/2) t",
-    "higher-order-fixed": "n^k t",
-    "first-order-spectral": "n^(2k) t^2/eps",
-    "first-order-all-inputs": "n^(k+3/2) t^2/eps",
-    "first-order-fixed": "n^(k+1/2) t^2/eps",
-}
-
-_POWER_LAW_SYMBOLIC = {
-    "qdrift": "n^(4-2a/d) t^2/eps",
-    "qubitization": "n^(4-a/d) t",
-    "higher-order-spectral": "n^(3-a/d) t",
-    "higher-order-all-inputs": "n^(5/2) t",
-    "higher-order-fixed": "n^2 t",
-    "first-order-spectral": "n^(5-2a/d) t^2/eps",
-    "first-order-all-inputs": "n^(7/2) t^2/eps",
-    "first-order-fixed": "n^(5/2) t^2/eps",
-}
+TABLE1_METHODS = tuple(_TABLE1)
 
 _CONFINED_SYMBOLIC = "n t (n t^2/eps)^(d/(2a-d))"
-
-# (t exponent, 1/eps exponent) -- fixed by the method, family-independent.
-_METHOD_T_EPS = {
-    "qdrift": (2.0, 1.0),
-    "qubitization": (1.0, 0.0),
-    "higher-order-spectral": (1.0, 0.0),
-    "higher-order-all-inputs": (1.0, 0.0),
-    "higher-order-fixed": (1.0, 0.0),
-    "first-order-spectral": (2.0, 1.0),
-    "first-order-all-inputs": (2.0, 1.0),
-    "first-order-fixed": (2.0, 1.0),
-}
-
-
-def _klocal_exponents(method: str, k: float) -> tuple[float, float, float]:
-    return {
-        "qdrift": (k + 1.0, 2.0, 1.0),
-        "qubitization": ((3.0 * k + 1.0) / 2.0, 1.0, 0.0),
-        "higher-order-spectral": ((3.0 * k - 1.0) / 2.0, 1.0, 0.0),
-        "higher-order-all-inputs": (k + 0.5, 1.0, 0.0),
-        "higher-order-fixed": (float(k), 1.0, 0.0),
-        "first-order-spectral": (2.0 * k, 2.0, 1.0),
-        "first-order-all-inputs": (k + 1.5, 2.0, 1.0),
-        "first-order-fixed": (k + 0.5, 2.0, 1.0),
-    }[method]
-
-
-def _power_law_exponents(
-    method: str, d: float, alpha: float
-) -> tuple[float, float, float]:
-    ratio = alpha / d
-    return {
-        "qdrift": (4.0 - 2.0 * ratio, 2.0, 1.0),
-        "qubitization": (4.0 - ratio, 1.0, 0.0),
-        "higher-order-spectral": (3.0 - ratio, 1.0, 0.0),
-        "higher-order-all-inputs": (2.5, 1.0, 0.0),
-        "higher-order-fixed": (2.0, 1.0, 0.0),
-        "first-order-spectral": (5.0 - 2.0 * ratio, 2.0, 1.0),
-        "first-order-all-inputs": (3.5, 2.0, 1.0),
-        "first-order-fixed": (2.5, 2.0, 1.0),
-    }[method]
 
 
 def table1_exponents(
@@ -708,14 +666,14 @@ def table1_exponents(
     """
     if method not in TABLE1_METHODS:
         raise ValidationError(f"unknown method {method!r}")
+    row = _TABLE1[method]
     if family == "norm-form":
-        te, ee = _METHOD_T_EPS[method]
-        return Table1Cell(family, method, _NORM_FORM[method], None, te, ee)
+        return Table1Cell(family, method, row.norm_form, None, row.t, row.inv_eps)
     if family == "k-local-uniform":
         if k is None or k < 1:
             raise ValidationError(f"k-local-uniform needs k >= 1, got {k}")
-        ne, te, ee = _klocal_exponents(method, float(k))
-        return Table1Cell(family, method, _KLOCAL_SYMBOLIC[method], ne, te, ee)
+        ne = row.k_local_n(float(k))
+        return Table1Cell(family, method, row.k_local, ne, row.t, row.inv_eps)
     if family == "power-law":
         if d is None or alpha is None:
             raise ValidationError("power-law needs d and alpha")
@@ -738,22 +696,19 @@ def table1_exponents(
             )
         if not d / 2.0 <= alpha <= d:
             raise ValidationError("power-law row needs d/2 <= alpha <= d")
-        ne, te, ee = _power_law_exponents(method, float(d), float(alpha))
-        return Table1Cell(family, method, _POWER_LAW_SYMBOLIC[method], ne, te, ee)
+        ne = row.power_law_n(float(alpha) / float(d))
+        return Table1Cell(family, method, row.power_law, ne, row.t, row.inv_eps)
     raise ValidationError(f"unknown family {family!r}")
 
 
 def table1_all() -> list[Table1Cell]:
     """Every tabulated cell, symbolic exponents left in terms of k, a, d."""
-    cells = [table1_exponents("norm-form", m) for m in _NORM_FORM]
-    cells += [
-        Table1Cell("k-local-uniform", m, _KLOCAL_SYMBOLIC[m], None, *_METHOD_T_EPS[m])
-        for m in _KLOCAL_SYMBOLIC
-    ]
-    cells += [
-        Table1Cell("power-law", m, _POWER_LAW_SYMBOLIC[m], None, *_METHOD_T_EPS[m])
-        for m in _POWER_LAW_SYMBOLIC
-    ]
+    cells = [table1_exponents("norm-form", m) for m in TABLE1_METHODS]
+    for family, form in (("k-local-uniform", "k_local"), ("power-law", "power_law")):
+        cells += [
+            Table1Cell(family, m, getattr(row, form), None, row.t, row.inv_eps)
+            for m, row in _TABLE1.items()
+        ]
     cells.append(
         Table1Cell(
             "power-law-confined",
@@ -933,53 +888,22 @@ def counting_net_size(
     mean = gamma * m2
     variance = 2.0 * gamma * m2**2
 
+    vacuous = infinite = False
     if eps == 0.0:
-        return CountingEstimate(
-            n=n,
-            k=k,
-            eps=eps,
-            gamma=gamma,
-            variance_scale=m2,
-            mean_square_sum=mean,
-            deviation=mean,
-            bernstein_variance=variance,
-            ln_tail=-math.inf,
-            tail=0.0,
-            ln_net_size=math.inf,
-            net_size=math.inf,
-            exponent_per_gamma=math.inf,
-            asymptotic_exponent=3.0 / 28.0,
-            vacuous=False,
-            infinite=True,
+        infinite = True
+        deviation = mean
+        ln_tail, tail, ln_net, net, per_gamma = -math.inf, 0.0, math.inf, math.inf, math.inf
+    elif (deviation := mean - eps**2 / 2.0) <= 0:
+        vacuous = True
+        ln_tail, tail, ln_net, net, per_gamma = math.log(2.0), 1.0, 0.0, 1.0, 0.0
+    else:
+        ln_tail = math.log(2.0) - (deviation**2 / 2.0) / (
+            variance + m2 * deviation / 3.0
         )
-
-    deviation = mean - eps**2 / 2.0
-    if deviation <= 0:
-        return CountingEstimate(
-            n=n,
-            k=k,
-            eps=eps,
-            gamma=gamma,
-            variance_scale=m2,
-            mean_square_sum=mean,
-            deviation=deviation,
-            bernstein_variance=variance,
-            ln_tail=math.log(2.0),
-            tail=1.0,
-            ln_net_size=0.0,
-            net_size=1.0,
-            exponent_per_gamma=0.0,
-            asymptotic_exponent=3.0 / 28.0,
-            vacuous=True,
-            infinite=False,
-        )
-
-    ln_tail = math.log(2.0) - (deviation**2 / 2.0) / (
-        variance + m2 * deviation / 3.0
-    )
-    tail = math.exp(ln_tail) if ln_tail > -700 else 0.0
-    ln_net = 0.5 * (math.log(2.0) - ln_tail)
-    net = math.floor(math.exp(ln_net)) if ln_net < 700 else math.inf
+        tail = math.exp(ln_tail) if ln_tail > -700 else 0.0
+        ln_net = 0.5 * (math.log(2.0) - ln_tail)
+        net = math.floor(math.exp(ln_net)) if ln_net < 700 else math.inf
+        per_gamma = ln_net / gamma
     return CountingEstimate(
         n=n,
         k=k,
@@ -993,10 +917,10 @@ def counting_net_size(
         tail=tail,
         ln_net_size=ln_net,
         net_size=net,
-        exponent_per_gamma=ln_net / gamma,
+        exponent_per_gamma=per_gamma,
         asymptotic_exponent=3.0 / 28.0,
-        vacuous=False,
-        infinite=False,
+        vacuous=vacuous,
+        infinite=infinite,
     )
 
 

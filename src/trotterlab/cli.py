@@ -156,6 +156,14 @@ def _need(args, family: str, *names: str) -> None:
             raise ValidationError(f"--{name} is required for family {family}")
 
 
+def _syk_model(args) -> KLocalGaussianModel:
+    """The k-local-syk ensemble of --n, --k, --j and --seed."""
+    _need(args, "k-local-syk", "n", "k")
+    if args.seed is None:
+        raise ValidationError("--seed is required for the stochastic family k-local-syk")
+    return KLocalGaussianModel(n=args.n, k=args.k, j_coupling=args.j, seed=args.seed)
+
+
 def build_model(args):
     """Construct the Hamiltonian selected by --family and its parameters."""
     family = args.family
@@ -166,13 +174,7 @@ def build_model(args):
         _need(args, family, "n", "d", "alpha")
         return power_law(args.n, args.d, args.alpha)
     if family == "k-local-syk":
-        _need(args, family, "n", "k")
-        if args.seed is None:
-            raise ValidationError("--seed is required for the stochastic family k-local-syk")
-        model = KLocalGaussianModel(
-            n=args.n, k=args.k, j_coupling=args.j, seed=args.seed
-        )
-        return model.sample(args.seed)
+        return _syk_model(args).sample(args.seed)
     if family == "zxyz":
         _need(args, family, "m")
         return zxyz(args.m)
@@ -280,11 +282,7 @@ def _cmd_simulate(args) -> tuple[int, str]:
         cap_n=DEFAULT_CAP_N if args.cap_n is None else args.cap_n,
     )
     if args.family == "k-local-syk":
-        _need(args, args.family, "n", "k")
-        model = KLocalGaussianModel(
-            n=args.n, k=args.k, j_coupling=args.j, seed=args.seed
-        )
-        rep = sample_random_hamiltonian(model, cfg)
+        rep = sample_random_hamiltonian(_syk_model(args), cfg)
     else:
         h = build_model(args) if args.family else load_hamiltonian(args.hamiltonian)
         if isinstance(h, FermionHamiltonian):

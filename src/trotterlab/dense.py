@@ -320,20 +320,14 @@ def _spectral_and_pnorms(
     return _schatten_from_singular_values(sv, math.inf), pnorms
 
 
-def schatten_norm(
-    a: MatrixLike, p: float, normalized: bool = False, hermitian: bool = False
-) -> float:
+def schatten_norm(a: MatrixLike, p: float, normalized: bool = False) -> float:
     """(sum_i sigma_i^p)^{1/p}; p = inf gives the largest singular value.
 
     ``normalized`` divides by ||I||_p = dim^{1/p} (no-op at p = inf).
     """
     if p < 1:
         raise ValueError(f"Schatten norms require p >= 1, got {p}")
-    m = to_matrix(a)
-    if hermitian:
-        sv = np.abs(np.linalg.eigvalsh(m))
-    else:
-        sv = scipy.linalg.svdvals(m)
+    sv = scipy.linalg.svdvals(to_matrix(a))
     return _schatten_from_singular_values(sv, p, normalized)
 
 

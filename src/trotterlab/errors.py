@@ -24,7 +24,7 @@ class PartitionError(TrotterlabError):
 
 
 class ResourceCapError(TrotterlabError):
-    """Dense-matrix request exceeds the configured qubit cap."""
+    """A request exceeds the dense qubit cap or a memory budget."""
 
 
 class DivergentTailError(TrotterlabError):

@@ -30,10 +30,14 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .pauli import FermionHamiltonian, PauliHamiltonian, _jw_site_products
 
 AnyHamiltonian = Union[PauliHamiltonian, FermionHamiltonian]
+
+# Memory the subset sums of one c may take.  Measured, the kernel peaks at
+# about 40 (c + 1) bytes per (term, subset) incidence.
+_SUBSET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -57,14 +61,15 @@ class _TermData(NamedTuple):
     """Supports and bounds of the terms of a Hamiltonian on n sites.
 
     ``term`` and ``site`` list every (term, site) pair of a support,
-    term-major with sites ascending; ``bound`` holds b_gamma per term and
-    ``k`` the largest support size.
+    term-major with sites ascending; ``bound`` holds b_gamma and ``weight``
+    the support size per term, and ``k`` the largest support size.
     """
 
     n: int
     term: np.ndarray
     site: np.ndarray
     bound: np.ndarray
+    weight: np.ndarray
     k: int
 
 
@@ -78,7 +83,8 @@ def _term_data(h: AnyHamiltonian) -> _TermData:
         bound = np.array([fermion_term_bound(t, h.n) for t in h.terms], dtype=float)
     else:
         raise TypeError(f"unsupported Hamiltonian type {type(h).__name__}")
-    return _TermData(h.n, term, site, bound, int(np.bincount(term).max(initial=0)))
+    weight = np.bincount(term, minlength=len(bound))
+    return _TermData(h.n, term, site, bound, weight, int(weight.max(initial=0)))
 
 
 def fermion_term_bound(term, n: int) -> float:
@@ -99,19 +105,16 @@ def fermion_term_bound(term, n: int) -> float:
 def _norm_pair(data: _TermData, c: int) -> tuple[float, float]:
     """(||H||_{(c),1}, ||H||_{(c),2}) from one pass over the terms.
 
-    For c = 1 and 2 the subset sums are bincounts over the site, or site
-    pair, of each (term, subset) incidence.  bincount adds in input order,
-    which is term order, so every sum is the same float as adding the bounds
-    term by term, as the ``combinations`` path for c >= 3 does.
+    For c >= 1 the subset sums are bincounts over the subset bin of each
+    (term, subset) incidence.  bincount adds in input order, which is term
+    order, so every sum is the same float as adding the bounds term by term.
     """
     b = data.bound
     with np.errstate(over="ignore"):  # inf, as in float arithmetic; norm_profile rejects it
         b2 = b * b
     if c == 0:
         return sum(b.tolist()), math.sqrt(sum(b2.tolist()))
-    if c >= 3:
-        return _subset_norm_pair(data, c)
-    index, owner = (data.site, data.term) if c == 1 else _pair_incidence(data)
+    index, owner = _subset_incidence(data, c)
     if not len(index):
         return 0.0, 0.0
     ones = np.bincount(index, weights=b[owner])
@@ -119,54 +122,43 @@ def _norm_pair(data: _TermData, c: int) -> tuple[float, float]:
     return float(ones.max()), math.sqrt(twos.max())
 
 
-def _pair_incidence(data: _TermData) -> tuple[np.ndarray, np.ndarray]:
-    """(pair bin, term) of every site pair i < j inside a support, in term
-    order; the bins number the distinct pairs i*n + j that occur.
+def _subset_incidence(data: _TermData, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """(subset bin, term) of every c-subset of sites inside a support, in term
+    order; the bins number the distinct site tuples that occur.
 
-    Terms of one weight w share the w(w-1)/2 index pairs of their entries,
-    so the work and memory are those of the pairs themselves.
+    Terms of one weight w share the C(w, c) index rows of their entries, so
+    the work and memory are those of the subsets themselves.  The tuples are
+    numbered one column at a time, code * n + next site; whenever the codes
+    reach the incidence count m, np.unique renumbers them densely.  So every
+    code stays below (m + 1) n, far from overflow under ``_SUBSET_BYTES``,
+    and bincount allocates at most m bins.
     """
-    weight = np.bincount(data.term, minlength=len(data.bound))
+    weight = data.weight
     start = np.cumsum(weight) - weight  # each term's first incidence
-    empty = np.empty(0, np.intp)
-    firsts, seconds, owners = [empty], [empty], [empty]
-    for w in np.unique(weight[weight >= 2]).tolist():
+    sites, owners = [np.empty((c, 0), np.intp)], [np.empty(0, np.intp)]
+    for w in (np.flatnonzero(np.bincount(weight)[c:]) + c).tolist():
         terms = np.flatnonzero(weight == w)
-        i, j = np.triu_indices(w, 1)
-        firsts.append((start[terms, None] + i).ravel())
-        seconds.append((start[terms, None] + j).ravel())
-        owners.append(np.repeat(terms, len(i)))
+        rows = np.fromiter(chain.from_iterable(combinations(range(w), c)), np.intp)
+        # entry (column, row, term) indexes the column-th site of the row-th subset
+        entry = rows.reshape(-1, c).T[:, :, None] + start[terms]
+        sites.append(data.site[entry].reshape(c, -1))
+        owners.append(np.tile(terms, entry.shape[1]))
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
-    first, second = np.concatenate(firsts)[order], np.concatenate(seconds)[order]
-    pair = data.site[first] * data.n + data.site[second]
-    return np.unique(pair, return_inverse=True)[1], owner[order]
-
-
-def _subset_norm_pair(data: _TermData, c: int) -> tuple[float, float]:
-    """_norm_pair for c >= 3: sums over ``combinations(sup, c)``, term by term."""
-    ones: dict[tuple[int, ...], float] = {}
-    twos: dict[tuple[int, ...], float] = {}
-    starts = np.flatnonzero(np.diff(data.term, prepend=-1)).tolist()
-    ends = starts[1:] + [len(data.term)]
-    term, site, bounds = data.term.tolist(), data.site.tolist(), data.bound.tolist()
-    for start, end in zip(starts, ends):
-        if end - start < c:
-            continue
-        b = bounds[term[start]]
-        b2 = b * b
-        for subset in combinations(site[start:end], c):
-            ones[subset] = ones.get(subset, 0.0) + b
-            twos[subset] = twos.get(subset, 0.0) + b2
-    if not ones:
-        return 0.0, 0.0
-    return max(ones.values()), math.sqrt(max(twos.values()))
+    code = np.zeros(len(order), np.intp)
+    for column in np.concatenate(sites, axis=1):
+        code = code * data.n + column[order]
+        if code.max(initial=0) >= len(code):
+            code = np.unique(code, return_inverse=True)[1]
+    return code, owner[order]
 
 
 def _norm_table(data: _TermData, c_max: int) -> dict[tuple[int, int], float]:
     """(c, q) -> ||H||_{(c),q} for 0 <= c <= c_max, one loop over the terms per c.
 
-    Norms above the locality k are 0; asking for them warns.
+    Norms above the locality k are 0; asking for them warns.  A weight-w
+    term has C(w, c) subsets, so wide terms are refused before any is
+    enumerated when the subsets would not fit in ``_SUBSET_BYTES``.
     """
     k = data.k
     if c_max > k:
@@ -176,6 +168,14 @@ def _norm_table(data: _TermData, c_max: int) -> dict[tuple[int, int], float]:
             RuntimeWarning,
             stacklevel=3,
         )
+    counts = np.bincount(data.weight).tolist()  # terms per support size
+    for c in range(1, c_max + 1):
+        subsets = sum(count * math.comb(w, c) for w, count in enumerate(counts))
+        if subsets * 40 * (c + 1) > _SUBSET_BYTES:
+            raise ResourceCapError(
+                f"the c={c} local norm sums over {subsets} site subsets of the term "
+                f"supports, more than {_SUBSET_BYTES} bytes of memory allow"
+            )
     norms: dict[tuple[int, int], float] = {}
     for c in range(c_max + 1):
         norms[(c, 1)], norms[(c, 2)] = _norm_pair(data, c)

@@ -91,6 +91,17 @@ def test_norms_reads_stdin(capsys, monkeypatch):
     assert json.loads(out)["c_q_norms"]["0,2"] == pytest.approx(2.0)
 
 
+def test_norms_of_a_40_site_string_exits_3_before_enumerating(capsys, monkeypatch):
+    # The string has C(40, 20) > 10**11 subsets at c = 20.
+    doc = {"n": 40, "terms": [{"pauli": "X" * 40, "coeff": 1.0}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "norms", "-")
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_norms_fermionic_profile(tmp_path, capsys):
     path = tmp_path / "fh.json"
     run(capsys, "model", "--family", "fermi-hop", "--m", "2", "--out", str(path))

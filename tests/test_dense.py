@@ -402,16 +402,6 @@ def test_schatten_norm_rejects_small_p():
         schatten_norm(np.eye(2), 0.5)
 
 
-def test_schatten_norm_hermitian_path_matches():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(8, 8))
-    h = a + a.T
-    for p in (1, 2, 3.5, 6, math.inf):
-        assert schatten_norm(h, p, hermitian=True) == pytest.approx(
-            schatten_norm(h, p), rel=1e-10
-        )
-
-
 def test_normalized_norm_nondecreasing_in_p():
     rng = np.random.default_rng(2)
     for _ in range(5):

@@ -398,7 +398,7 @@ def test_bincount_norms_equal_combinations_oracle_bit_for_bit(seed, n, gamma, k_
     data = [(t.string.support(), abs(t.coeff)) for t in h.terms]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # c above k
-        for c in (1, 2):
+        for c in range(1, k_max + 1):
             one, two = _combinations_norms(data, c)
             assert local_norm(h, c, 1) == one
             assert local_norm(h, c, 2) == two
@@ -420,10 +420,41 @@ def test_fermionic_bincount_norms_equal_oracle_with_zero_terms(seed):
     data = [(t.support(), fermion_term_bound(t, n)) for t in h.terms]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for c in (1, 2):
+        for c in range(1, 5):
             one, two = _combinations_norms(data, c)
             assert local_norm(h, c, 1) == one
             assert local_norm(h, c, 2) == two
+
+
+def test_wide_term_subsets_are_refused_before_enumeration(monkeypatch):
+    import trotterlab.norms as norms_module
+    from trotterlab.errors import ResourceCapError
+
+    h = PauliHamiltonian.from_labels(12, [("XYZXYZXYZXII", 1.0), ("IIIIIIIIIIZZ", 0.5)])
+    # The weight-10 term has C(10, 4) = 210 subsets at c = 4 and 252 at c = 5.
+    monkeypatch.setattr(norms_module, "_SUBSET_BYTES", 50_000)
+    assert local_norm(h, 4, 1) == 1.0
+    monkeypatch.setattr(
+        norms_module,
+        "_subset_incidence",
+        lambda *args: pytest.fail("subsets enumerated before the cap check"),
+    )
+    with pytest.raises(ResourceCapError, match="c=5 local norm sums over 252 site subsets"):
+        norm_profile(h)
+
+
+def test_norms_of_hopping_far_out_on_a_2_to_32_site_register():
+    # The subset bins stay dense however large the site indices: a bin per
+    # site would take 32 GiB here, and s_i * n + s_j leaves int64.
+    n = 2**32
+    pairs = [(n - 2, n - 1), (n - 3, n - 1), (0, n - 1), (n - 2, n - 1)]
+    h = FermionHamiltonian(n, [t for i, j in pairs for t in hop(i, j)])
+    prof = norm_profile(h)
+    assert prof.norms == {
+        (0, 1): 8.0, (0, 2): math.sqrt(8.0),
+        (1, 1): 8.0, (1, 2): math.sqrt(8.0),
+        (2, 1): 4.0, (2, 2): 2.0,
+    }
 
 
 def test_planner_model_profiles_equal_pinned_values():
