@@ -379,6 +379,8 @@ def _first_order_log_term(regime: str, n: int, delta: float, d_local: int) -> fl
     """log(e^2/delta), plus n ln d in the spectral regime."""
     if regime not in ("first-order-random-spectral", "first-order-random-fixed"):
         raise ValidationError("regime must be a first-order-random variant")
+    if d_local < 1:
+        raise ValidationError(f"local dimension d_local must be >= 1, got {d_local}")
     log_term = math.log(math.e**2 / delta)
     if regime == "first-order-random-spectral":
         log_term += n * math.log(d_local)
@@ -934,4 +936,6 @@ def markov_tail(norm_value: float, eps: float, p: float) -> float:
         raise ValidationError("norm must be nonnegative")
     if norm_value == 0.0:
         return 0.0
-    return min(1.0, (norm_value / eps) ** p)
+    ratio = norm_value / eps
+    # min(1, ratio**p) without the power where it is >= 1 and may overflow
+    return ratio**p if ratio < 1.0 else 1.0

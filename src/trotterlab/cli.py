@@ -58,10 +58,10 @@ from .models import (
 from .norms import norm_profile
 from .pauli import (
     FermionHamiltonian,
+    _pauli_json_text,
     fermion_from_json,
     fermion_to_json,
     pauli_from_json,
-    pauli_to_json,
 )
 from .suzuki import build_schedule, q_coefficient, upsilon
 
@@ -189,8 +189,9 @@ def build_model(args):
 
 def _cmd_model(args) -> tuple[int, str]:
     h = build_model(args)
-    doc = fermion_to_json(h) if isinstance(h, FermionHamiltonian) else pauli_to_json(h)
-    return 0, _json_text(doc)
+    if isinstance(h, FermionHamiltonian):
+        return 0, _json_text(fermion_to_json(h))
+    return 0, _pauli_json_text(h)
 
 
 def _cmd_norms(args) -> tuple[int, str]:
@@ -265,7 +266,7 @@ def _report_rows(rep) -> list[tuple]:
 
 
 def _cmd_simulate(args) -> tuple[int, str]:
-    from .dense import DEFAULT_CAP_N
+    from .dense import DEFAULT_CAP_N, check_cap
     from .lab import ExperimentConfig, sample_random_hamiltonian, sample_typical_error
 
     if (args.family is None) == (args.hamiltonian is None):
@@ -286,6 +287,7 @@ def _cmd_simulate(args) -> tuple[int, str]:
     else:
         h = build_model(args) if args.family else load_hamiltonian(args.hamiltonian)
         if isinstance(h, FermionHamiltonian):
+            check_cap(h.n, cfg.cap_n)  # before the Jordan-Wigner strings, O(n) each
             h = h.to_pauli()
         rep = sample_typical_error(h, cfg)
     return 0, _csv_text(_report_rows(rep))

@@ -32,9 +32,10 @@ MatrixLike = Union[np.ndarray, PauliSum, PauliTerm, PauliString]
 
 def check_cap(n: int, cap_n: int = DEFAULT_CAP_N) -> None:
     if n > cap_n:
-        need = (2**n) ** 2 * 16
+        # 16 * 4**n bytes as a power of two: the count itself overflows a
+        # float above n = 509, and takes unbounded memory as n grows
         raise ResourceCapError(
-            f"dense matrix on n={n} qubits needs {need / 2**20:.0f} MiB "
+            f"dense matrix on n={n} qubits needs 2^{2 * n + 4} bytes "
             f"(cap is n={cap_n}; raise cap_n to override)"
         )
 
@@ -315,6 +316,11 @@ def _spectral_and_pnorms(
     m: np.ndarray, p_values: Iterable[float]
 ) -> tuple[float, dict[float, float]]:
     """Spectral norm and normalized Schatten p-norms from one SVD of m."""
+    if not np.isfinite(m).all():
+        raise ValidationError(
+            "the error operator is not finite: the evolution time leaves the "
+            "floating-point range"
+        )
     sv = scipy.linalg.svdvals(m)
     pnorms = {p: _schatten_from_singular_values(sv, p, normalized=True) for p in p_values}
     return _schatten_from_singular_values(sv, math.inf), pnorms

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import markov_tail
+from .bounds import _float_guard, markov_tail
 from .dense import (
     DEFAULT_CAP_N,
     _conditional_expectation,
@@ -45,7 +45,7 @@ from .dense import (
     unitary_power,
     weighted_norm,
 )
-from .errors import ValidationError
+from .errors import ResourceCapError, ValidationError
 from .models import (
     KLocalGaussianModel,
     fermi_hop,
@@ -95,6 +95,8 @@ __all__ = [
 ENSEMBLES = ("basis-1-design", "haar", "gaussian-hamiltonian")
 
 _QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
+# Memory the per-sample arrays, lists and seeds of one experiment may take.
+_SAMPLE_BYTES = 1 << 30
 _REL_SLACK = 1e-9
 
 
@@ -225,6 +227,20 @@ def _dump_counterexample(tag: str, arrays: dict[str, np.ndarray]) -> str:
 # ----------------------------------------------------- error experiments
 
 
+def _check_samples(samples: int, bytes_each: int) -> None:
+    """Refuse an experiment whose samples would not fit in ``_SAMPLE_BYTES``."""
+    if samples * bytes_each > _SAMPLE_BYTES:
+        raise ResourceCapError(
+            f"{samples} samples need more than {_SAMPLE_BYTES} bytes of memory"
+        )
+
+
+_experiment_float_guard = _float_guard(
+    "the experiment leaves the floating-point range", "lower the time or the Schatten index"
+)
+
+
+@_experiment_float_guard
 def sample_typical_error(
     h: PauliHamiltonian, cfg: ExperimentConfig
 ) -> ErrorReport:
@@ -236,6 +252,8 @@ def sample_typical_error(
     exact normalized Schatten norms.
     """
     check_cap(h.n, cfg.cap_n)
+    # about 80 bytes per state entry (Haar) or per basis draw
+    _check_samples(cfg.samples, 80 * (2**h.n if cfg.ensemble == "haar" else 1))
     if cfg.ensemble == "gaussian-hamiltonian":
         raise ValidationError(
             "gaussian-hamiltonian is an operator ensemble; "
@@ -284,6 +302,7 @@ def sample_typical_error(
     )
 
 
+@_experiment_float_guard
 def sample_random_hamiltonian(
     model: KLocalGaussianModel, cfg: ExperimentConfig
 ) -> ErrorReport:
@@ -295,6 +314,7 @@ def sample_random_hamiltonian(
     against its 2x l2-error ceiling).
     """
     check_cap(model.n, cfg.cap_n)
+    _check_samples(cfg.samples, 1024)  # a child seed (about 380 B) and a few floats per draw
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
     dim = 2**model.n
     e0 = np.zeros(dim, dtype=complex)

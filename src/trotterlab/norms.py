@@ -102,6 +102,15 @@ def fermion_term_bound(term, n: int) -> float:
     return bound
 
 
+def _sequential_sum(values: np.ndarray):
+    """values[0] + values[1] + ... added left to right, each sum rounded, as a
+    loop over the floats adds them; the int 0 when there are none."""
+    if not len(values):
+        return 0
+    with np.errstate(over="ignore"):  # inf, as float addition overflows
+        return float(np.add.accumulate(values)[-1])
+
+
 def _norm_pair(data: _TermData, c: int) -> tuple[float, float]:
     """(||H||_{(c),1}, ||H||_{(c),2}) from one pass over the terms.
 
@@ -113,7 +122,7 @@ def _norm_pair(data: _TermData, c: int) -> tuple[float, float]:
     with np.errstate(over="ignore"):  # inf, as in float arithmetic; norm_profile rejects it
         b2 = b * b
     if c == 0:
-        return sum(b.tolist()), math.sqrt(sum(b2.tolist()))
+        return _sequential_sum(b), math.sqrt(_sequential_sum(b2))
     index, owner = _subset_incidence(data, c)
     if not len(index):
         return 0.0, 0.0

@@ -178,11 +178,11 @@ TermLike = Union[PauliTerm, tuple]
 _WORD = np.dtype("<u8")
 # Bit planes are sized by n, so a qubit count must fit an array dimension.
 _MAX_QUBITS = 2**32
-_LETTER_BYTES = np.frombuffer(_LABELS.encode("ascii"), np.uint8)
-# The x_bit + 2*z_bit code of each ASCII byte that is a Pauli letter; 4 marks
-# every other byte.
-_LETTER_CODES = np.full(256, 4, np.uint8)
-_LETTER_CODES[_LETTER_BYTES] = np.arange(4)
+# bytes.translate tables.  _LETTER_CODES maps each ASCII byte that is a Pauli
+# letter to its x_bit + 2*z_bit code and every other byte to 4; _CODE_LETTERS
+# maps the codes 0..3 back to the letters.
+_LETTER_CODES = bytes(_LABELS.index(chr(b)) if chr(b) in _LABELS else 4 for b in range(256))
+_CODE_LETTERS = _LABELS.encode("ascii").ljust(256, b"?")
 
 
 class _Rows(NamedTuple):
@@ -238,7 +238,8 @@ def _row_labels(n: int, x: np.ndarray, z: np.ndarray) -> list[str]:
     """The I/X/Y/Z label of every row."""
     if not n:
         return [""] * len(x)
-    text = _LETTER_BYTES[_site_bits(x, n) + 2 * _site_bits(z, n)].tobytes().decode("ascii")
+    codes = _site_bits(x, n) + 2 * _site_bits(z, n)
+    text = codes.tobytes().translate(_CODE_LETTERS).decode("ascii")
     return [text[i : i + n] for i in range(0, len(text), n)]
 
 
@@ -258,7 +259,7 @@ def _label_rows(n: int, labels: Sequence[str], coeffs) -> _Rows:
     size = int(wrong.argmax()) if wrong.any() else len(labels)
     text = "".join(labels[: size + 1])
     # One byte per character: "?" stands for every non-ASCII one.
-    codes = _LETTER_CODES.take(np.frombuffer(text.encode("ascii", "replace"), np.uint8))
+    codes = np.frombuffer(text.encode("ascii", "replace").translate(_LETTER_CODES), np.uint8)
     foreign = codes > 3
     if foreign.any():
         pos = int(foreign.argmax())
@@ -272,6 +273,27 @@ def _label_rows(n: int, labels: Sequence[str], coeffs) -> _Rows:
         _pack_sites(codes >> 1, words),
         np.asarray(coeffs, dtype=complex),
     )
+
+
+def _site_rows(n: int, sites: np.ndarray, codes: np.ndarray, coeffs) -> _Rows:
+    """The rows whose string r has letter code ``codes[r, j]`` (x_bit +
+    2*z_bit) on site ``sites[r, j]`` and the identity elsewhere; the sites
+    of a row are distinct and below n.
+
+    Each column sets one bit per row in its word, so the work and memory are
+    those of the planes themselves.
+    """
+    words = _word_count(n)
+    x = np.zeros((len(sites), words), _WORD)
+    z = np.zeros_like(x)
+    row = np.arange(len(sites))
+    word = sites >> 6
+    bit = np.left_shift(np.uint64(1), (sites & 63).astype(np.uint64))
+    codes = np.asarray(codes, np.uint64)
+    for j in range(sites.shape[1]):
+        x[row, word[:, j]] |= bit[:, j] * (codes[:, j] & 1)
+        z[row, word[:, j]] |= bit[:, j] * (codes[:, j] >> 1)
+    return _Rows(x, z, np.asarray(coeffs, dtype=complex))
 
 
 def _ingest(n: int, items: Iterable[TermLike]) -> _Rows:
@@ -764,8 +786,8 @@ def _jw_site_products(term: FermionTerm, sites: Iterable[int]):
 # ---------------------------------------------------------------------------
 
 
-def pauli_to_json(h: PauliSum) -> dict:
-    """{"n": int, "terms": [{"pauli": "<I/X/Y/Z label>", "coeff": float}]}.
+def _real_terms(h: PauliSum) -> tuple[list[str], list[float]]:
+    """The label and real coefficient of every term, read off the planes.
 
     Only real-coefficient sums are serializable (the interchange format
     describes Hamiltonians).
@@ -773,8 +795,32 @@ def pauli_to_json(h: PauliSum) -> dict:
     x, z, c = h._rows
     if _imaginary(c).any():
         raise ValidationError("cannot serialize a sum with non-real coefficients")
-    pairs = zip(_row_labels(h.n, x, z), c.real.tolist())
-    return {"n": h.n, "terms": [{"pauli": label, "coeff": coeff} for label, coeff in pairs]}
+    return _row_labels(h.n, x, z), c.real.tolist()
+
+
+def pauli_to_json(h: PauliSum) -> dict:
+    """{"n": int, "terms": [{"pauli": "<I/X/Y/Z label>", "coeff": float}]}."""
+    labels, coeffs = _real_terms(h)
+    return {"n": h.n, "terms": [{"pauli": p, "coeff": c} for p, c in zip(labels, coeffs)]}
+
+
+def _pauli_json_text(h: PauliSum) -> str:
+    """``pauli_to_json(h)`` as the CLI writes JSON, indented by two spaces with
+    sorted keys and a final newline, composed in one pass over the terms.
+
+    A finite coefficient is written as its repr, as ``json.dumps`` does; the
+    CLI writes a non-finite one as its repr in a JSON string.
+    """
+    labels, coeffs = _real_terms(h)
+    values = list(map(repr, coeffs))
+    for i in np.flatnonzero(~np.isfinite(h._rows.c.real)).tolist():
+        values[i] = f'"{values[i]}"'
+    terms = ",\n".join(
+        f'    {{\n      "coeff": {value},\n      "pauli": "{label}"\n    }}'
+        for value, label in zip(values, labels)
+    )
+    body = f"[\n{terms}\n  ]" if labels else "[]"
+    return f'{{\n  "n": {h.n},\n  "terms": {body}\n}}\n'
 
 
 def _number_type(kind: type) -> bool:

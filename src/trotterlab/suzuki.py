@@ -25,9 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import UnsupportedOrderError, ValidationError
+from .errors import ResourceCapError, UnsupportedOrderError, ValidationError
 
 Step = tuple[int, float]
+
+# A step takes about 1 KiB on its way to the CLI's JSON text, so a schedule
+# holds at most 2**19 nominal exponentials (about 0.5 GiB).
+MAX_EXPONENTIALS = 1 << 19
 
 
 def q_coefficient(p: int) -> float:
@@ -98,11 +102,20 @@ def _merge_adjacent(steps: list[Step]) -> list[Step]:
 def build_schedule(gamma: int, order: int, tau: float, merge: bool = True) -> Schedule:
     """Construct the order-`order` schedule over `gamma` terms for one segment.
 
-    Raises UnsupportedOrderError for odd orders above 1.
+    Raises UnsupportedOrderError for odd orders above 1, and ResourceCapError
+    for more than ``MAX_EXPONENTIALS`` nominal exponentials.
     """
     if gamma < 1:
         raise ValidationError(f"need at least one term, got gamma={gamma}")
-    ups = upsilon(order)  # validates the order
+    # 5**levels > 2**levels, so an order this high is refused before its
+    # stage count is computed
+    huge = order % 2 == 0 and order // 2 - 1 > MAX_EXPONENTIALS.bit_length()
+    ups = None if huge else upsilon(order)  # validates the order
+    if huge or ups * gamma > MAX_EXPONENTIALS:
+        raise ResourceCapError(
+            f"an order-{order} schedule of {gamma} terms has more than "
+            f"{MAX_EXPONENTIALS} exponentials"
+        )
     steps = _segment(gamma, order, float(tau))
     if merge:
         steps = _merge_adjacent(steps)

@@ -325,6 +325,16 @@ def test_syk_first_order_gate_count_oracle():
     )
 
 
+
+@pytest.mark.parametrize("d_local", [0, -1])
+@pytest.mark.parametrize("regime", ["first-order-random-spectral", "first-order-random-fixed"])
+def test_first_order_random_rejects_local_dimension_below_one(d_local, regime):
+    q = GateCountQuery(t=1.0, eps=0.1, order=1, regime=regime)
+    with pytest.raises(ValidationError, match="d_local"):
+        gatecount_random_first(chain8(), 8, q, d_local=d_local)
+    with pytest.raises(ValidationError, match="d_local"):
+        syk_first_order_gate_count(8, 2, 1.0, 1.0, 0.1, 0.1, regime=regime, d_local=d_local)
+
 # ------------------------------------------------------------- baseline
 
 
@@ -584,6 +594,10 @@ def test_markov_tail_examples():
     assert markov_tail(0.1, 0.1, 4.0) == 1.0
     assert markov_tail(0.05, 0.1, 4.0) == pytest.approx(1.0 / 16.0)
     assert markov_tail(0.0, 0.1, 4.0) == 0.0
+    # min(1, ratio**p) where the power overflows or underflows a float
+    assert markov_tail(2.0, 0.1, 1e308) == 1.0
+    assert markov_tail(0.05, 0.1, 1e308) == 0.0
+    assert markov_tail(1.0, 5e-324, 2.0) == 1.0
     assert markov_tail(5.0, 0.1, 2.0) == 1.0  # capped
     with pytest.raises(ValidationError):
         markov_tail(0.1, 0.0, 2.0)

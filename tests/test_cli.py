@@ -355,6 +355,48 @@ def test_fuzz_malformed_pauli_json_exits_cleanly(text, argv):
     assert (code == 0) == (not errors)
 
 
+_KINDS = st.sampled_from(["+", "-", "z"]) | st.sampled_from(["x", "", "++", 1, None])
+_SITES = st.integers(min_value=-2, max_value=5) | st.sampled_from([10**30, 2.5, "1", True, None])
+
+
+@st.composite
+def malformed_fermion_json(draw):
+    """Fermionic documents that are mostly well-formed: bad factor kinds,
+    negative, out-of-range or non-integer sites, repeated ladder factors,
+    non-finite or string coefficients and eta, missing keys and wrong JSON
+    types."""
+    n = draw(st.integers(min_value=-1, max_value=4) | st.sampled_from([10**30, "3", 2.5, None]))
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        ops = [[draw(_KINDS), draw(_SITES)] for _ in range(draw(st.integers(0, 3)))]
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            ops = draw(st.sampled_from([[["+"]], [["+", 0, 1]], "+0", [None], {"+": 0}]))
+        term = {"ops": ops, "coeff": draw(st.floats(min_value=-2.0, max_value=2.0) | _COEFF_VALUES)}
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            del term[draw(st.sampled_from(["ops", "coeff"]))]
+        terms.append(term)
+    doc = {"n": n, "eta": draw(st.floats(0.0, 1.0) | _COEFF_VALUES), "terms": terms}
+    shape = draw(st.integers(min_value=0, max_value=9))
+    if shape == 0:
+        doc["terms"] = draw(st.sampled_from([{}, 5, "ops", None, [1, 2], [{"ops": 1}]]))
+    elif shape == 1:
+        del doc[draw(st.sampled_from(["n", "eta", "terms"]))]
+    return json.dumps(doc)
+
+
+_FERMION_FUZZ_ARGV = _FUZZ_ARGV + [
+    ["schedule", "-", "--order", "2", "--t", "0.5"],
+    ["simulate", "-", "--t", "1", "--r", "2", "--seed", "1", "--samples", "3"],
+]
+
+
+@given(text=malformed_fermion_json(), argv=st.sampled_from(_FERMION_FUZZ_ARGV))
+@settings(max_examples=150, deadline=None)
+def test_fuzz_malformed_fermion_json_exits_cleanly(text, argv):
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        _assert_clean_exit(*_call(argv))
+
+
 def _call(argv):
     """(exit code, stdout, stderr) of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
@@ -407,6 +449,94 @@ def numeric_flag_argv(draw):
 @settings(max_examples=300, deadline=None)
 def test_fuzz_numeric_flags_exit_cleanly(argv):
     _assert_clean_exit(*_call(argv))
+
+
+_FUZZ_ORDER = st.integers(min_value=-2, max_value=6) | st.sampled_from([40, 10**30])
+
+
+@st.composite
+def dense_flag_argv(draw):
+    """schedule and simulate with every numeric flag drawn; simulate runs on
+    at most four qubits and a few dozen samples, so each call stays fast."""
+    if draw(st.booleans()):
+        gamma = st.integers(min_value=-3, max_value=70) | st.sampled_from([10**6, 10**30])
+        flags = {"gamma": gamma, "order": _FUZZ_ORDER, "t": _FUZZ_FLOAT}
+        return ["schedule"] + [f"--{name}={draw(value)}" for name, value in flags.items()]
+    family = draw(st.sampled_from(["chain-heisenberg", "power-law", "k-local-syk", "zxyz", "fermi-hop"]))
+    argv = ["simulate", "--family", family]
+    if family in ("zxyz", "fermi-hop"):
+        argv.append(f"--m={draw(st.integers(-1, 1))}")
+    else:
+        argv.append(f"--n={draw(st.integers(-1, 4))}")
+    if family == "power-law":
+        argv += ["--d=1", f"--alpha={draw(_FUZZ_FLOAT)}"]
+    if family == "k-local-syk":
+        argv += [f"--k={draw(st.integers(-1, 4))}", f"--j={draw(_FUZZ_FLOAT)}"]
+    flags = {
+        "seed": st.integers(0, 3),
+        "samples": st.integers(min_value=-1, max_value=30) | st.sampled_from([10**30]),
+        "ensemble": st.sampled_from(["basis-1-design", "haar"]),
+        "t": _FUZZ_FLOAT,
+        "r": _FUZZ_INT,
+        "order": _FUZZ_ORDER,
+        "cap-n": _FUZZ_INT,
+    }
+    argv += [f"--{name}={draw(value)}" for name, value in flags.items()]
+    for name in ("p", "eps"):
+        argv += [f"--{name}={draw(_FUZZ_FLOAT)}" for _ in range(draw(st.integers(0, 2)))]
+    return argv
+
+
+@given(argv=dense_flag_argv())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_schedule_and_simulate_flags_exit_cleanly(argv):
+    _assert_clean_exit(*_call(argv))
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["schedule", "--gamma", "3", "--order", str(10**30), "--t", "1"], 3, "exponentials"),
+        (["schedule", "--gamma", str(10**30), "--order", "1", "--t", "1"], 3, "exponentials"),
+        (["simulate", "--family", "chain-heisenberg", "--n", "3", "--t", "1", "--seed", "1",
+          "--order", "40"], 3, "exponentials"),
+        (["simulate", "--family", "chain-heisenberg", "--n", "3", "--t", "1", "--seed", "1",
+          "--samples", str(10**30)], 3, "samples"),
+        (["simulate", "--family", "k-local-syk", "--n", "3", "--k", "2", "--t", "1", "--seed", "1",
+          "--samples", str(10**30)], 3, "samples"),
+        (["model", "--family", "power-law", "--n", "20000", "--d", "1", "--alpha", "2"], 3, "memory"),
+        (["simulate", "--family", "power-law", "--n", "20000", "--d", "1", "--alpha", "2",
+          "--t", "1", "--seed", "1"], 3, "memory"),
+        (["simulate", "--family", "chain-heisenberg", "--n", "3", "--t", "1e308", "--seed", "1",
+          "--samples", "3"], 2, "not finite"),
+        (["simulate", "--family", "k-local-syk", "--n", "3", "--k", "2", "--t", "3", "--seed", "1",
+          "--samples", "3", "--p", "1e308"], 2, "floating-point range"),
+    ],
+)
+def test_model_schedule_and_simulate_limits_exit_cleanly(argv, code, message):
+    got, out, err = _call(argv)
+    assert (got, out) == (code, "")
+    assert err.count("error:") == 1 and message in err
+
+
+def test_simulate_markov_bound_with_a_huge_schatten_index(capsys):
+    code, out, _ = run(
+        capsys, "simulate", "--family", "chain-heisenberg", "--n", "3", "--t", "1",
+        "--seed", "1", "--samples", "5", "--p", "1e308",
+    )
+    assert code == 0
+    tail = [line.split(",") for line in out.splitlines() if line.startswith("markov-tail")]
+    assert [row[3] for row in tail] == ["1.0"]
+
+
+@pytest.mark.parametrize(
+    "doc", ['{"n": 600, "terms": []}', '{"n": %d, "eta": 0.5, "terms": []}' % 10**30]
+)
+def test_simulate_above_the_cap_exits_3_without_counting_bytes(monkeypatch, doc):
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    code, out, err = _call(["simulate", "-", "--t", "1", "--seed", "1"])
+    assert (code, out) == (3, "")
+    assert "bytes (cap is n=12" in err
 
 
 def test_truncate_overflow_is_a_validation_error(capsys):

@@ -1,13 +1,16 @@
 """Tests for the Hamiltonian family generators."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from trotterlab.errors import ValidationError
+from trotterlab.errors import ResourceCapError, ValidationError
 from trotterlab.models import (
+    _MODEL_BYTES,
     KLocalGaussianModel,
+    _check_size,
     chain_heisenberg,
     fermi_hop,
     fermi_hop_groups,
@@ -18,7 +21,7 @@ from trotterlab.models import (
     zxyz_groups,
 )
 from trotterlab.norms import fermion_term_bound, local_norm, norm_profile
-from trotterlab.pauli import jordan_wigner, leading_error
+from trotterlab.pauli import PauliHamiltonian, jordan_wigner, leading_error
 
 
 # ---------------------------------------------------------------- chain
@@ -126,6 +129,38 @@ def test_syk_model_deterministic_in_seed():
     c = KLocalGaussianModel(6, 2, 1.0, seed=12)
     assert a.strings == b.strings
     assert a.strings != c.strings
+
+
+def _per_subset_strings(n, k, seed):
+    """The SYK strings drawn one subset at a time: k letters per subset, in
+    combinations order, from one generator."""
+    rng = np.random.default_rng(seed)
+    letters = np.array(["X", "Y", "Z"])
+    strings = []
+    for subset in itertools.combinations(range(n), k):
+        label = ["I"] * n
+        for site, letter in zip(subset, letters[rng.integers(0, 3, size=k)]):
+            label[site] = letter
+        strings.append("".join(label))
+    return tuple(strings), rng.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+@pytest.mark.parametrize("seed", [0, 1, 7, 19, 827628876])
+def test_syk_batched_draw_matches_per_subset_draws(k, seed):
+    n = 9
+    strings, next_draw = _per_subset_strings(n, k, seed)
+    model = KLocalGaussianModel(n, k, 1.0, seed=seed)
+    assert model.strings == strings
+    # the batched draw leaves the generator where the per-subset draws do
+    rng = np.random.default_rng(seed)
+    rng.integers(0, 3, size=(model.gamma, k))
+    assert rng.integers(0, 2**62) == next_draw
+    # sample and bound_hamiltonian read the same planes as labels would give
+    coeffs = np.random.default_rng(3).standard_normal(len(strings)) * model.sigma
+    assert model.sample(3).terms == PauliHamiltonian.from_labels(n, zip(strings, coeffs)).terms
+    expected = PauliHamiltonian.from_labels(n, [(s, model.sigma) for s in strings])
+    assert model.bound_hamiltonian().terms == expected.terms
 
 
 def test_syk_sample_deterministic_and_distinct():
@@ -247,3 +282,29 @@ def test_fermi_hop_m1_monomials():
     sites = [tuple(s for s, _ in t.factors) for t in f.terms]
     assert sites == [(0, 1), (0, 1), (1, 2), (1, 2)]
     assert [t.coeff for t in f.terms] == [1.0, -1.0, 1.0, -1.0]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: chain_heisenberg(10**6),
+        lambda: power_law(20000, 1, 2.0),
+        lambda: power_law(10**9, 1, 2.0),
+        lambda: KLocalGaussianModel(40, 7, 1.0, seed=1),
+        lambda: KLocalGaussianModel(1000, 500, 1.0, seed=1),
+        lambda: zxyz(10**5),
+        lambda: fermi_hop(10**5),
+    ],
+)
+def test_models_above_the_memory_budget_are_refused_before_building(build):
+    with pytest.raises(ResourceCapError, match="bytes of memory"):
+        build()
+
+
+def test_memory_budget_boundary_and_error_precedence():
+    _check_size(_MODEL_BYTES // 1000, 1000)
+    with pytest.raises(ResourceCapError):
+        _check_size(_MODEL_BYTES // 1000 + 1, 1000)
+    # a malformed lattice is bad input, however large
+    with pytest.raises(ValidationError, match="lattice"):
+        power_law(20001, 2, 2.0)

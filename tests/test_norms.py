@@ -6,10 +6,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trotterlab.norms import (
+    _norm_pair,
+    _sequential_sum,
+    _term_data,
     fermion_term_bound,
     ladder_part,
     lambda_ferm_k,
@@ -491,3 +494,41 @@ def test_planner_model_profiles_equal_pinned_values():
             "lambda_prime": prof.lambda_prime_k,
         }
         assert got == pinned[name], name
+
+
+def _loop_sum(values):
+    """Left-to-right float addition, one rounding per step (Python 3.12's
+    ``sum`` compensates, so it is no oracle here)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+@given(
+    st.lists(
+        st.floats(min_value=0.0, allow_nan=False)
+        | st.sampled_from([1e308, 1.7e308, 5e-324, 1e-16, 0.1]),
+        max_size=40,
+    )
+)
+@example([1.0] + [1e-16] * 10)  # compensated or pairwise sums differ here
+@example([1.7e308, 1.7e308, 1.0])  # overflows to inf
+@settings(max_examples=200, deadline=None)
+def test_sequential_sum_adds_left_to_right(values):
+    got = _sequential_sum(np.array(values, dtype=float))
+    if values:
+        assert type(got) is float and got == _loop_sum(values)
+    else:
+        assert type(got) is int and got == 0
+
+
+@pytest.mark.parametrize("coeffs", [[], [0.5, 3.0, 1e-3], [1e200, 1e200], [1.7e308, 1.7e308]])
+def test_zeroth_norms_add_bounds_in_term_order(coeffs):
+    labels = ["XI", "ZZ", "IY"][: len(coeffs)]
+    data = _term_data(PauliHamiltonian.from_labels(2, list(zip(labels, coeffs))))
+    bounds = [abs(c) for c in coeffs]
+    one = _loop_sum(bounds) if bounds else 0  # the int 0 of an empty sum
+    two = math.sqrt(_loop_sum([b * b for b in bounds]))
+    got = _norm_pair(data, 0)
+    assert got == (one, two) and type(got[0]) is type(one)

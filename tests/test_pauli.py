@@ -34,6 +34,7 @@ from trotterlab.pauli import (
     jordan_wigner,
     leading_error,
     multiply,
+    _pauli_json_text,
     pauli_from_json,
     pauli_to_json,
     strings_commute,
@@ -845,3 +846,59 @@ def test_fermion_json_round_trip():
     assert blob["eta"] == 0.25
     f2 = fermion_from_json(blob)
     assert f2.terms == f.terms
+
+
+_JSON_COEFFS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1e308, 1.7976931348623157e308, 1.0, -2.0, 3e16]
+)
+
+
+@st.composite
+def json_hamiltonian(draw):
+    """Hamiltonians on 0..70 qubits (one and two plane words), with repeated
+    labels that merge, cancel or overflow, and extreme coefficients."""
+    n = draw(st.integers(min_value=0, max_value=70))
+    labels = st.text(alphabet="IXYZ", min_size=n, max_size=n)
+    pairs = draw(st.lists(st.tuples(labels, _JSON_COEFFS), max_size=12))
+    return PauliHamiltonian.from_labels(n, pairs)
+
+
+@given(json_hamiltonian())
+@example(PauliHamiltonian.from_labels(0, []))
+@example(PauliHamiltonian.from_labels(0, [("", 2.0)]))
+@example(PauliHamiltonian.from_labels(3, []))
+@example(PauliHamiltonian.from_labels(2, [("XY", 5e-324), ("ZZ", -1e308), ("IZ", 4.0)]))
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # merged sums
+def test_json_text_writer_matches_json_dumps(h):
+    from trotterlab.cli import _json_text
+
+    doc = pauli_to_json(h)
+    text = _pauli_json_text(h)
+    assert text == _json_text(doc)
+    if all(math.isfinite(t["coeff"]) for t in doc["terms"]):
+        assert text == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_json_text_writer_spells_non_finite_coefficients_as_the_cli_does():
+    from trotterlab.cli import _json_text
+
+    h = PauliHamiltonian.from_labels(2, [("XX", 1e308), ("XX", 1e308), ("ZI", -math.inf), ("YY", 0.5)])
+    assert _pauli_json_text(h) == _json_text(pauli_to_json(h))
+    assert '"coeff": "inf"' in _pauli_json_text(h)
+
+
+def test_json_text_writer_formats_coefficients_the_merge_would_drop():
+    # -0.0 and subnormals never survive the merge (|c| < MERGE_TOL), so set
+    # the table's coefficients directly
+    h = PauliHamiltonian.from_labels(65, [("X" * 65, 1.0), ("Z" * 65, 1.0), ("Y" * 65, 1.0)])
+    h._rows = h._rows._replace(c=np.array([-0.0, 5e-324, -2.2250738585072014e-309], complex))
+    doc = pauli_to_json(h)
+    assert [t["coeff"] for t in doc["terms"]] == [-0.0, 5e-324, -2.2250738585072014e-309]
+    assert _pauli_json_text(h) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_text_writer_rejects_non_real_sums():
+    with pytest.raises(ValidationError, match="non-real"):
+        _pauli_json_text(PauliSum(1, [("X", 1.0 + 1.0j)]))

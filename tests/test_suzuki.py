@@ -4,8 +4,14 @@ import math
 
 import pytest
 
-from trotterlab.errors import UnsupportedOrderError, ValidationError
-from trotterlab.suzuki import Schedule, build_schedule, q_coefficient, upsilon
+from trotterlab.errors import ResourceCapError, UnsupportedOrderError, ValidationError
+from trotterlab.suzuki import (
+    MAX_EXPONENTIALS,
+    Schedule,
+    build_schedule,
+    q_coefficient,
+    upsilon,
+)
 
 
 def test_q2_value():
@@ -111,3 +117,22 @@ def test_schedule_is_immutable_record():
     assert isinstance(s, Schedule)
     with pytest.raises(AttributeError):
         s.tau = 0.5 # type: ignore[misc]
+
+
+def test_schedule_at_the_exponential_cap_is_built():
+    sched = build_schedule(MAX_EXPONENTIALS // 10, 4, 0.1)
+    assert sched.J == MAX_EXPONENTIALS // 10 * 10 <= MAX_EXPONENTIALS
+
+
+@pytest.mark.parametrize(
+    "gamma, order",
+    [(MAX_EXPONENTIALS + 1, 1), (MAX_EXPONENTIALS // 2 + 1, 2), (3, 40), (3, 10**30), (10**30, 1)],
+)
+def test_schedule_above_the_exponential_cap_is_refused_before_building(gamma, order):
+    with pytest.raises(ResourceCapError, match="exponentials"):
+        build_schedule(gamma, order, 0.1)
+
+
+def test_odd_order_is_unsupported_however_large():
+    with pytest.raises(UnsupportedOrderError):
+        build_schedule(3, 10**30 + 1, 0.1)
