@@ -28,6 +28,7 @@ from .dense import (
     DEFAULT_CAP_N,
     _conditional_expectation,
     _spectral_and_pnorms,
+    _trotter_power,
     _with_identity,
     WeightedNormSpec,
     apply_schedule,
@@ -329,10 +330,7 @@ def sample_random_hamiltonian(
     for child in seeds:
         h = model.sample(child)
         exact = evolve(h, cfg.t, cfg.cap_n)
-        segment = apply_schedule(
-            h, build_schedule(h.gamma, cfg.order, cfg.t / cfg.r), cfg.cap_n
-        )
-        approx = unitary_power(segment, cfg.r)
+        approx = _trotter_power(h, cfg.t, cfg.r, cfg.order, cfg.cap_n)
         err_op = exact - approx
         spectral, pnorms = _spectral_and_pnorms(err_op, cfg.p_values)
         spectrals.append(spectral)

@@ -58,14 +58,13 @@ class NormProfile:
 
 
 class _TermData(NamedTuple):
-    """Supports and bounds of the terms of a Hamiltonian on n sites.
+    """Supports and bounds of the terms of a Hamiltonian.
 
     ``term`` and ``site`` list every (term, site) pair of a support,
     term-major with sites ascending; ``bound`` holds b_gamma and ``weight``
     the support size per term, and ``k`` the largest support size.
     """
 
-    n: int
     term: np.ndarray
     site: np.ndarray
     bound: np.ndarray
@@ -84,7 +83,7 @@ def _term_data(h: AnyHamiltonian) -> _TermData:
     else:
         raise TypeError(f"unsupported Hamiltonian type {type(h).__name__}")
     weight = np.bincount(term, minlength=len(bound))
-    return _TermData(h.n, term, site, bound, weight, int(weight.max(initial=0)))
+    return _TermData(term, site, bound, weight, int(weight.max(initial=0)))
 
 
 def fermion_term_bound(term, n: int) -> float:
@@ -137,10 +136,12 @@ def _subset_incidence(data: _TermData, c: int) -> tuple[np.ndarray, np.ndarray]:
 
     Terms of one weight w share the C(w, c) index rows of their entries, so
     the work and memory are those of the subsets themselves.  The tuples are
-    numbered one column at a time, code * n + next site; whenever the codes
-    reach the incidence count m, np.unique renumbers them densely.  So every
-    code stays below (m + 1) n, far from overflow under ``_SUBSET_BYTES``,
-    and bincount allocates at most m bins.
+    numbered one column at a time, code * s + next site, with s one more
+    than the largest site (a fermionic document may give n far past every
+    site); whenever the codes reach the incidence count m,
+    np.unique renumbers them densely.  So every code stays below (m + 1) s,
+    far from overflow under ``_SUBSET_BYTES``, and bincount allocates at
+    most m bins.
     """
     weight = data.weight
     start = np.cumsum(weight) - weight  # each term's first incidence
@@ -155,8 +156,9 @@ def _subset_incidence(data: _TermData, c: int) -> tuple[np.ndarray, np.ndarray]:
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
     code = np.zeros(len(order), np.intp)
+    radix = int(data.site.max(initial=0)) + 1
     for column in np.concatenate(sites, axis=1):
-        code = code * data.n + column[order]
+        code = code * radix + column[order]
         if code.max(initial=0) >= len(code):
             code = np.unique(code, return_inverse=True)[1]
     return code, owner[order]

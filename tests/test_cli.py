@@ -519,6 +519,22 @@ def test_model_schedule_and_simulate_limits_exit_cleanly(argv, code, message):
     assert err.count("error:") == 1 and message in err
 
 
+def test_simulate_past_the_float_range_prints_one_error_line():
+    proc = subprocess.run(
+        [
+            *(sys.executable, "-m", "trotterlab", "simulate"),
+            *("--family", "chain-heisenberg", "--n", "3", "--t", "1e308"),
+            *("--seed", "1", "--samples", "3"),
+        ],
+        capture_output=True,
+        text=True,
+        env=module_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_simulate_markov_bound_with_a_huge_schatten_index(capsys):
     code, out, _ = run(
         capsys, "simulate", "--family", "chain-heisenberg", "--n", "3", "--t", "1",
@@ -537,6 +553,19 @@ def test_simulate_above_the_cap_exits_3_without_counting_bytes(monkeypatch, doc)
     code, out, err = _call(["simulate", "-", "--t", "1", "--seed", "1"])
     assert (code, out) == (3, "")
     assert "bytes (cap is n=12" in err
+
+
+def test_norms_of_a_fermionic_document_far_wider_than_its_sites(monkeypatch):
+    # Subset codes are numbered in a radix of one more than the largest site;
+    # in a radix of n, n = 10**30 overflowed int64 with a traceback.
+    doc = '{"n": %d, "terms": [{"ops": [["+", 0], ["-", 3]], "coeff": 0.5}, {"ops": [["+", 3], ["-", 5]], "coeff": 1.0}]}'
+    outputs = []
+    for n in (6, 10**30):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc % n))
+        code, out, err = _call(["norms", "-"])
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_truncate_overflow_is_a_validation_error(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -170,9 +171,10 @@ def test_pauli_engine_matches_kron_oracle(n, data):
     np.testing.assert_allclose(apply_schedule(h, schedule), product, rtol=0, atol=1e-12)
 
 
-def test_apply_schedule_memory_stays_within_six_matrices():
+def test_apply_schedule_memory_stays_within_two_and_a_quarter_matrices():
     # A dense matrix per term (27 here, 16 MiB each) would exceed this; the
-    # 12-site chain would then need about 8 GiB.
+    # 12-site chain would then need about 8 GiB.  The half-size block stack
+    # and the assembled matrix measure 24.7 MiB.
     h = chain_heisenberg(10)
     schedule = build_schedule(h.gamma, 2, 0.1)
     tracemalloc.start()
@@ -181,7 +183,7 @@ def test_apply_schedule_memory_stays_within_six_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 16 * 2**20
+    assert peak <= 2.25 * 16 * 2**20
 
 
 def test_apply_schedule_index_validation():
@@ -199,6 +201,52 @@ def test_unitary_power_matches_matrix_power():
         np.testing.assert_allclose(
             unitary_power(q, r), np.linalg.matrix_power(q, r), atol=1e-10
         )
+
+
+def _scipy_schur_power(u, r):
+    """unitary_power's Schur branch as it was written on scipy.linalg.schur,
+    kept as the oracle."""
+    t, q = scipy.linalg.schur(u, output="complex")
+    powered = np.exp(1j * r * np.angle(np.diag(t)))
+    scaled = q * powered
+    return scaled @ np.conjugate(q, out=q).T
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 16, 31, 32, 33, 47, 64])
+@pytest.mark.parametrize("r", [4097, 11436, 10**6 + 1])
+def test_schur_power_is_bit_identical_to_scipy_schur(dim, r):
+    rng = np.random.default_rng(dim * 7919 + r)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    before = q.copy()
+    got = unitary_power(q, r)
+    assert np.array_equal(q, before)
+    assert np.array_equal(got, _scipy_schur_power(q.copy(), r))
+    assert got.flags.c_contiguous
+
+
+def test_schur_power_of_the_chain_segment_is_bit_identical_to_scipy_schur():
+    h = chain_heisenberg(8)
+    r = 11436
+    segment = apply_schedule(h, build_schedule(h.gamma, 2, 1.0 / r))
+    before = segment.copy()
+    expected = _scipy_schur_power(segment.copy(), r)
+    assert np.array_equal(unitary_power(segment, r), expected)
+    assert np.array_equal(segment, before)
+    # The consuming path: the segment assembled in Fortran order, overwritten.
+    fortran = dense._schedule_product(h, build_schedule(h.gamma, 2, 1.0 / r), 12, "F")
+    assert fortran.flags.f_contiguous and np.array_equal(fortran, before)
+    assert np.array_equal(dense._schur_power(fortran, r), expected)
+
+
+def test_schur_power_rejects_non_finite_input():
+    u = np.eye(4, dtype=complex)
+    u[1, 2] = np.nan
+    with pytest.raises(ValueError):
+        unitary_power(u, 5000)
+
+
+def test_unitary_power_of_an_empty_matrix():
+    assert unitary_power(np.zeros((0, 0), dtype=complex), 5000).shape == (0, 0)
 
 
 def test_unitary_power_large_r_stays_unitary():
@@ -351,9 +399,11 @@ def test_evolve_matches_extended_precision_oracle(h):
     assert np.abs(evolve(h, t) - oracle).max() <= 1e-14
 
 
-def test_trotter_error_op_memory_stays_below_six_matrices():
-    # The full exact matrix is never held next to the power, and the last
-    # product of the Schur power reuses the buffer of its unitary factor.
+def test_trotter_error_op_memory_stays_within_three_and_a_quarter_matrices():
+    # The Schur power overwrites the segment with T and then with Q's scaled
+    # columns, so the segment or T, Q and the power are the only full
+    # matrices (48.5 MiB).  The full exact matrix is never held next to the
+    # power.
     h = chain_heisenberg(10)
     tracemalloc.start()
     try:
@@ -361,7 +411,23 @@ def test_trotter_error_op_memory_stays_below_six_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 16 * 2**20
+    assert peak <= 3.25 * 16 * 2**20
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        chain_heisenberg(3),
+        PauliHamiltonian.from_labels(3, [("XII", 9.0), ("IYI", -4.0), ("ZZX", 6.0), ("YXZ", 2.5)]),
+    ],
+    ids=["real", "odd-y"],
+)
+def test_exact_evolution_past_the_float_range_is_nan_without_warnings(h):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = evolve(h, 1e308)
+        m = evolve(to_matrix(h), 1e308)
+    assert np.isnan(u).any() and np.isnan(m).any()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Lab experiments: error sampling, inequality fuzzing, slope checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,20 @@ def test_random_hamiltonian_report_basics():
     qs = list(rep.quantiles.values())
     assert qs == sorted(qs)
     assert rep == sample_random_hamiltonian(model, cfg)
+
+
+def test_random_hamiltonian_memory_stays_within_five_matrices():
+    # Per draw: the exact evolution, the segment (overwritten by T), Q and
+    # the power at the Schur peak (4.3 MiB at n = 8).
+    model = KLocalGaussianModel(n=8, k=2, seed=3)
+    cfg = ExperimentConfig(seed=3, samples=1, t=1.0, r=5000, order=2)
+    tracemalloc.start()
+    try:
+        sample_random_hamiltonian(model, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 16 * 4**8
 
 
 def test_random_hamiltonian_variance_scaling():
