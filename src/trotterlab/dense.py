@@ -180,26 +180,50 @@ def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.allclose(a @ a.conj().T, eye, atol=tol))
 
 
-def _exact_blocks(act: _Actions, t: float) -> np.ndarray:
-    """e^{i H t} on every coset block of H, through one batched eigh.
+# Entries of e^{i H t} formed at once by ``_write_exact``: a single coset
+# block, or a run of small blocks, so a diagonal H is not a loop over dim.
+_RUN_ENTRIES = 2**16
 
-    A real symmetric H (no term with an odd number of Y) takes a real eigh,
-    and e^{i H t} = V cos(t W) V^T + i V sin(t W) V^T in real products.
-    A phase t W past the floating-point range gives NaN entries, left to the
-    callers' finiteness checks.
+
+def _write_exact(
+    out: np.ndarray, act: _Actions, w: np.ndarray, v: np.ndarray, t: float, add: bool
+) -> None:
+    """Write (or, with ``add``, add) e^{i H t} into the coset blocks of out.
+
+    (w, v) is the batched eigh of H's block stack; v is overwritten.  The
+    blocks are formed one at a time, or a run of at most ``_RUN_ENTRIES``
+    entries at a time, so no full stack of them is held.  A real symmetric
+    H (no term with an odd number of Y) takes a real eigh, and
+    e^{i H t} = V cos(t W) V^T + i V sin(t W) V^T in real products, written
+    straight into the real and imaginary parts of out.  A phase t W past the
+    floating-point range gives NaN entries, left to the callers' finiteness
+    checks.
     """
-    w, v = np.linalg.eigh(_blocks(act))
-    if np.iscomplexobj(v):
+    blocks, k = act.index.shape
+    step = max(1, _RUN_ENTRIES // (k * k))
+
+    def put(target: np.ndarray, entries: tuple, values: np.ndarray) -> None:
+        if add:
+            target[entries] += values
+        else:
+            target[entries] = values
+
+    for start in range(0, blocks, step):
+        run = slice(start, start + step)
+        w_run, v_run = w[run], v[run]
+        entries = _block_entries(act.index[run])
+        if np.iscomplexobj(v_run):
+            with np.errstate(over="ignore", invalid="ignore"):
+                phases = np.exp(1j * t * w_run)
+            scaled = v_run * phases[:, None, :]
+            put(out, entries, scaled @ np.conjugate(v_run, out=v_run).swapaxes(1, 2))
+            del scaled
+            continue
         with np.errstate(over="ignore", invalid="ignore"):
-            phases = np.exp(1j * t * w)
-        return (v * phases[:, None, :]) @ np.conjugate(v, out=v).swapaxes(1, 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        cos, sin = np.cos(t * w), np.sin(t * w)
-    vt = v.swapaxes(1, 2)
-    out = np.empty(v.shape, dtype=complex)
-    out.real = (v * cos[:, None, :]) @ vt
-    out.imag = (v * sin[:, None, :]) @ vt
-    return out
+            cos, sin = np.cos(t * w_run), np.sin(t * w_run)
+        vt = v_run.swapaxes(1, 2)
+        put(out.real, entries, (v_run * cos[:, None, :]) @ vt)
+        put(out.imag, entries, (v_run * sin[:, None, :]) @ vt)
 
 
 def evolve(h: MatrixLike, t: float, cap_n: int = DEFAULT_CAP_N) -> np.ndarray:
@@ -208,7 +232,10 @@ def evolve(h: MatrixLike, t: float, cap_n: int = DEFAULT_CAP_N) -> np.ndarray:
     if isinstance(h, PauliHamiltonian):
         check_cap(h.n, cap_n)
         act = _actions(h)
-        return _assembled(act.index, _exact_blocks(act, t))
+        w, v = np.linalg.eigh(_blocks(act))
+        out = np.zeros((act.index.size, act.index.size), dtype=complex)
+        _write_exact(out, act, w, v, t, add=False)
+        return out
     m = to_matrix(h, cap_n)
     if not is_hermitian(m):
         raise ValidationError("evolve requires a Hermitian operator")
@@ -275,7 +302,7 @@ def unitary_power(u: np.ndarray, r: int) -> np.ndarray:
     Eigenvalues are renormalized onto the unit circle before powering, so the
     result stays unitary for very large r.  u is left unchanged: for
     r > 4096 it is copied once into Fortran order, the copy that LAPACK
-    makes anyway, and ``_schur_power`` consumes the copy, so at most three
+    makes anyway, and ``_schur_power`` consumes the copy, so at most two
     dim x dim matrices are alive besides u.  The Schur form is taken of the
     full matrix, not per coset block: a per-block Schur moves the norms
     pinned in ``perfbench/reference.json`` by more than their tolerance.
@@ -296,16 +323,33 @@ def _no_sort(_eigenvalue: complex) -> None:
     """The eigenvalue-selection callback that zgees requires; no sort is asked."""
 
 
+# Columns of the Schur power that one product in ``_schur_power`` forms, at
+# least.  Each product packs all of Q D again, so a large matrix takes
+# panels of an eighth of its columns: at dim 4096, with one OpenBLAS thread
+# on a 2-core Xeon, 64-column panels took 1.6x the time of the whole
+# product, and 512-column ones 1.06x.
+_PANEL = 64
+
+
 def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
     """u^r = Q e^{i r angle(T_jj)} Q^dagger from the complex Schur form
     u = Q T Q^dagger, overwriting u, a Fortran-order complex matrix.
 
-    No more than three dim x dim matrices are alive at once: T is formed in
-    u's buffer and then overwritten by Q's scaled columns, and Q is
-    conjugated in place before the one product.  The lwork, the LAPACK
-    call and every elementwise step are the ones that
+    Only the two dim x dim matrices that zgees needs are alive: T is formed
+    in u's buffer and then overwritten by Q D, D the powered diagonal, and
+    the power is formed in Q's buffer, transposed.  Columns j of the power
+    are (Q D) conj(Q[j])^T, which read rows j of Q and no others, so rows j
+    are conjugated in place and each panel of columns (64, or dim/8 when
+    that is more) is stored over them.  Every panel is the same gemm, with
+    the same operand layouts, as the whole product (Q D) conj(Q)^T; a
+    one-column panel would be a matrix-vector product, which sums in
+    another order, so a last single column joins the panel before it.
+
+    The lwork, the LAPACK call and every elementwise step are the ones that
     ``scipy.linalg.schur(u, output="complex")`` and the formula above take,
-    so the result is bit-identical to theirs.
+    so with one BLAS thread the result is bit-identical to theirs (with
+    more, the panels may split rows across threads differently from the
+    whole product).  It is C-contiguous, as the whole product is.
     """
     if not np.isfinite(u).all():
         raise ValueError("array must not contain infs or NaNs")
@@ -320,14 +364,20 @@ def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
         raise np.linalg.LinAlgError(f"Schur form not found (zgees info={info})")
     # w holds diag(T) (LAPACK sets w(i) = T(i, i)).
     np.multiply(q, np.exp(1j * r * np.angle(w)), out=t)
-    return t @ np.conjugate(q, out=q).T
+    dim = len(q)
+    width = _PANEL * max(1, dim // (8 * _PANEL))
+    edges = [*range(0, max(dim - 1, 1), width), dim]
+    for lo, hi in zip(edges, edges[1:]):
+        rows = q[lo:hi]
+        q[lo:hi] = (t @ np.conjugate(rows, out=rows).T).T
+    return q.T
 
 
 def _trotter_power(
     h: PauliHamiltonian, t: float, r: int, order: int, cap_n: int
 ) -> np.ndarray:
     """S_order(t/r)^r.  Above 4096 steps the segment is assembled in Fortran
-    order and the Schur power overwrites it: three dim x dim matrices."""
+    order and the Schur power overwrites it: two dim x dim matrices."""
     schedule = build_schedule(h.gamma, order, t / r)
     if r <= _BINARY_POWER_MAX:
         return unitary_power(apply_schedule(h, schedule, cap_n), r)
@@ -344,17 +394,19 @@ def trotter_error_op(
     """The exact error operator e^{iHt} - S_order(t/r)^r.
 
     For r > 4096 the segment is assembled straight into Fortran order and
-    powered in its own buffer, so at most three dim x dim matrices are alive
-    at once (the segment or T, Q and the power).  The power is then negated
-    in place and the exact evolution added block by block, so no full exact
-    matrix is held next to it.
+    powered in its own buffer, so at most two dim x dim matrices are alive
+    at once (the segment or T, and Q or the power).  The power is then
+    negated in place and the exact evolution added one coset block (or run
+    of small blocks) at a time, so neither the full exact matrix nor its
+    block stack is held next to the power.
     """
     if r < 1:
         raise ValidationError("need at least one segment (r >= 1)")
     out = _trotter_power(h, t, r, order, cap_n)
     np.negative(out, out=out)
     act = _actions(h)
-    out[_block_entries(act.index)] += _exact_blocks(act, t)
+    w, v = np.linalg.eigh(_blocks(act))
+    _write_exact(out, act, w, v, t, add=True)
     return out
 
 
@@ -495,9 +547,8 @@ class ParticleSector:
 
     def mask(self) -> np.ndarray:
         """Boolean diagonal of the projector P_m."""
-        idx = np.arange(2**self.n)
-        occupied = self.n - np.array([int(i).bit_count() for i in idx])
-        return occupied == self.m
+        # occupied sites are the index bits that are 0
+        return np.bitwise_count(np.arange(2**self.n)) == self.n - self.m
 
 
 @dataclass(frozen=True)

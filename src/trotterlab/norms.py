@@ -78,7 +78,13 @@ def _term_data(h: AnyHamiltonian) -> _TermData:
     elif isinstance(h, FermionHamiltonian):
         supports = [t.support() for t in h.terms]
         term = np.repeat(np.arange(len(supports)), [len(s) for s in supports])
-        site = np.fromiter(chain.from_iterable(supports), np.intp)
+        sites = list(chain.from_iterable(supports))
+        if h.n > np.iinfo(np.intp).max:
+            # Sites past the index range are numbered densely, in order: the
+            # norms depend only on which terms share a site.
+            rank = {s: i for i, s in enumerate(sorted(set(sites)))}
+            sites = [rank[s] for s in sites]
+        site = np.fromiter(sites, np.intp)
         bound = np.array([fermion_term_bound(t, h.n) for t in h.terms], dtype=float)
     else:
         raise TypeError(f"unsupported Hamiltonian type {type(h).__name__}")

@@ -335,7 +335,8 @@ def _merged(n: int, rows: _Rows, hermitian: bool) -> _Rows:
         first[1:] = rank[1:] > np.maximum.accumulate(rank)[:-1]
         later = ~first
         x, z, total = x[first], z[first], c[first]
-        np.add.at(total, rank[later], c[later])
+        with np.errstate(over="ignore"):  # inf, as Python float addition gives
+            np.add.at(total, rank[later], c[later])
         c = total
     kept = np.abs(c) >= MERGE_TOL
     if not kept.all():

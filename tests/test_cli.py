@@ -356,7 +356,7 @@ def test_fuzz_malformed_pauli_json_exits_cleanly(text, argv):
 
 
 _KINDS = st.sampled_from(["+", "-", "z"]) | st.sampled_from(["x", "", "++", 1, None])
-_SITES = st.integers(min_value=-2, max_value=5) | st.sampled_from([10**30, 2.5, "1", True, None])
+_SITES = st.integers(min_value=-2, max_value=5) | st.sampled_from([10**20, 10**30, 2.5, "1", True, None])
 
 
 @st.composite
@@ -566,6 +566,43 @@ def test_norms_of_a_fermionic_document_far_wider_than_its_sites(monkeypatch):
         assert (code, err) == (0, "")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_norms_and_gatecount_of_a_fermionic_site_past_int64(monkeypatch):
+    # A site of 2**63 or more was packed into an int64 array, an
+    # OverflowError with a traceback; the norms depend only on which terms
+    # share a site, so they match those of a small site.
+    doc = '{"n": %d, "terms": [{"ops": [["+", %d], ["-", 3]], "coeff": 1.0}]}'
+    argvs = (
+        ["norms", "-"],
+        ["gatecount", "-", "--regime", "nonrandom-typical", "--order", "2", "--t", "1",
+         "--eps", "0.1"],
+    )
+    for argv in argvs:
+        outputs = []
+        for site in (10**20, 4):
+            monkeypatch.setattr("sys.stdin", io.StringIO(doc % (10**30, site)))
+            code, out, err = _call(argv)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
+def test_norms_overflowing_sum_of_repeated_terms_prints_one_error_line():
+    # The repeated XX terms add to inf; numpy's overflow warning used to put
+    # two more lines on stderr before the error.
+    doc = {"n": 2, "terms": [{"pauli": "XX", "coeff": 1e308},
+                             {"pauli": "XX", "coeff": 1e308}, {"pauli": "ZZ", "coeff": 1.0}]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "trotterlab", "norms", "-"],
+        input=json.dumps(doc),
+        capture_output=True,
+        text=True,
+        env=module_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_truncate_overflow_is_a_validation_error(capsys):

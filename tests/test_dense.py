@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -212,7 +213,8 @@ def _scipy_schur_power(u, r):
     return scaled @ np.conjugate(q, out=q).T
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 16, 31, 32, 33, 47, 64])
+# 65, 100, 130 and 257 span several 64-column panels and end in a partial one.
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 16, 31, 32, 33, 47, 64, 65, 100, 130, 257])
 @pytest.mark.parametrize("r", [4097, 11436, 10**6 + 1])
 def test_schur_power_is_bit_identical_to_scipy_schur(dim, r):
     rng = np.random.default_rng(dim * 7919 + r)
@@ -222,6 +224,18 @@ def test_schur_power_is_bit_identical_to_scipy_schur(dim, r):
     assert np.array_equal(q, before)
     assert np.array_equal(got, _scipy_schur_power(q.copy(), r))
     assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dim", [128, 200])
+def test_schur_power_in_eighth_width_panels_is_bit_identical_to_scipy_schur(dim, monkeypatch):
+    # Large matrices take panels of dim/8 columns (128 at dim 1024).  With a
+    # minimum panel of 8, dims 128 and 200 take panels of 16 and 24 columns.
+    monkeypatch.setattr(dense, "_PANEL", 8)
+    rng = np.random.default_rng(dim)
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    expected = _scipy_schur_power(q.copy(), 11436)
+    got = dense._schur_power(np.asfortranarray(q), 11436)
+    assert np.array_equal(got, expected) and got.flags.c_contiguous
 
 
 def test_schur_power_of_the_chain_segment_is_bit_identical_to_scipy_schur():
@@ -378,6 +392,37 @@ def test_trotter_error_op_is_bit_identical_to_public_parts(case, order, r):
     assert np.array_equal(trotter_error_op(h, 0.7, r, order), expected)
 
 
+def _batched_evolve(h, t):
+    """evolve as it formed the whole block stack in one batched product,
+    before it wrote the blocks one at a time; kept as the oracle."""
+    act = dense._actions(h)
+    w, v = np.linalg.eigh(dense._blocks(act))
+    if np.iscomplexobj(v):
+        blocks = (v * np.exp(1j * t * w)[:, None, :]) @ np.conjugate(v).swapaxes(1, 2)
+    else:
+        vt = v.swapaxes(1, 2)
+        blocks = np.empty(v.shape, dtype=complex)
+        blocks.real = (v * np.cos(t * w)[:, None, :]) @ vt
+        blocks.imag = (v * np.sin(t * w)[:, None, :]) @ vt
+    return dense._assembled(act.index, blocks)
+
+
+@given(block_hamiltonians(max_n=5), st.sampled_from((1, 5, 2**16)), st.floats(-3.0, 3.0))
+@settings(max_examples=40, deadline=None)
+def test_exact_evolution_by_block_runs_is_bit_identical_to_one_batched_product(
+    case, run_entries, t
+):
+    # run_entries 1 writes one block at a time, 5 groups blocks of size 1 or
+    # 2, and 2**16 takes every block of these sizes in one run.
+    _, h = case
+    expected = _batched_evolve(h, t)
+    segment = apply_schedule(h, build_schedule(h.gamma, 1, t / 3))
+    with mock.patch.object(dense, "_RUN_ENTRIES", run_entries):
+        assert np.array_equal(evolve(h, t), expected)
+        error = trotter_error_op(h, t, 3, 1)
+    assert np.array_equal(error, expected - unitary_power(segment, 3))
+
+
 @pytest.mark.parametrize(
     "h",
     [
@@ -399,11 +444,12 @@ def test_evolve_matches_extended_precision_oracle(h):
     assert np.abs(evolve(h, t) - oracle).max() <= 1e-14
 
 
-def test_trotter_error_op_memory_stays_within_three_and_a_quarter_matrices():
+def test_trotter_error_op_memory_stays_within_two_and_a_quarter_matrices():
     # The Schur power overwrites the segment with T and then with Q's scaled
-    # columns, so the segment or T, Q and the power are the only full
-    # matrices (48.5 MiB).  The full exact matrix is never held next to the
-    # power.
+    # columns, and writes the power into Q's buffer panel by panel, so the
+    # segment or T, and Q or the power, are the only full matrices
+    # (34.5 MiB).  The exact evolution is added one coset block at a time,
+    # so neither it nor its block stack is held next to the power.
     h = chain_heisenberg(10)
     tracemalloc.start()
     try:
@@ -411,7 +457,22 @@ def test_trotter_error_op_memory_stays_within_three_and_a_quarter_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.25 * 16 * 2**20
+    assert peak <= 2.25 * 16 * 2**20
+
+
+def test_evolve_memory_stays_within_one_and_five_eighths_matrices():
+    # The result (16 MiB), the real eigenvectors of the two 512 x 512 parity
+    # blocks (4 MiB) and one block's products (4 MiB): 24.0 MiB.  Holding the
+    # complex block stack, or allocating the result before the eigh, would
+    # pass 28 MiB.
+    h = chain_heisenberg(10)
+    tracemalloc.start()
+    try:
+        evolve(h, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.625 * 16 * 2**20
 
 
 @pytest.mark.parametrize(
@@ -544,6 +605,13 @@ def test_product_state_diagonal_order():
 def test_sector_b_value():
     assert ParticleSector(4, 2).b == pytest.approx(0.375)
     assert ParticleSector(4, 2).rank == 6
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_sector_mask_matches_the_loop_oracle(n):
+    for m in range(n + 1):
+        oracle = [n - int(i).bit_count() == m for i in range(2**n)]
+        assert ParticleSector(n, m).mask().tolist() == oracle
 
 
 def test_sector_of_identity_is_one():
