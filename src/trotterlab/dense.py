@@ -259,21 +259,28 @@ def apply_schedule(
     return _schedule_product(h, schedule, cap_n, "C")
 
 
-def _schedule_product(
-    h: PauliHamiltonian, schedule: Schedule, cap_n: int, layout: str
-) -> np.ndarray:
-    """``apply_schedule`` assembled in C or Fortran layout."""
-    check_cap(h.n, cap_n)
-    act = _actions(h)
+# Bytes of one panel of the schedule product: the segment columns that
+# ``_apply_steps`` carries through every step before it starts on the next.
+# A panel and its moved copy then stay in a core's cache.  With one thread on
+# a 2-core Xeon (2 MiB L2 per core), the 10-site chain's product took
+# 0.15-0.20 s in 16-column panels against 0.32-0.48 s on its whole 8 MiB
+# block stack; a stack of at most this size is one panel.
+_SCHEDULE_PANEL_BYTES = 2**18
+
+# One schedule step as (perm, rowvals, angle); see ``_schedule_steps``.
+_Step = tuple[np.ndarray, np.ndarray, float]
+
+
+def _schedule_steps(act: _Actions, schedule: Schedule) -> list[_Step]:
+    """(perm, rowvals, angle) of every step; the vectors are shared per term.
+
+    Row a of P M is rowvals[a] * M[perm[a]], perm[a] = a ^ shift (XOR is
+    its own inverse), in every block.
+    """
     coeffs = act.coeff.real.tolist()
-    index = act.index
-    blocks, k = index.shape
-    cols = np.arange(k)
-    out = np.zeros((blocks, k, k), dtype=complex)
-    out[:, cols, cols] = 1.0
-    moved = np.empty_like(out)
-    # Row a of P M is vals[a ^ shift] * M[a ^ shift] (XOR is its own inverse).
+    cols = np.arange(act.index.shape[1])
     factors: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    steps = []
     for idx, coeff in schedule.steps:
         if not 0 <= idx < len(coeffs):
             raise ValidationError(
@@ -281,15 +288,50 @@ def _schedule_product(
             )
         if idx not in factors:
             perm = cols ^ act.shift[idx]
-            factors[idx] = (perm, _term_values(act, idx, index[:, perm], act.phase[idx]))
-        perm, rowvals = factors[idx]
-        angle = coeff * coeffs[idx]
-        np.take(out, perm, axis=1, out=moved)
+            factors[idx] = (perm, _term_values(act, idx, act.index[:, perm], act.phase[idx]))
+        steps.append((*factors[idx], coeff * coeffs[idx]))
+    return steps
+
+
+def _apply_steps(panel: np.ndarray, steps: list[_Step]) -> None:
+    """Apply e^{i angle P} of every step, in order, to a (blocks, k, w) panel
+    of vectors in place: panel[b, :, j] is vector j's part in coset block b.
+
+    Each entry takes the same numpy operations whatever w is, so a panel of
+    columns gives the bits the whole stack gives.
+    """
+    moved = np.empty_like(panel)
+    for perm, rowvals, angle in steps:
+        np.take(panel, perm, axis=1, out=moved)
         moved *= (1j * math.sin(angle) * rowvals)[:, :, None]
-        out *= math.cos(angle)
-        out += moved
-    del moved  # freed before the full matrix is allocated
-    return _assembled(index, out, layout)
+        panel *= math.cos(angle)
+        panel += moved
+
+
+def _schedule_product(
+    h: PauliHamiltonian, schedule: Schedule, cap_n: int, layout: str
+) -> np.ndarray:
+    """``apply_schedule`` assembled in C or Fortran layout.
+
+    The columns of the block stack are independent, so they are formed a
+    panel of ``_SCHEDULE_PANEL_BYTES`` at a time, each taken through every
+    step and then written into the assembled matrix; the full stack is never
+    held.
+    """
+    check_cap(h.n, cap_n)
+    act = _actions(h)
+    steps = _schedule_steps(act, schedule)
+    index = act.index
+    blocks, k = index.shape
+    out = np.zeros((index.size, index.size), dtype=complex, order=layout)
+    width = max(1, _SCHEDULE_PANEL_BYTES // (16 * index.size))
+    for lo in range(0, k, width):
+        cols = np.arange(lo, min(lo + width, k))
+        panel = np.zeros((blocks, k, cols.size), dtype=complex)
+        panel[:, cols, np.arange(cols.size)] = 1.0
+        _apply_steps(panel, steps)
+        out[index[:, :, None], index[:, None, cols]] = panel
+    return out
 
 
 # Above this power, unitary_power diagonalizes; at or below it, binary powering.
@@ -430,16 +472,42 @@ def _schatten_from_singular_values(
     return val
 
 
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """The singular values of a finite matrix, descending, as
+    sqrt(max(lambda, 0)) over the eigenvalues lambda of its Gram matrix.
+
+    ``zherk`` forms the Gram matrix on m's own buffer (a C-ordered m is its
+    transpose in Fortran order, which has the same singular values) and
+    ``eigh`` takes its eigenvalues in place, so one matrix of m's size is
+    alive besides m.  Squaring costs precision: the largest singular value
+    and every Schatten p-norm with p >= 2 are accurate to relative
+    O(dim eps), while each sigma is accurate only to absolute
+    O(sqrt(dim eps)) sigma_max, which bounds the accuracy for 1 <= p < 2.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.size == 0:
+        return np.zeros(0)
+    a = m.T if m.flags.c_contiguous else np.asfortranarray(m)
+    # a a^H or a^H a, whichever is smaller: min(rows, cols) values, as an SVD
+    trans = 0 if a.shape[0] <= a.shape[1] else 2
+    gram = scipy.linalg.blas.zherk(1.0, a, trans=trans, lower=1)
+    lam = scipy.linalg.eigh(
+        gram, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"
+    )
+    return np.sqrt(np.maximum(lam[::-1], 0.0))
+
+
 def _spectral_and_pnorms(
     m: np.ndarray, p_values: Iterable[float]
 ) -> tuple[float, dict[float, float]]:
-    """Spectral norm and normalized Schatten p-norms from one SVD of m."""
+    """Spectral norm and normalized Schatten p-norms from one set of singular
+    values of m (see ``_singular_values`` for their accuracy)."""
     if not np.isfinite(m).all():
         raise ValidationError(
             "the error operator is not finite: the evolution time leaves the "
             "floating-point range"
         )
-    sv = scipy.linalg.svdvals(m)
+    sv = _singular_values(m)
     pnorms = {p: _schatten_from_singular_values(sv, p, normalized=True) for p in p_values}
     return _schatten_from_singular_values(sv, math.inf), pnorms
 
@@ -447,12 +515,18 @@ def _spectral_and_pnorms(
 def schatten_norm(a: MatrixLike, p: float, normalized: bool = False) -> float:
     """(sum_i sigma_i^p)^{1/p}; p = inf gives the largest singular value.
 
-    ``normalized`` divides by ||I||_p = dim^{1/p} (no-op at p = inf).
+    ``normalized`` divides by ||I||_p = dim^{1/p} (no-op at p = inf).  The
+    singular values come from the Gram matrix's eigenvalues: the result is
+    accurate to relative O(dim eps) for p = inf and every p >= 2, and for
+    1 <= p < 2 each sigma is accurate to absolute O(sqrt(dim eps)) sigma_max.
+    A matrix with an infinite or NaN entry raises ``ValidationError``.
     """
     if p < 1:
         raise ValueError(f"Schatten norms require p >= 1, got {p}")
-    sv = scipy.linalg.svdvals(to_matrix(a))
-    return _schatten_from_singular_values(sv, p, normalized)
+    m = to_matrix(a)
+    if not np.isfinite(m).all():
+        raise ValidationError("the Schatten norm of a matrix needs finite entries")
+    return _schatten_from_singular_values(_singular_values(m), p, normalized)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from trotterlab.dense import (
     weighted_norm_diagonal,
 )
 from trotterlab.errors import ResourceCapError, ValidationError
-from trotterlab.models import chain_heisenberg
+from trotterlab.models import KLocalGaussianModel, chain_heisenberg, power_law
 from trotterlab.pauli import PauliHamiltonian, PauliString, PauliSum, PauliTerm, jordan_wigner, FermionTerm, FermionHamiltonian
 from trotterlab.suzuki import build_schedule
 
@@ -383,6 +383,86 @@ def test_block_schedule_is_bit_identical_to_single_matrix_loop(case, order, tau)
     assert np.array_equal(apply_schedule(h, schedule), _single_matrix_schedule(h, schedule))
 
 
+def _full_stack_schedule(h, schedule, layout):
+    """_schedule_product as it ran on the whole (blocks, k, k) stack before
+    the panels, kept as the oracle."""
+    act = dense._actions(h)
+    coeffs = act.coeff.real.tolist()
+    index = act.index
+    blocks, k = index.shape
+    cols = np.arange(k)
+    out = np.zeros((blocks, k, k), dtype=complex)
+    out[:, cols, cols] = 1.0
+    moved = np.empty_like(out)
+    factors = {}
+    for idx, coeff in schedule.steps:
+        if idx not in factors:
+            perm = cols ^ act.shift[idx]
+            factors[idx] = (perm, dense._term_values(act, idx, index[:, perm], act.phase[idx]))
+        perm, rowvals = factors[idx]
+        angle = coeff * coeffs[idx]
+        np.take(out, perm, axis=1, out=moved)
+        moved *= (1j * math.sin(angle) * rowvals)[:, :, None]
+        out *= math.cos(angle)
+        out += moved
+    return dense._assembled(index, out, layout)
+
+
+def _bits(a):
+    """The IEEE bit patterns of a complex array, so that -0.0 != 0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _syk(n, seed):
+    return KLocalGaussianModel(n=n, k=2 if n < 8 else 3, seed=seed).sample(seed)
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [
+        (chain_heisenberg, 4),
+        (chain_heisenberg, 8),
+        (chain_heisenberg, 10),
+        (lambda n: power_law(n, 1, 2.0), 9),  # diagonal: 512 blocks of 1 x 1
+        (lambda n: power_law(n, 2, 3.0), 4),
+        (lambda n: _syk(n, 7), 5),
+        (lambda n: _syk(n, 11), 8),
+    ],
+    ids=["chain-4", "chain-8", "chain-10", "power-law-9", "power-law-2d-4", "syk-5", "syk-8"],
+)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_schedule_panels_are_bit_identical_to_the_full_stack(make, n, layout):
+    h = make(n)
+    schedule = build_schedule(h.gamma, 2, 1.0 / 11436)
+    got = dense._schedule_product(h, schedule, 12, layout)
+    expected = _full_stack_schedule(h, schedule, layout)
+    assert got.flags[f"{layout}_CONTIGUOUS"]
+    assert np.array_equal(_bits(got), _bits(expected))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 7, 16])
+def test_schedule_panels_of_any_width_are_bit_identical_to_the_full_stack(width, monkeypatch):
+    # Panel budgets of 1..16 columns over k = 16 (the 5-site chain) and k = 32
+    # (a 5-site SYK draw): widths 3, 5 and 7 end in a partial panel.
+    for h in (chain_heisenberg(5), _syk(5, 3)):
+        monkeypatch.setattr(dense, "_SCHEDULE_PANEL_BYTES", 16 * 2**h.n * width)
+        schedule = build_schedule(h.gamma, 2, 0.37)
+        got = dense._schedule_product(h, schedule, 12, "C")
+        assert np.array_equal(_bits(got), _bits(_full_stack_schedule(h, schedule, "C")))
+
+
+def test_schedule_panels_keep_the_sign_of_zero():
+    # Two entries of this product are -0.0 (steps with a negative cosine
+    # times exact zeros); the panels must reproduce them, not just compare
+    # equal to them.
+    h = PauliHamiltonian.from_labels(2, [("XY", 1.0), ("YX", 0.5)])
+    schedule = build_schedule(h.gamma, 1, 4.0)
+    expected = _full_stack_schedule(h, schedule, "C")
+    parts = expected.view(float)
+    assert (np.signbit(parts) & (parts == 0)).any()
+    assert np.array_equal(_bits(apply_schedule(h, schedule)), _bits(expected))
+
+
 @given(block_hamiltonians(max_n=5), st.sampled_from((1, 2)), st.integers(1, 5000))
 @settings(max_examples=40, deadline=None)
 def test_trotter_error_op_is_bit_identical_to_public_parts(case, order, r):
@@ -513,6 +593,65 @@ def test_error_singular_values_match_eigenphases(h, t, r, order):
     assert spectral == pytest.approx(sv.max(), rel=1e-10)
     for p, value in pnorms.items():
         assert value == pytest.approx(float(np.mean(sv**p)) ** (1.0 / p), rel=1e-10)
+
+
+def _svd_oracle(m):
+    return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
+
+
+_rng = np.random.default_rng(12)
+_square = _rng.normal(size=(12, 12)) + 1j * _rng.normal(size=(12, 12))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.zeros((0, 0), dtype=complex),
+        np.array([[3.0 - 4.0j]]),
+        np.zeros((6, 6), dtype=complex),
+        np.outer(_square[0], _square[1].conj()),  # rank 1
+        _square,
+        np.asfortranarray(_square),
+        _square[::2, 1::2],  # neither C- nor Fortran-contiguous
+        _square[:, :5],
+        _square[:5, :],
+        _square.real.copy(),
+    ],
+    ids=["empty", "1x1", "zero", "rank-1", "c-order", "f-order", "strided", "tall", "wide", "real"],
+)
+def test_singular_values_match_an_svd(m):
+    before = np.array(m, copy=True)
+    got = dense._singular_values(m)
+    expected = _svd_oracle(m)
+    assert got.shape == expected.shape
+    assert np.all(got[:-1] >= got[1:])
+    top = float(expected.max(initial=0.0))
+    # each sigma to absolute O(sqrt(dim eps)) sigma_max; the largest to O(dim eps)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-7 * top)
+    if top:
+        assert got[0] == pytest.approx(top, rel=1e-13)
+        assert np.sum(got**2) == pytest.approx(np.sum(expected**2), rel=1e-13)
+    assert np.array_equal(m, before)
+
+
+def test_schatten_norm_rejects_a_non_finite_matrix():
+    m = np.eye(4, dtype=complex)
+    m[2, 1] = np.inf
+    with pytest.raises(ValidationError):
+        schatten_norm(m, 2)
+
+
+def test_spectral_and_pnorms_memory_stays_within_its_input_and_one_tenth_more():
+    # The Gram matrix and the eigenvalue workspace: one more matrix.  An SVD
+    # of the 10-site error operator held a copy and its workspace (17.1 MiB).
+    e = trotter_error_op(chain_heisenberg(10), 1.0, 11436, 2)
+    tracemalloc.start()
+    try:
+        dense._spectral_and_pnorms(e, (1.0, 2.0, 4.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * e.nbytes
 
 
 def test_schatten_norm_examples():

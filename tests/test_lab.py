@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trotterlab.dense import WeightedNormSpec, schatten_norm, to_matrix
+from trotterlab.dense import WeightedNormSpec, _trotter_power, evolve, schatten_norm, to_matrix
 from trotterlab.errors import ValidationError
 from trotterlab.lab import (
     ExperimentConfig,
@@ -123,9 +123,11 @@ def test_random_hamiltonian_report_basics():
     assert rep == sample_random_hamiltonian(model, cfg)
 
 
-def test_random_hamiltonian_memory_stays_within_five_matrices():
-    # Per draw: the exact evolution, the segment (overwritten by T), Q and
-    # the power at the Schur peak (4.3 MiB at n = 8).
+def test_random_hamiltonian_memory_stays_within_four_and_a_quarter_matrices():
+    # The peak of a draw is evolve's on this one-block complex Hamiltonian:
+    # the eigenvectors, the result, and the scaled eigenvectors and their
+    # product (4.14 MiB at n = 8).  The power and the difference come after,
+    # at most 3.4 matrices with the exact evolution.
     model = KLocalGaussianModel(n=8, k=2, seed=3)
     cfg = ExperimentConfig(seed=3, samples=1, t=1.0, r=5000, order=2)
     tracemalloc.start()
@@ -134,7 +136,39 @@ def test_random_hamiltonian_memory_stays_within_five_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * 16 * 4**8
+    assert peak <= 4.25 * 16 * 4**8
+
+
+def _mp_trace_distance(a, b):
+    """sqrt(1 - |<a, b>|^2 / (|a|^2 |b|^2)) of two float vectors, in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = [mpmath.mpc(complex(x)) for x in a]
+        b = [mpmath.mpc(complex(x)) for x in b]
+        ab = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(a, b))
+        aa = mpmath.fsum(abs(x) ** 2 for x in a)
+        bb = mpmath.fsum(abs(y) ** 2 for y in b)
+        return float(mpmath.sqrt(1 - abs(ab) ** 2 / (aa * bb)))
+
+
+@pytest.mark.parametrize("r", [50, 5000])
+def test_random_hamiltonian_trace_distance_matches_mpmath(r):
+    # At r = 5000 the distances are about 1e-8, where 1 - |<a, b>|^2 cancels
+    # to a few ulps of 1: it read 0, 5.96e-8, 2.58e-8 and 4.47e-8 against the
+    # true 6.51e-9, 1.02e-8, 1.02e-8 and 5.68e-9, and counted two draws as
+    # exceeding their 2 l2 ceilings.
+    model = KLocalGaussianModel(n=6, k=2, seed=3)
+    cfg = ExperimentConfig(seed=1, samples=4, t=1.0, r=r, order=2)
+    rep = sample_random_hamiltonian(model, cfg)
+    expected, violations = [], 0
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.samples):
+        h = model.sample(child)
+        a = evolve(h, cfg.t)[:, 0]
+        b = _trotter_power(h, cfg.t, r, cfg.order, cfg.cap_n)[:, 0]
+        expected.append(_mp_trace_distance(a, b))
+        violations += expected[-1] > 2.0 * float(np.linalg.norm(a - b)) + 1e-12
+    assert rep.extras["trace_distance_mean"] == pytest.approx(np.mean(expected), rel=1e-9, abs=0)
+    assert rep.extras["trace_distance_violations"] == violations == 0
 
 
 def test_random_hamiltonian_variance_scaling():

@@ -297,6 +297,14 @@ def test_hamiltonian_accepts_phase_folded_real():
     assert h.terms[0].coeff == 1.0
 
 
+def _magnitude(c):
+    """|c| as abs() gives it, but inf where abs() of a complex overflows."""
+    try:
+        return abs(c)
+    except OverflowError:
+        return math.inf
+
+
 def _three_pass(cls, n, items):
     """The construction the merged table replaced, as an oracle: one
     PauliTerm per item, one per merged key, and for a Hamiltonian one more
@@ -318,7 +326,7 @@ def _three_pass(cls, n, items):
         else:
             merged[key] = term.coeff
             keepers[key] = term.string
-    terms = tuple(PauliTerm(keepers[k], c) for k, c in merged.items() if abs(c) >= 1e-14)
+    terms = tuple(PauliTerm(keepers[k], c) for k, c in merged.items() if _magnitude(c) >= 1e-14)
     if cls is PauliHamiltonian:
         cleaned = []
         for t in terms:
@@ -374,6 +382,12 @@ def ingest_items(draw):
 @pytest.mark.parametrize("cls", [PauliSum, PauliHamiltonian])
 @given(case=ingest_items())
 @example(case=(1, [("I", 1e-14j)]))
+# |c| of this merged coefficient rounds to the largest double, but abs() of
+# the complex sum raises OverflowError.
+@example(
+    case=(1, [(PauliString(n=1, x_bits=0, z_bits=0, phase=1), 1.7976931348623157e308),
+              ("I", 1.0), ("I", 1.8941775056029057e300)])
+)
 @settings(max_examples=300, deadline=None)
 def test_ingest_matches_three_pass_oracle(cls, case):
     n, items = case
