@@ -32,8 +32,6 @@ from .pauli import (
     PauliString,
     PauliSum,
     PauliTerm,
-    adjoint_apply,
-    commutator,
     commutator_sum,
     jordan_wigner,
     leading_error,
@@ -145,8 +143,6 @@ __all__ = [
     "TrotterlabError",
     "UnsupportedOrderError",
     "ValidationError",
-    "adjoint_apply",
-    "commutator",
     "commutator_sum",
     "jordan_wigner",
     "leading_error",

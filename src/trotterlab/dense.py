@@ -145,10 +145,6 @@ def _assembled(index: np.ndarray, blocks: np.ndarray, layout: str = "C") -> np.n
     return out
 
 
-def string_matrix(string: PauliString) -> np.ndarray:
-    return to_matrix(string, cap_n=string.n)
-
-
 def to_matrix(obj: MatrixLike, cap_n: int = DEFAULT_CAP_N) -> np.ndarray:
     """Dense matrix of a Pauli string/term/sum (or pass through an ndarray).
 
@@ -173,11 +169,6 @@ def sites_of(matrix: np.ndarray) -> int:
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.allclose(a, a.conj().T, atol=tol))
-
-
-def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
-    eye = np.eye(a.shape[0])
-    return bool(np.allclose(a @ a.conj().T, eye, atol=tol))
 
 
 # Entries of e^{i H t} formed at once by ``_write_exact``: a single coset
@@ -705,14 +696,6 @@ def subset_component(
 # ---------------------------------------------------------------------------
 # States and per-state errors
 # ---------------------------------------------------------------------------
-
-
-def state_error(e: np.ndarray, psi: np.ndarray) -> float:
-    """Euclidean norm of E |psi> for a normalized state."""
-    nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > 1e-10:
-        raise ValidationError(f"state is not normalized (|psi| = {nrm})")
-    return float(np.linalg.norm(e @ psi))
 
 
 def basis_indices(n: int, size: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,7 +31,6 @@ from .dense import (
     _trotter_power,
     _with_identity,
     WeightedNormSpec,
-    apply_schedule,
     basis_indices,
     check_cap,
     errors_for_states,
@@ -42,7 +41,6 @@ from .dense import (
     subset_component,
     to_matrix,
     trotter_error_op,
-    unitary_power,
     weighted_norm,
 )
 from .errors import ResourceCapError, ValidationError
@@ -63,7 +61,6 @@ from .pauli import (
     commutator_sum,
     jordan_wigner,
 )
-from .suzuki import build_schedule
 
 __all__ = [
     "ExperimentConfig",
@@ -427,11 +424,8 @@ def random_r_sweep(
         exact = evolve(h, cfg.t, cfg.cap_n)
         exact_col = exact[:, 0]
         for r in r_values:
-            segment = apply_schedule(
-                h, build_schedule(h.gamma, cfg.order, cfg.t / r), cfg.cap_n
-            )
-            approx = unitary_power(segment, r)
-            per_r[r].append(float(np.linalg.norm(exact_col - approx[:, 0])))
+            approx = _trotter_power(h, cfg.t, r, cfg.order, cfg.cap_n)[:, 0]
+            per_r[r].append(float(np.linalg.norm(exact_col - approx)))
     means, ses = [], []
     for r in r_values:
         m, s = _mean_se(per_r[r])
@@ -453,7 +447,7 @@ def random_r_sweep(
 
 def pauli_two_norm(f: PauliSum) -> float:
     """Normalized 2-norm of a Pauli sum: sqrt(sum |coeff|^2)."""
-    return math.sqrt(math.fsum(abs(t.coeff) ** 2 for t in f.terms))
+    return math.sqrt(math.fsum(abs(c) ** 2 for c in f._rows.c.tolist()))
 
 
 def support_components(
@@ -902,15 +896,6 @@ class OptimalityReport:
     commutator: PauliSum
 
 
-def _group_sums(
-    h: PauliHamiltonian, groups: tuple[tuple[int, ...], tuple[int, ...]]
-) -> tuple[PauliSum, PauliSum]:
-    terms = h.terms
-    a = PauliSum(h.n, [terms[i] for i in groups[0]])
-    b = PauliSum(h.n, [terms[i] for i in groups[1]])
-    return a, b
-
-
 def optimality_experiment(
     m: int, order: int, cap_n: int = DEFAULT_CAP_N
 ) -> OptimalityReport:
@@ -925,7 +910,7 @@ def optimality_experiment(
         raise ValidationError("experiment covers orders 1 and 2")
     h = zxyz(m)
     check_cap(h.n, cap_n)
-    a, b = _group_sums(h, zxyz_groups(m))
+    a, b = (h._at(group) for group in zxyz_groups(m))
     if order == 1:
         comm = commutator_sum(a, b)
         closed_norm2 = 2.0 * m**1.5

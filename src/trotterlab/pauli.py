@@ -25,6 +25,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from numbers import Number
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -108,24 +109,16 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     """Exact group product: matrix(result) == matrix(p) @ matrix(q)."""
     if p.n != q.n:
         raise DimensionMismatchError(f"qubit counts differ: {p.n} vs {q.n}")
-    x = p.x_bits ^ q.x_bits
-    z = p.z_bits ^ q.z_bits
-    phase = (
-        p.phase
-        + q.phase
-        + (p.x_bits & p.z_bits).bit_count()
-        + (q.x_bits & q.z_bits).bit_count()
-        + 2 * (p.z_bits & q.x_bits).bit_count()
-        - (x & z).bit_count()
-    ) % 4
-    return PauliString(p.n, x, z, phase)
+    # Each phase rides in as a unit coefficient i**phase and comes out as one.
+    x, z, c = _products(_ingest(p.n, [(p, 1.0)]), _ingest(q.n, [(q, 1.0)]))
+    return PauliString(p.n, *_row_ints(x), *_row_ints(z), _PHASES.tolist().index(c[0]))
 
 
 def strings_commute(p: PauliString, q: PauliString) -> bool:
     """True iff the strings commute (symplectic inner product is even)."""
     if p.n != q.n:
         raise DimensionMismatchError(f"qubit counts differ: {p.n} vs {q.n}")
-    return ((p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()) % 2 == 0
+    return not _anticommuting(_ingest(p.n, [(p, 1.0)]), _ingest(q.n, [(q, 1.0)]))[0]
 
 
 @dataclass(frozen=True)
@@ -157,16 +150,6 @@ class PauliTerm:
 
     def scaled(self, factor: complex) -> "PauliTerm":
         return PauliTerm(self.string, self.coeff * factor)
-
-
-def commutator(p: PauliTerm, q: PauliTerm) -> Optional[PauliTerm]:
-    """[p, q], which is either zero (None) or exactly 2 p q for Pauli terms."""
-    if p.n != q.n:
-        raise DimensionMismatchError(f"qubit counts differ: {p.n} vs {q.n}")
-    if strings_commute(p.string, q.string):
-        return None
-    prod = multiply(p.string, q.string)
-    return PauliTerm(prod, 2.0 * p.coeff * q.coeff)
 
 
 TermLike = Union[PauliTerm, tuple]
@@ -354,6 +337,59 @@ def _merged(n: int, rows: _Rows, hermitian: bool) -> _Rows:
     return _Rows(x, z, c)
 
 
+# i**k for k = 0..3: the factor that folds a phase of k into a coefficient.
+_PHASES = np.array([1j**k for k in range(4)])
+
+
+def _times(p: np.ndarray, q) -> np.ndarray:
+    """p * q elementwise by Python's complex product, (ac - bd) + (ad + bc)i
+    with each product rounded on its own; a real q counts as q + 0i, as it
+    does in Python before 3.14.  numpy's complex ``*`` may fuse a product
+    into the sum, which moves the last bit."""
+    p, q = np.asarray(p, complex), np.asarray(q, complex)
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape), complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python: inf and nan
+        np.subtract(p.real * q.real, p.imag * q.imag, out=out.real)
+        np.add(p.real * q.imag, p.imag * q.real, out=out.imag)
+    return out
+
+
+def _popcount(plane: np.ndarray) -> np.ndarray:
+    """Set bits per row of a bit plane (the last axis holds a row's words)."""
+    return np.bitwise_count(plane).sum(axis=-1, dtype=np.intp)
+
+
+def _anticommuting(a: _Rows, b: _Rows) -> np.ndarray:
+    """Whether a_i and b_j anticommute (odd symplectic product), for every
+    pair in row-major (i, j) order."""
+    cross = (a.x[:, None] & b.z[None]) ^ (a.z[:, None] & b.x[None])
+    return (_popcount(cross) % 2 == 1).ravel()
+
+
+def _products(a: _Rows, b: _Rows) -> _Rows:
+    """Every product a_i b_j as one row, in row-major (i, j) order.
+
+    The planes are XORed.  A row's string is i**|x & z| X^x Z^z, |.| a
+    popcount, and Z^z X^x' = (-1)**|z & x'| X^x' Z^z, so the product of the
+    two strings is i**k times the string of the XORed planes, with
+
+        k = |x_i & z_i| + |x'_j & z'_j| + 2 |z_i & x'_j| - |x & z|  (mod 4).
+
+    Each coefficient is ``_times`` of the two factors', then of i**k where
+    k is nonzero, as ``_ingest`` folds a string's phase.
+    """
+    words = a.x.shape[1]
+    x = (a.x[:, None] ^ b.x[None]).reshape(-1, words)
+    z = (a.z[:, None] ^ b.z[None]).reshape(-1, words)
+    k = _popcount(a.x & a.z)[:, None] + _popcount(b.x & b.z)[None]
+    k = (k + 2 * _popcount(a.z[:, None] & b.x[None])).ravel() - _popcount(x & z)
+    k %= 4
+    c = _times(a.c[:, None], b.c[None]).ravel()
+    turned = np.flatnonzero(k)
+    c[turned] = _times(c[turned], _PHASES[k[turned]])
+    return _Rows(x, z, c)
+
+
 class PauliSum:
     """An ordered, merged sum of Pauli terms with complex coefficients.
 
@@ -425,20 +461,16 @@ class PauliSum:
         return self + other.scaled(-1.0)
 
     def scaled(self, factor: complex) -> "PauliSum":
+        if not isinstance(factor, Number):
+            raise TypeError(f"cannot scale a Pauli sum by {type(factor).__name__}")
         x, z, c = self._rows
-        # Python arithmetic per term, the same products as PauliTerm.scaled.
-        scaled = np.array([coeff * factor for coeff in c.tolist()], dtype=complex)
-        return PauliSum(self._n, _Rows(x, z, scaled))
+        # The same products as PauliTerm.scaled.
+        return PauliSum(self._n, _Rows(x, z, _times(c, complex(factor))))
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
             self._check_same_n(other)
-            products = (
-                (multiply(a.string, b.string), a.coeff * b.coeff)
-                for a in self.terms
-                for b in other.terms
-            )
-            return PauliSum(self._n, products)
+            return PauliSum(self._n, _products(self._rows, other._rows))
         return self.scaled(other)
 
     def __rmul__(self, factor: complex) -> "PauliSum":
@@ -447,6 +479,11 @@ class PauliSum:
     def adjoint(self) -> "PauliSum":
         x, z, c = self._rows
         return PauliSum(self._n, _Rows(x, z, c.conj()))
+
+    def _at(self, index: Sequence[int]) -> "PauliSum":
+        """The sum of the terms at ``index``, in that order."""
+        index = np.asarray(index, np.intp)
+        return PauliSum(self._n, _Rows(*(plane[index] for plane in self._rows)))
 
     def _check_same_n(self, other: "PauliSum") -> None:
         if self._n != other._n:
@@ -495,24 +532,6 @@ class PauliHamiltonian(PauliSum):
         return tuple(np.abs(self._rows.c).tolist())
 
 
-def adjoint_apply(h_term: PauliTerm, operator: PauliSum) -> PauliSum:
-    """The adjoint action i[h_term, operator], merged.
-
-    For a Hermitian term and Hermitian operator the result is Hermitian; call
-    ``.to_hamiltonian()`` to re-validate if needed.
-    """
-    if h_term.n != operator.n:
-        raise DimensionMismatchError(
-            f"qubit counts differ: {h_term.n} vs {operator.n}"
-        )
-    out = []
-    for t in operator.terms:
-        c = commutator(h_term, t)
-        if c is not None:
-            out.append(c.scaled(1j))
-    return PauliSum(operator.n, out)
-
-
 @dataclass(frozen=True)
 class LeadingError:
     """Leading product-formula error: S(tau) - e^{i H tau} = operator * tau**time_power + O(tau**(time_power+1))."""
@@ -539,28 +558,24 @@ def leading_error(
     inside each group commute with one another.
     """
     n = hamiltonian.n
-    terms = hamiltonian.terms
+    rows = hamiltonian._rows
     if order == 1:
-        acc: list[PauliTerm] = []
-        for b in range(len(terms)):
-            for a in range(b):
-                c = commutator(terms[b], terms[a])
-                if c is not None:
-                    acc.append(c.scaled(-0.5))
-        return LeadingError(PauliSum(n, acc), 2)
+        # [H_b, H_a] = 2 H_b H_a where the strings anticommute, else 0.
+        later, earlier = np.divmod(np.arange(hamiltonian.gamma**2), hamiltonian.gamma)
+        kept = np.flatnonzero((earlier < later) & _anticommuting(rows, rows))
+        x, z, c = _products(rows._replace(c=_times(rows.c, 2.0)), rows)
+        return LeadingError(PauliSum(n, _Rows(x[kept], z[kept], _times(c[kept], -0.5))), 2)
     if order == 2:
         if groups is None or len(groups) != 2:
             raise PartitionError(
                 "order-2 leading error requires a partition into exactly two groups"
             )
         idx_a, idx_b = (tuple(g) for g in groups)
-        seen = sorted(idx_a + idx_b)
-        if seen != list(range(len(terms))):
+        if sorted(idx_a + idx_b) != list(range(hamiltonian.gamma)):
             raise PartitionError(
                 "groups must partition the term indices 0..Gamma-1 disjointly"
             )
-        a_sum = PauliSum(n, (terms[i] for i in idx_a))
-        b_sum = PauliSum(n, (terms[i] for i in idx_b))
+        a_sum, b_sum = hamiltonian._at(idx_a), hamiltonian._at(idx_b)
         aab = commutator_sum(a_sum, commutator_sum(a_sum, b_sum))
         bba = commutator_sum(b_sum, commutator_sum(b_sum, a_sum))
         op = (aab - bba.scaled(0.5)).scaled(-1j / 12.0)

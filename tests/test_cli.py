@@ -13,7 +13,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trotterlab
@@ -391,7 +391,13 @@ _FERMION_FUZZ_ARGV = _FUZZ_ARGV + [
 
 
 @given(text=malformed_fermion_json(), argv=st.sampled_from(_FERMION_FUZZ_ARGV))
+# A repeated ladder factor makes a zero term, which FermionTerm reports with a
+# RuntimeWarning by design (test_fermion_double_create_is_zero); the warning
+# is not an unclean exit, so only that one is let through.
+@example(text='{"n": 0, "eta": 0.0, "terms": [{"ops": [["+", 2], ["+", 2]], "coeff": 0.0}]}', argv=["norms", "-"])
+@example(text='{"n": 3, "eta": 0.0, "terms": [{"ops": [["+", 2], ["+", 2]], "coeff": 1.0}]}', argv=["norms", "-"])
 @settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:fermionic term with a repeated creation/annihilation:RuntimeWarning")
 def test_fuzz_malformed_fermion_json_exits_cleanly(text, argv):
     with mock.patch("sys.stdin", io.StringIO(text)):
         _assert_clean_exit(*_call(argv))

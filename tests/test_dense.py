@@ -21,12 +21,9 @@ from trotterlab.dense import (
     errors_for_states,
     evolve,
     haar_states,
-    is_unitary,
     product_state_diagonal,
     schatten_norm,
     sector_norm,
-    state_error,
-    string_matrix,
     subset_component,
     to_matrix,
     trotter_error_op,
@@ -53,6 +50,10 @@ def kron_oracle(string: PauliString) -> np.ndarray:
     for ch in string.label():
         out = np.kron(out, SITE_MATS[ch])
     return (1j**string.phase) * out
+
+
+def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
+    return bool(np.allclose(a @ a.conj().T, np.eye(a.shape[0]), atol=tol))
 
 
 def test_to_matrix_examples():
@@ -146,7 +147,6 @@ def test_pauli_engine_matches_kron_oracle(n, data):
     strings = [PauliString.from_label(lab, ph) for lab, ph in zip(labels, phases)]
     for string, c in zip(strings, coeffs):
         oracle = kron_oracle(string)
-        np.testing.assert_allclose(string_matrix(string), oracle, rtol=0, atol=1e-12)
         np.testing.assert_allclose(to_matrix(string), oracle, rtol=0, atol=1e-12)
         term = PauliTerm(string, complex(c, -c / 3))
         np.testing.assert_allclose(
@@ -812,22 +812,24 @@ def test_subset_component_site_validation():
         subset_component(np.eye(4), {5})
 
 
-def test_state_error_basics():
+def state_error(e: np.ndarray, psi: np.ndarray) -> float:
+    """||E psi||, one state at a time: the oracle of the vectorized errors."""
+    return float(np.linalg.norm(e @ psi))
+
+
+def test_errors_of_the_zero_operator_are_zero():
     e = np.zeros((4, 4))
-    psi = np.zeros(4)
-    psi[0] = 1.0
-    assert state_error(e, psi) == 0.0
-    with pytest.raises(ValidationError):
-        state_error(e, 2.0 * psi)
+    assert errors_for_basis(e, np.array([0, 3])).tolist() == [0.0, 0.0]
+    assert errors_for_states(e, haar_states(2, 3, np.random.default_rng(12))).tolist() == [0.0] * 3
 
 
-def test_state_error_unitary_range():
+def test_errors_for_states_of_a_unitary_difference_lie_in_0_2():
     rng = np.random.default_rng(13)
     z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     q, _ = np.linalg.qr(z)
     e = q - np.eye(8)  # difference of two unitaries
-    for psi in haar_states(3, 10, rng):
-        assert 0.0 <= state_error(e, psi) <= 2.0 + 1e-12
+    got = errors_for_states(e, haar_states(3, 10, rng))
+    assert np.all((0.0 <= got) & (got <= 2.0 + 1e-12))
 
 
 def test_basis_and_haar_ensembles_deterministic():

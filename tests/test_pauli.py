@@ -25,8 +25,6 @@ from trotterlab.pauli import (
     PauliString,
     PauliSum,
     PauliTerm,
-    adjoint_apply,
-    commutator,
     commutator_sum,
     fermion_from_json,
     fermion_term_site_matrices,
@@ -211,55 +209,50 @@ def test_term_phase_folding():
 
 
 def test_commutator_examples():
-    z1x2 = PauliTerm(PauliString.from_label("ZXI"), 1.0)
-    y2z3 = PauliTerm(PauliString.from_label("IYZ"), 1.0)
-    c = commutator(z1x2, y2z3)
-    assert c is not None
-    assert c.string.label() == "ZZZ"
+    z1x2 = PauliSum(3, [("ZXI", 1.0)])
+    y2z3 = PauliSum(3, [("IYZ", 1.0)])
+    c = commutator_sum(z1x2, y2z3)
     # dense oracle: [Z1 X2, Y2 Z3] = 2i Z1 Z2 Z3
-    a, b = dense_sum(PauliSum(3, [z1x2])), dense_sum(PauliSum(3, [y2z3]))
-    np.testing.assert_allclose(
-        a @ b - b @ a, dense_sum(PauliSum(3, [c])), atol=1e-12
-    )
-    np.testing.assert_allclose(c.coeff, 2.0j, atol=1e-15)
+    assert c.coeff_map() == {PauliString.from_label("ZZZ").key(): 2.0j}
+    a, b = dense_sum(z1x2), dense_sum(y2z3)
+    np.testing.assert_allclose(a @ b - b @ a, dense_sum(c), atol=1e-12)
 
 
 def test_commutator_none_cases():
-    zz = PauliTerm(PauliString.from_label("ZZ"), 1.0)
-    xx = PauliTerm(PauliString.from_label("XX"), 1.0)
-    assert commutator(zz, xx) is None  # anticommute on both sites => commute
-    z = PauliTerm(PauliString.from_label("Z"), 1.0)
-    assert commutator(z, z) is None
+    zz = PauliSum(2, [("ZZ", 1.0)])
+    xx = PauliSum(2, [("XX", 1.0)])
+    assert commutator_sum(zz, xx).is_empty  # anticommute on both sites => commute
+    z = PauliSum(1, [("Z", 1.0)])
+    assert commutator_sum(z, z).is_empty
 
 
 @given(random_string(), random_string())
 @settings(max_examples=150, deadline=None)
 def test_commutator_support_and_value(p, q):
-    tp = PauliTerm(p, 1.0)
-    tq = PauliTerm(q, 1.0)
-    c = commutator(tp, tq)
-    mp, mq = dense_sum(PauliSum(3, [tp])), dense_sum(PauliSum(3, [tq]))
+    sp, sq = PauliSum(3, [(p, 1.0)]), PauliSum(3, [(q, 1.0)])
+    c = commutator_sum(sp, sq)
+    mp, mq = dense_sum(sp), dense_sum(sq)
     expected = mp @ mq - mq @ mp
-    if c is None:
-        np.testing.assert_allclose(expected, 0, atol=1e-12)
-    else:
-        np.testing.assert_allclose(dense_sum(PauliSum(3, [c])), expected, atol=1e-12)
-        assert set(c.support()) <= set(tp.support()) | set(tq.support())
+    np.testing.assert_allclose(dense_sum(c), expected, atol=1e-12)
+    if not c.is_empty:
+        (term,) = c.terms
+        assert set(term.support()) <= set(p.support()) | set(q.support())
         # at least one site of the overlap stays occupied
         overlap = set(p.support()) & set(q.support())
-        assert overlap & set(c.support() or p.support())
+        assert overlap & set(term.support() or p.support())
 
 
-def test_adjoint_apply_examples():
-    z = PauliTerm(PauliString.from_label("Z"), 1.0)
+def test_adjoint_action_examples():
+    """The adjoint action i[h, O] of a Hermitian term on a Hermitian sum."""
+    z = PauliSum(1, [("Z", 1.0)])
     x_h = PauliHamiltonian.from_labels(1, [("X", 1.0)])
-    out = adjoint_apply(z, x_h)
+    out = commutator_sum(z, x_h).scaled(1j)
     assert out.coeff_map() == {PauliString.from_label("Y").key(): (-2 + 0j)}
     z_h = PauliHamiltonian.from_labels(1, [("Z", 1.0)])
-    assert adjoint_apply(z, z_h).is_empty
-    zx = PauliTerm(PauliString.from_label("ZXI"), 1.0)
+    assert commutator_sum(z, z_h).scaled(1j).is_empty
+    zx = PauliSum(3, [("ZXI", 1.0)])
     yz = PauliHamiltonian.from_labels(3, [("IYZ", 1.0)])
-    out2 = adjoint_apply(zx, yz)
+    out2 = commutator_sum(zx, yz).scaled(1j)
     assert out2.coeff_map() == {PauliString.from_label("ZZZ").key(): (-2 + 0j)}
     # i[H_g, O] of Hermitian inputs is Hermitian
     out2.to_hamiltonian()
@@ -536,10 +529,9 @@ def test_negative_qubit_count_is_rejected():
         pauli_from_json({"n": -1, "terms": []})
 
 
-def test_planner_path_builds_no_pauli_terms(monkeypatch):
-    from trotterlab.models import chain_heisenberg
-    from trotterlab.norms import norm_profile
-
+@pytest.fixture
+def built_terms(monkeypatch):
+    """Every PauliTerm constructed while the test runs."""
     built = []
     original = PauliTerm.__post_init__
 
@@ -548,10 +540,31 @@ def test_planner_path_builds_no_pauli_terms(monkeypatch):
         original(self)
 
     monkeypatch.setattr(PauliTerm, "__post_init__", counting)
+    return built
+
+
+def test_planner_path_builds_no_pauli_terms(built_terms):
+    from trotterlab.models import chain_heisenberg
+    from trotterlab.norms import norm_profile
+
     doc = pauli_to_json(chain_heisenberg(8))
     profile = norm_profile(pauli_from_json(doc))
     assert profile.gamma == 21
-    assert built == []
+    assert built_terms == []
+
+
+def test_commutator_experiments_build_no_pauli_terms(built_terms):
+    from trotterlab.lab import fermi_optimality_experiment, optimality_experiment
+    from trotterlab.models import zxyz, zxyz_groups
+
+    assert optimality_experiment(2, 1).norm2_matches
+    assert optimality_experiment(2, 2).norm2_matches
+    assert fermi_optimality_experiment(2).first_norm2 > 0
+    h = zxyz(2)
+    assert commutator_sum(h, h * h).is_empty
+    assert leading_error(h, 1).operator.gamma == 8
+    assert not leading_error(h, 2, groups=zxyz_groups(2)).operator.is_empty
+    assert built_terms == []
 
 
 def test_sum_product_matches_dense():
@@ -567,9 +580,133 @@ def test_sum_product_matches_dense():
     )
 
 
+def test_scaling_by_a_non_number_raises():
+    a = PauliSum(1, [("X", 1.0)])
+    for factor in ("2", None, a):
+        with pytest.raises(TypeError):
+            a.scaled(factor)
+    with pytest.raises(TypeError):
+        a * "2"
+
+
 def test_sum_adjoint_matches_dense():
     a = PauliSum(2, [("XY", 1.0 + 2.0j), ("ZI", -0.5j)])
     np.testing.assert_allclose(dense_sum(a.adjoint()), dense_sum(a).conj().T, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Products on the bit planes, against the per-term loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _term_product(p: PauliString, q: PauliString) -> PauliString:
+    """The product of two strings with Python ints, one pair at a time."""
+    x = p.x_bits ^ q.x_bits
+    z = p.z_bits ^ q.z_bits
+    phase = (
+        p.phase
+        + q.phase
+        + (p.x_bits & p.z_bits).bit_count()
+        + (q.x_bits & q.z_bits).bit_count()
+        + 2 * (p.z_bits & q.x_bits).bit_count()
+        - (x & z).bit_count()
+    ) % 4
+    return PauliString(p.n, x, z, phase)
+
+
+def _term_commutator(p: PauliTerm, q: PauliTerm):
+    """[p, q] of two terms: None, or exactly 2 p q."""
+    (px, pz), (qx, qz) = p.string.key(), q.string.key()
+    if ((px & qz).bit_count() + (pz & qx).bit_count()) % 2 == 0:
+        return None
+    return PauliTerm(_term_product(p.string, q.string), 2.0 * p.coeff * q.coeff)
+
+
+def _term_mul(a: PauliSum, b: PauliSum) -> PauliSum:
+    products = ((_term_product(s.string, t.string), s.coeff * t.coeff) for s in a.terms for t in b.terms)
+    return PauliSum(a.n, products)
+
+
+def _term_scaled(a: PauliSum, factor) -> PauliSum:
+    return PauliSum(a.n, [t.scaled(factor) for t in a.terms])
+
+
+def _term_sub(a: PauliSum, b: PauliSum) -> PauliSum:
+    return PauliSum(a.n, [*a.terms, *_term_scaled(b, -1.0).terms])
+
+
+def _term_commutator_sum(a: PauliSum, b: PauliSum) -> PauliSum:
+    return _term_sub(_term_mul(a, b), _term_mul(b, a))
+
+
+def _term_leading_error(h: PauliHamiltonian, order: int, groups=None) -> PauliSum:
+    terms, acc = h.terms, []
+    if order == 2:
+        a, b = (PauliSum(h.n, [terms[i] for i in g]) for g in groups)
+        aab = _term_commutator_sum(a, _term_commutator_sum(a, b))
+        bba = _term_commutator_sum(b, _term_commutator_sum(b, a))
+        return _term_scaled(_term_sub(aab, _term_scaled(bba, 0.5)), -1j / 12.0)
+    for b in range(len(terms)):
+        for a in range(b):
+            c = _term_commutator(terms[b], terms[a])
+            if c is not None:
+                acc.append(c.scaled(-0.5))
+    return PauliSum(h.n, acc)
+
+
+def _bits(s: PauliSum):
+    """The planes of every row and the IEEE bits of its coefficient, so a
+    zero's sign and the last bit count."""
+    x, z, c = s._rows
+    return x.tolist(), z.tolist(), c.view(np.uint64).tolist()
+
+
+_PRODUCT_COEFFS = st.complex_numbers(max_magnitude=1e3, allow_subnormal=False) | st.sampled_from(
+    [1.0, -1.0, 0.5j, complex(-0.0, 1.0), complex(1.0, -0.0), 3.0 - 2.0j, 1e200 + 1e200j, 1e-200]
+)
+
+
+@st.composite
+def plane_sums(draw, real=False):
+    """Two sums on one qubit count, n = 0 or above 64 included (two-word
+    planes), over a few strings so that products merge and cancel."""
+    n = draw(st.sampled_from([0, 1, 2, 3, 5, 64, 65, 79]))
+    bits = st.integers(min_value=0, max_value=(1 << n) - 1)
+    phases = st.sampled_from([0, 2]) if real else st.integers(0, 3)
+    pool = draw(st.lists(st.builds(PauliString, st.just(n), bits, bits, phases), min_size=1, max_size=4))
+    coeffs = st.floats(-4.0, 4.0, allow_subnormal=False) if real else _PRODUCT_COEFFS
+    cls = PauliHamiltonian if real else PauliSum
+    term = st.tuples(st.sampled_from(pool), coeffs)
+    return tuple(cls(n, draw(st.lists(term, max_size=6))) for _ in range(2))
+
+
+@given(plane_sums())
+@example((PauliSum(0), PauliSum(0)))
+@example((PauliSum(70), PauliSum(70, [("X" * 70, 2.0)])))
+@example((PauliSum(1, [("X", 0.1 + 0.7j)]), PauliSum(1, [("Z", 0.3 - 0.9j), ("Y", 1.1 + 0.2j)])))
+@settings(max_examples=300, deadline=None)
+def test_plane_products_match_the_per_term_loops_bit_for_bit(pair):
+    a, b = pair
+    assert _bits(a * b) == _bits(_term_mul(a, b))
+    assert _bits(commutator_sum(a, b)) == _bits(_term_commutator_sum(a, b))
+
+
+@given(plane_sums(real=True))
+@example((PauliHamiltonian(0), PauliHamiltonian(0)))
+@example((PauliHamiltonian.from_labels(1, [("X", -1.5), ("Z", 0.25), ("Y", -2.0)]),) * 2)
+@settings(max_examples=200, deadline=None)
+def test_plane_leading_error_matches_the_per_term_loops_bit_for_bit(pair):
+    h = (pair[0] + pair[1]).to_hamiltonian()
+    assert _bits(leading_error(h, 1).operator) == _bits(_term_leading_error(h, 1))
+    groups = (range(0, h.gamma, 2), range(1, h.gamma, 2))
+    assert _bits(leading_error(h, 2, groups).operator) == _bits(_term_leading_error(h, 2, groups))
+
+
+@pytest.mark.parametrize("phase", range(4))
+def test_multiply_carries_every_input_phase(phase):
+    y, x = PauliString.from_label("Y", phase), PauliString.from_label("X", 3)
+    assert multiply(y, x) == _term_product(y, x)
+    assert multiply(x, y) == _term_product(x, y)
 
 
 # ---------------------------------------------------------------------------
