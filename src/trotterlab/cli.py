@@ -30,6 +30,7 @@ import json
 import math
 import pathlib
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .bounds import (
@@ -104,7 +105,13 @@ def load_hamiltonian(path: str):
     if not isinstance(data, dict):
         raise ValidationError("Hamiltonian JSON must be an object")
     if _looks_fermionic(data):
-        return fermion_from_json(data)
+        with warnings.catch_warnings():  # a zero term is legal: a note, not a warning
+            warnings.filterwarnings("ignore", "fermionic term with a repeated", RuntimeWarning)
+            h = fermion_from_json(data)
+        if zero := sum(t.is_zero for t in h.terms):
+            note = "with a repeated creation or annihilation on one site are the zero operator"
+            print(f"note: {zero} fermionic term(s) {note}", file=sys.stderr)
+        return h
     return pauli_from_json(data)
 
 
@@ -137,9 +144,7 @@ def _cell(v) -> str:
 
 
 def _csv_text(rows) -> str:
-    lines = [_CSV_SCHEMA, _CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    lines = [_CSV_SCHEMA, _CSV_HEADER, *(",".join(map(_cell, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 

@@ -421,8 +421,7 @@ def random_r_sweep(
     per_r: dict[int, list[float]] = {r: [] for r in r_values}
     for child in seeds:
         h = model.sample(child)
-        exact = evolve(h, cfg.t, cfg.cap_n)
-        exact_col = exact[:, 0]
+        exact_col = evolve(h, cfg.t, cfg.cap_n)[:, 0]
         for r in r_values:
             approx = _trotter_power(h, cfg.t, r, cfg.order, cfg.cap_n)[:, 0]
             per_r[r].append(float(np.linalg.norm(exact_col - approx)))
@@ -431,9 +430,7 @@ def random_r_sweep(
         m, s = _mean_se(per_r[r])
         means.append(m)
         ses.append(s)
-    slope = float(
-        np.polyfit(np.log(np.asarray(r_values, dtype=float)), np.log(means), 1)[0]
-    )
+    slope = float(np.polyfit(np.log(np.asarray(r_values, dtype=float)), np.log(means), 1)[0])
     return RSweepReport(
         r_values=tuple(int(r) for r in r_values),
         mean_errors=tuple(means),

@@ -25,7 +25,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from numbers import Number
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -318,7 +317,8 @@ def _merged(n: int, rows: _Rows, hermitian: bool) -> _Rows:
         first[1:] = rank[1:] > np.maximum.accumulate(rank)[:-1]
         later = ~first
         x, z, total = x[first], z[first], c[first]
-        with np.errstate(over="ignore"):  # inf, as Python float addition gives
+        # inf and nan, as Python float addition gives them without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
             np.add.at(total, rank[later], c[later])
         c = total
     kept = np.abs(c) >= MERGE_TOL
@@ -341,11 +341,9 @@ def _merged(n: int, rows: _Rows, hermitian: bool) -> _Rows:
 _PHASES = np.array([1j**k for k in range(4)])
 
 
-def _times(p: np.ndarray, q) -> np.ndarray:
-    """p * q elementwise by Python's complex product, (ac - bd) + (ad + bc)i
-    with each product rounded on its own; a real q counts as q + 0i, as it
-    does in Python before 3.14.  numpy's complex ``*`` may fuse a product
-    into the sum, which moves the last bit."""
+def _times(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p * q for complex arrays by Python's complex product, (ac - bd) + (ad +
+    bc)i, each product rounded on its own (numpy's ``*`` may fuse them)."""
     p, q = np.asarray(p, complex), np.asarray(q, complex)
     out = np.empty(np.broadcast_shapes(p.shape, q.shape), complex)
     with np.errstate(over="ignore", invalid="ignore"):  # as Python: inf and nan
@@ -354,40 +352,65 @@ def _times(p: np.ndarray, q) -> np.ndarray:
     return out
 
 
+def _scaled(c: np.ndarray, factor) -> np.ndarray:
+    """c * factor by Python's own ``*`` per coefficient: its rules for every factor type."""
+    return np.array([coeff * factor for coeff in c.tolist()], dtype=complex)
+
+
 def _popcount(plane: np.ndarray) -> np.ndarray:
     """Set bits per row of a bit plane (the last axis holds a row's words)."""
     return np.bitwise_count(plane).sum(axis=-1, dtype=np.intp)
 
 
 def _anticommuting(a: _Rows, b: _Rows) -> np.ndarray:
-    """Whether a_i and b_j anticommute (odd symplectic product), for every
-    pair in row-major (i, j) order."""
-    cross = (a.x[:, None] & b.z[None]) ^ (a.z[:, None] & b.x[None])
-    return (_popcount(cross) % 2 == 1).ravel()
+    """Whether a_i and b_i anticommute (odd symplectic product), row by row;
+    the planes broadcast as numpy arrays do."""
+    return _popcount((a.x & b.z) ^ (a.z & b.x)) % 2 == 1
 
 
 def _products(a: _Rows, b: _Rows) -> _Rows:
-    """Every product a_i b_j as one row, in row-major (i, j) order.
+    """The products a_i b_i row by row, broadcast as numpy arrays are and
+    flattened: rows shaped (m, 1, words), (1, n, words) give every a_i b_j.
 
     The planes are XORed.  A row's string is i**|x & z| X^x Z^z, |.| a
     popcount, and Z^z X^x' = (-1)**|z & x'| X^x' Z^z, so the product of the
     two strings is i**k times the string of the XORed planes, with
 
-        k = |x_i & z_i| + |x'_j & z'_j| + 2 |z_i & x'_j| - |x & z|  (mod 4).
+        k = |x_i & z_i| + |x'_i & z'_i| + 2 |z_i & x'_i| - |x & z|  (mod 4).
 
     Each coefficient is ``_times`` of the two factors', then of i**k where
     k is nonzero, as ``_ingest`` folds a string's phase.
     """
-    words = a.x.shape[1]
-    x = (a.x[:, None] ^ b.x[None]).reshape(-1, words)
-    z = (a.z[:, None] ^ b.z[None]).reshape(-1, words)
-    k = _popcount(a.x & a.z)[:, None] + _popcount(b.x & b.z)[None]
-    k = (k + 2 * _popcount(a.z[:, None] & b.x[None])).ravel() - _popcount(x & z)
-    k %= 4
-    c = _times(a.c[:, None], b.c[None]).ravel()
+    x, z = a.x ^ b.x, a.z ^ b.z
+    k = _popcount(a.x & a.z) + _popcount(b.x & b.z) + 2 * _popcount(a.z & b.x)
+    k = ((k - _popcount(x & z)) % 4).ravel()
+    c = _times(a.c, b.c).ravel()
     turned = np.flatnonzero(k)
     c[turned] = _times(c[turned], _PHASES[k[turned]])
-    return _Rows(x, z, c)
+    words = x.shape[-1]
+    return _Rows(x.reshape(-1, words), z.reshape(-1, words), c)
+
+
+def _take(rows: _Rows, index: np.ndarray) -> _Rows:
+    """The rows at ``index``, in that order."""
+    return _Rows(*(plane[index] for plane in rows))
+
+
+_PAIR_BLOCK = 1 << 16  # pairs per block of leading_error's anticommutation mask
+
+
+def _anticommuting_pairs(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+    """(later, earlier): every pair b > a whose strings anticommute, by b and
+    then a, masked about ``_PAIR_BLOCK`` pairs at a time to bound the memory."""
+    gamma, pairs = len(rows.c), [np.empty((2, 0), np.intp)]
+    step = max(1, _PAIR_BLOCK // max(gamma, 1))
+    for start in range(0, gamma, step):
+        # Row r of the block is term b = start + r against every a < b.
+        b, a = np.tril_indices(min(step, gamma - start), start - 1, gamma)
+        b += start
+        hit = _anticommuting(_take(rows, b), _take(rows, a))
+        pairs.append(np.stack([b[hit], a[hit]]))
+    return tuple(np.concatenate(pairs, axis=1))
 
 
 class PauliSum:
@@ -461,16 +484,16 @@ class PauliSum:
         return self + other.scaled(-1.0)
 
     def scaled(self, factor: complex) -> "PauliSum":
-        if not isinstance(factor, Number):
-            raise TypeError(f"cannot scale a Pauli sum by {type(factor).__name__}")
         x, z, c = self._rows
         # The same products as PauliTerm.scaled.
-        return PauliSum(self._n, _Rows(x, z, _times(c, complex(factor))))
+        return PauliSum(self._n, _Rows(x, z, _scaled(c, factor)))
 
     def __mul__(self, other):
         if isinstance(other, PauliSum):
             self._check_same_n(other)
-            return PauliSum(self._n, _products(self._rows, other._rows))
+            a = _Rows(*(plane[:, None] for plane in self._rows))
+            b = _Rows(*(plane[None] for plane in other._rows))
+            return PauliSum(self._n, _products(a, b))
         return self.scaled(other)
 
     def __rmul__(self, factor: complex) -> "PauliSum":
@@ -482,8 +505,7 @@ class PauliSum:
 
     def _at(self, index: Sequence[int]) -> "PauliSum":
         """The sum of the terms at ``index``, in that order."""
-        index = np.asarray(index, np.intp)
-        return PauliSum(self._n, _Rows(*(plane[index] for plane in self._rows)))
+        return PauliSum(self._n, _take(self._rows, np.asarray(index, np.intp)))
 
     def _check_same_n(self, other: "PauliSum") -> None:
         if self._n != other._n:
@@ -557,14 +579,13 @@ def leading_error(
     This equals the built per-term schedule's leading error whenever the terms
     inside each group commute with one another.
     """
-    n = hamiltonian.n
-    rows = hamiltonian._rows
+    n, rows = hamiltonian.n, hamiltonian._rows
     if order == 1:
         # [H_b, H_a] = 2 H_b H_a where the strings anticommute, else 0.
-        later, earlier = np.divmod(np.arange(hamiltonian.gamma**2), hamiltonian.gamma)
-        kept = np.flatnonzero((earlier < later) & _anticommuting(rows, rows))
-        x, z, c = _products(rows._replace(c=_times(rows.c, 2.0)), rows)
-        return LeadingError(PauliSum(n, _Rows(x[kept], z[kept], _times(c[kept], -0.5))), 2)
+        later, earlier = _anticommuting_pairs(rows)
+        doubled = rows._replace(c=_scaled(rows.c, 2.0))
+        x, z, c = _products(_take(doubled, later), _take(rows, earlier))
+        return LeadingError(PauliSum(n, _Rows(x, z, _scaled(c, -0.5))), 2)
     if order == 2:
         if groups is None or len(groups) != 2:
             raise PartitionError(
@@ -719,13 +740,10 @@ def _jw_factor(n: int, site: int, kind: str, eta: float) -> PauliSum:
     """Jordan-Wigner image of a single fermionic factor as a 2-term Pauli sum."""
     if site >= n:
         raise DimensionMismatchError(f"site {site} outside {n}-site system")
-    string_z = 0
-    for j in range(site + 1, n):
-        string_z |= 1 << j
+    string_z = (1 << n) - (2 << site)  # Z on every site above
     if kind == OCCUPATION:
-        ident = PauliString.identity(n)
         z_here = PauliString(n, 0, 1 << site)
-        return PauliSum(n, [(ident, (1.0 - 2.0 * eta) / 2.0), (z_here, 0.5)])
+        return PauliSum(n, [(PauliString.identity(n), (1.0 - 2.0 * eta) / 2.0), (z_here, 0.5)])
     x_str = PauliString(n, 1 << site, string_z)
     y_str = PauliString(n, 1 << site, string_z | (1 << site))
     if kind == CREATE:

@@ -391,13 +391,9 @@ _FERMION_FUZZ_ARGV = _FUZZ_ARGV + [
 
 
 @given(text=malformed_fermion_json(), argv=st.sampled_from(_FERMION_FUZZ_ARGV))
-# A repeated ladder factor makes a zero term, which FermionTerm reports with a
-# RuntimeWarning by design (test_fermion_double_create_is_zero); the warning
-# is not an unclean exit, so only that one is let through.
 @example(text='{"n": 0, "eta": 0.0, "terms": [{"ops": [["+", 2], ["+", 2]], "coeff": 0.0}]}', argv=["norms", "-"])
 @example(text='{"n": 3, "eta": 0.0, "terms": [{"ops": [["+", 2], ["+", 2]], "coeff": 1.0}]}', argv=["norms", "-"])
 @settings(max_examples=150, deadline=None)
-@pytest.mark.filterwarnings("ignore:fermionic term with a repeated creation/annihilation:RuntimeWarning")
 def test_fuzz_malformed_fermion_json_exits_cleanly(text, argv):
     with mock.patch("sys.stdin", io.StringIO(text)):
         _assert_clean_exit(*_call(argv))
@@ -572,6 +568,26 @@ def test_norms_of_a_fermionic_document_far_wider_than_its_sites(monkeypatch):
         assert (code, err) == (0, "")
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_fermionic_zero_term_is_a_stderr_note_not_a_warning(monkeypatch):
+    # A repeated creation on one site is a legal zero term; FermionTerm's
+    # RuntimeWarning escaped the command (an error under this suite's
+    # warning filter) and now reads as one note.
+    zero = {"ops": [["+", 2], ["+", 2]], "coeff": 1.0}
+    hop = {"ops": [["+", 0], ["-", 1]], "coeff": 0.5}
+    errs = []
+    for terms in ([hop, zero, zero], [hop]):
+        doc = {"n": 3, "eta": 0.0, "terms": terms}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = _call(["norms", "-"])
+        assert code == 0 and json.loads(out)["gamma"] == len(terms)
+        errs.append(err)
+    assert errs == [
+        "note: 2 fermionic term(s) with a repeated creation or annihilation "
+        "on one site are the zero operator\n",
+        "",
+    ]
 
 
 def test_norms_and_gatecount_of_a_fermionic_site_past_int64(monkeypatch):

@@ -7,6 +7,9 @@ package's own dense engine).
 
 import json
 import math
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -582,11 +585,23 @@ def test_sum_product_matches_dense():
 
 def test_scaling_by_a_non_number_raises():
     a = PauliSum(1, [("X", 1.0)])
-    for factor in ("2", None, a):
+    for factor in ("2", None, a, Decimal("2")):
         with pytest.raises(TypeError):
             a.scaled(factor)
     with pytest.raises(TypeError):
         a * "2"
+
+
+@pytest.mark.parametrize(
+    "factor", [2, -0.5, 1j, -1j / 12.0, np.float64(0.5), np.array(2.0), Fraction(1, 3), True]
+)
+def test_scaling_takes_python_products_bit_for_bit(factor):
+    # Python multiplies a complex by a real its own way (widened to complex
+    # before 3.14, part by part from 3.14 on); scaling follows the running
+    # interpreter, signed zeros included.
+    a = PauliSum(2, [("XI", complex(-0.0, 1.5)), ("ZZ", complex(2.0, -0.0)), ("YX", -3.0 + 0.25j)])
+    assert _bits(a.scaled(factor)) == _bits(_term_scaled(a, factor))
+    assert _bits(factor * a) == _bits(a.scaled(factor))
 
 
 def test_sum_adjoint_matches_dense():
@@ -683,6 +698,7 @@ def plane_sums(draw, real=False):
 @given(plane_sums())
 @example((PauliSum(0), PauliSum(0)))
 @example((PauliSum(70), PauliSum(70, [("X" * 70, 2.0)])))
+@example((PauliSum(0, [("", 2e200j)]),) * 2)  # inf - inf in the merge: nan, no warning
 @example((PauliSum(1, [("X", 0.1 + 0.7j)]), PauliSum(1, [("Z", 0.3 - 0.9j), ("Y", 1.1 + 0.2j)])))
 @settings(max_examples=300, deadline=None)
 def test_plane_products_match_the_per_term_loops_bit_for_bit(pair):
@@ -700,6 +716,32 @@ def test_plane_leading_error_matches_the_per_term_loops_bit_for_bit(pair):
     assert _bits(leading_error(h, 1).operator) == _bits(_term_leading_error(h, 1))
     groups = (range(0, h.gamma, 2), range(1, h.gamma, 2))
     assert _bits(leading_error(h, 2, groups).operator) == _bits(_term_leading_error(h, 2, groups))
+
+
+@pytest.mark.parametrize("block", [1, 5, 16])
+def test_leading_error_pair_blocks_keep_the_order(monkeypatch, block):
+    # Below 2**16 pairs the mask is one block; small blocks take the
+    # blocked path, whose pairs must come out in the same (b, a) order.
+    monkeypatch.setattr("trotterlab.pauli._PAIR_BLOCK", block)
+    labels = ["XZY", "ZZI", "YXX", "IYZ", "XXX", "ZIY", "YYI"]
+    h = PauliHamiltonian.from_labels(3, [(s, 0.3 * i - 1.1) for i, s in enumerate(labels)])
+    assert leading_error(h, 1).operator.gamma > 0
+    assert _bits(leading_error(h, 1).operator) == _bits(_term_leading_error(h, 1))
+
+
+def test_leading_error_memory_follows_the_kept_pairs():
+    # 1500 commuting Z strings: 1.1 million pairs, none kept.  A mask and
+    # products over every pair would take hundreds of MiB; the blocked mask
+    # takes a few.
+    n = 11
+    h = PauliHamiltonian(n, [(PauliString(n, 0, z), 1.0 + z % 7) for z in range(1, 1501)])
+    tracemalloc.start()
+    try:
+        assert leading_error(h, 1).operator.is_empty
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 @pytest.mark.parametrize("phase", range(4))
