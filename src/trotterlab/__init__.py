@@ -60,8 +60,9 @@ from .bounds import (
     table1_exponents,
     truncation_plan,
 )
-# dense and lab import scipy, which is most of the package's import time, so
-# their names load on first use (PEP 562) and planner commands never pay for it.
+# dense (and lab, on top of it) loads scipy's compiled LAPACK and BLAS
+# wrappers, not the scipy.linalg package; their names load on first use
+# (PEP 562), so planner commands never import scipy at all.
 _LAZY = {
     "dense": (
         "DEFAULT_CAP_N WeightedNormSpec apply_schedule evolve schatten_norm to_matrix "

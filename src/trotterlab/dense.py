@@ -14,16 +14,39 @@ rho_zeta places probability zeta on the occupied state of each site.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ResourceCapError, ValidationError
 from .pauli import PauliHamiltonian, PauliString, PauliSum, PauliTerm, _ingest, _site_bits
 from .suzuki import Schedule, build_schedule
+
+
+def _linalg_wrapper(name: str):
+    """scipy.linalg's compiled LAPACK or BLAS wrapper module, without the
+    scipy.linalg package, whose import also loads scipy's array-API layer
+    and with it ``numpy.testing``, ``numpy.f2py`` and more.  The module is
+    registered under its own name, so a later ``import scipy.linalg``
+    shares it, and one already loaded is reused."""
+    full = f"scipy.linalg.{name}"
+    if full not in sys.modules:
+        # Finding scipy.linalg's directory imports only the top-level scipy.
+        path = importlib.util.find_spec("scipy.linalg").submodule_search_locations
+        spec = importlib.machinery.PathFinder.find_spec(full, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+_flapack = _linalg_wrapper("_flapack")
+_fblas = _linalg_wrapper("_fblas")
 
 DEFAULT_CAP_N = 12
 
@@ -171,6 +194,27 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.allclose(a, a.conj().T, atol=tol))
 
 
+# Columns of a product that ``_schur_power`` and ``_write_exact`` form at
+# once, at least.  Each product packs all of its left factor again, so a
+# large matrix takes panels of an eighth of its columns: at dim 4096, with
+# one OpenBLAS thread on a 2-core Xeon, 64-column panels of the Schur power
+# took 1.6x the time of the whole product, and 512-column ones 1.06x.
+_PANEL = 64
+
+
+def _panels(k: int) -> list[slice]:
+    """Column panels of a k-column product: 64 columns, or k/8 when that is
+    more.  Each is the same gemm, with the same operand layouts, as the
+    whole product and starts on a multiple of 64, so with one BLAS thread it
+    gives the whole product's bits; a width off the kernel's column unroll
+    (4 in OpenBLAS's Haswell zgemm) would not.  A last single column joins
+    the panel before it: alone it would be a matrix-vector product, which
+    sums in another order."""
+    width = _PANEL * max(1, k // (8 * _PANEL))
+    edges = [*range(0, max(k - 1, 1), width), k]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 # Entries of e^{i H t} formed at once by ``_write_exact``: a single coset
 # block, or a run of small blocks, so a diagonal H is not a loop over dim.
 _RUN_ENTRIES = 2**16
@@ -186,9 +230,11 @@ def _write_exact(
     entries at a time, so no full stack of them is held.  A real symmetric
     H (no term with an odd number of Y) takes a real eigh, and
     e^{i H t} = V cos(t W) V^T + i V sin(t W) V^T in real products, written
-    straight into the real and imaginary parts of out.  A phase t W past the
-    floating-point range gives NaN entries, left to the callers' finiteness
-    checks.
+    straight into the real and imaginary parts of out.  Otherwise
+    e^{i H t} = (V e^{i t W}) V^dagger, V conjugated in place, is written
+    in column panels (``_panels``), so out, V, its scaled copy and one
+    panel are held.  A phase t W past the floating-point range gives NaN
+    entries, left to the callers' finiteness checks.
     """
     blocks, k = act.index.shape
     step = max(1, _RUN_ENTRIES // (k * k))
@@ -207,7 +253,11 @@ def _write_exact(
             with np.errstate(over="ignore", invalid="ignore"):
                 phases = np.exp(1j * t * w_run)
             scaled = v_run * phases[:, None, :]
-            put(out, entries, scaled @ np.conjugate(v_run, out=v_run).swapaxes(1, 2))
+            np.conjugate(v_run, out=v_run)
+            # Columns j of the product read rows j of conj(V) only.
+            for cols in _panels(k):
+                panel = (entries[0], entries[1][:, :, cols])
+                put(out, panel, scaled @ v_run[:, cols].swapaxes(1, 2))
             del scaled
             continue
         with np.errstate(over="ignore", invalid="ignore"):
@@ -356,14 +406,6 @@ def _no_sort(_eigenvalue: complex) -> None:
     """The eigenvalue-selection callback that zgees requires; no sort is asked."""
 
 
-# Columns of the Schur power that one product in ``_schur_power`` forms, at
-# least.  Each product packs all of Q D again, so a large matrix takes
-# panels of an eighth of its columns: at dim 4096, with one OpenBLAS thread
-# on a 2-core Xeon, 64-column panels took 1.6x the time of the whole
-# product, and 512-column ones 1.06x.
-_PANEL = 64
-
-
 def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
     """u^r = Q e^{i r angle(T_jj)} Q^dagger from the complex Schur form
     u = Q T Q^dagger, overwriting u, a Fortran-order complex matrix.
@@ -372,11 +414,8 @@ def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
     in u's buffer and then overwritten by Q D, D the powered diagonal, and
     the power is formed in Q's buffer, transposed.  Columns j of the power
     are (Q D) conj(Q[j])^T, which read rows j of Q and no others, so rows j
-    are conjugated in place and each panel of columns (64, or dim/8 when
-    that is more) is stored over them.  Every panel is the same gemm, with
-    the same operand layouts, as the whole product (Q D) conj(Q)^T; a
-    one-column panel would be a matrix-vector product, which sums in
-    another order, so a last single column joins the panel before it.
+    are conjugated in place and each panel of columns (``_panels``) is
+    stored over them, with the bits of the whole product (Q D) conj(Q)^T.
 
     The lwork, the LAPACK call and every elementwise step are the ones that
     ``scipy.linalg.schur(u, output="complex")`` and the formula above take,
@@ -388,7 +427,7 @@ def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
         raise ValueError("array must not contain infs or NaNs")
     if u.size == 0:  # LAPACK refuses the workspace query at n = 0
         return u
-    gees = scipy.linalg.lapack.zgees
+    gees = _flapack.zgees
     # scipy's workspace query, minus its copy of u: a LAPACK query writes to
     # no argument.  Its n x n Schur basis is dropped before the real call.
     lwork = gees(_no_sort, u, lwork=-1, overwrite_a=1)[-2][0].real.astype(np.int_)
@@ -397,12 +436,9 @@ def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
         raise np.linalg.LinAlgError(f"Schur form not found (zgees info={info})")
     # w holds diag(T) (LAPACK sets w(i) = T(i, i)).
     np.multiply(q, np.exp(1j * r * np.angle(w)), out=t)
-    dim = len(q)
-    width = _PANEL * max(1, dim // (8 * _PANEL))
-    edges = [*range(0, max(dim - 1, 1), width), dim]
-    for lo, hi in zip(edges, edges[1:]):
-        rows = q[lo:hi]
-        q[lo:hi] = (t @ np.conjugate(rows, out=rows).T).T
+    for panel in _panels(len(q)):
+        rows = q[panel]
+        q[panel] = (t @ np.conjugate(rows, out=rows).T).T
     return q.T
 
 
@@ -463,15 +499,34 @@ def _schatten_from_singular_values(
     return val
 
 
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a Hermitian complex matrix, ascending, read from its
+    lower triangle; a Fortran-ordered a is overwritten.
+
+    This is the LAPACK call of ``scipy.linalg.eigh(a, driver="evd",
+    eigvals_only=True, overwrite_a=True)``: ``zheevd`` with the workspace
+    sizes ``zheevd_lwork`` returns, each rounded by ``int()``, so the bits
+    are the same.
+    """
+    lwork, liwork, lrwork, _ = _flapack.zheevd_lwork(len(a), compute_v=0, lower=1)
+    w, _, info = _flapack.zheevd(
+        a, compute_v=0, lower=1, lwork=int(lwork.real), liwork=int(liwork),
+        lrwork=int(lrwork), overwrite_a=1,
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"eigenvalues not found (zheevd info={info})")
+    return w
+
+
 def _singular_values(m: np.ndarray) -> np.ndarray:
     """The singular values of a finite matrix, descending, as
     sqrt(max(lambda, 0)) over the eigenvalues lambda of its Gram matrix.
 
     ``zherk`` forms the Gram matrix on m's own buffer (a C-ordered m is its
     transpose in Fortran order, which has the same singular values) and
-    ``eigh`` takes its eigenvalues in place, so one matrix of m's size is
-    alive besides m.  Squaring costs precision: the largest singular value
-    and every Schatten p-norm with p >= 2 are accurate to relative
+    ``_eigvalsh`` takes its eigenvalues in place, so one matrix of m's size
+    is alive besides m.  Squaring costs precision: the largest singular
+    value and every Schatten p-norm with p >= 2 are accurate to relative
     O(dim eps), while each sigma is accurate only to absolute
     O(sqrt(dim eps)) sigma_max, which bounds the accuracy for 1 <= p < 2.
     """
@@ -481,10 +536,7 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
     a = m.T if m.flags.c_contiguous else np.asfortranarray(m)
     # a a^H or a^H a, whichever is smaller: min(rows, cols) values, as an SVD
     trans = 0 if a.shape[0] <= a.shape[1] else 2
-    gram = scipy.linalg.blas.zherk(1.0, a, trans=trans, lower=1)
-    lam = scipy.linalg.eigh(
-        gram, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"
-    )
+    lam = _eigvalsh(_fblas.zherk(1.0, a, trans=trans, lower=1))
     return np.sqrt(np.maximum(lam[::-1], 0.0))
 
 

@@ -210,6 +210,71 @@ def test_planner_commands_never_import_scipy(tmp_path, argv):
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
 
 
+# Runs the CLI in a child interpreter and prints its exit code and the scipy
+# modules it loaded.  `-X importtime` does not list the LAPACK wrappers, which
+# the dense engine loads through their spec loaders, so sys.modules is read.
+_SCIPY_MODULES_AFTER_MAIN = (
+    "import json, sys\n"
+    "from trotterlab.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--family", "k-local-syk", "--n", "4", "--k", "2", "--t", "1", "--r", "5000",
+         "--seed", "1", "--out", "{out}"],
+        ["verify", "--suite", "suzuki", "--trials", "2", "--seed", "1", "--out", "{out}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dense_commands_load_the_lapack_wrappers_not_scipy_linalg(tmp_path, argv):
+    """The dense engine's zgees, zherk and zheevd come from scipy.linalg's two
+    compiled wrapper modules; the scipy.linalg package, whose import loads
+    about 85 scipy modules and much of numpy, is never imported."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_MODULES_AFTER_MAIN, *(a.format(out=tmp_path / "out.csv") for a in argv)],
+        capture_output=True,
+        text=True,
+        env=module_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0 and (tmp_path / "out.csv").read_text().startswith("# schema=")
+    assert {"scipy.linalg._flapack", "scipy.linalg._fblas"} <= set(loaded)
+    assert "scipy.linalg" not in loaded
+
+
+@pytest.mark.parametrize("first, second", [("scipy.linalg", "trotterlab.dense"), ("trotterlab.dense", "scipy.linalg")])
+def test_scipy_linalg_and_the_dense_engine_share_the_wrapper_modules(first, second):
+    code = (
+        f"import {first}\nimport {second}\n"
+        "import scipy.linalg, trotterlab.dense as dense\n"
+        "assert scipy.linalg.lapack.zgees is dense._flapack.zgees\n"
+        "assert scipy.linalg.lapack.zheevd is dense._flapack.zheevd\n"
+        "assert scipy.linalg.blas.zherk is dense._fblas.zherk\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=module_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_dense_engine_loads_few_scipy_modules():
+    """Import cost guard.  The top-level scipy package and the two wrapper
+    modules are 12 scipy modules; importing scipy.linalg made 85.  A module
+    count, unlike an import time, does not depend on how busy the machine is."""
+    code = (
+        "import json, sys, trotterlab.lab\n"
+        "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=module_env())
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "scipy.linalg" not in loaded
+    assert len(loaded) <= 16, loaded
+
+
 @pytest.mark.parametrize(
     "coeff, argv",
     [

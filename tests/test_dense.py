@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -559,6 +560,77 @@ def test_evolve_memory_stays_within_one_and_five_eighths_matrices():
     assert peak <= 1.625 * 16 * 2**20
 
 
+def _whole_block_exact(act, w, v, t):
+    """e^{i H t} of a complex H as ``_write_exact`` formed it with one whole
+    block product per run, kept as the oracle of its column panels."""
+    phases = np.exp(1j * t * w)
+    scaled = v * phases[:, None, :]
+    return dense._assembled(act.index, scaled @ np.conjugate(v).swapaxes(1, 2))
+
+
+# Four coset blocks of 32: the x-masks of adjacent pairs on sites 0..5.
+_COMPLEX_BLOCKS = PauliHamiltonian.from_labels(
+    7,
+    [
+        ("XYIIIII", 0.7), ("IXXIIII", -0.3), ("IIYYIII", 0.45), ("IIIXYII", 0.2),
+        ("IIIIYXI", -0.6), ("ZIIIIIZ", 0.35), ("IIIZIIZ", 0.15),
+    ],
+)
+
+
+# The patched panel widths are multiples of 4, the column unroll of
+# OpenBLAS's Haswell zgemm kernel; a width off that grid (5, say) changes
+# the last bits, as it would for ``_schur_power``.
+@pytest.mark.parametrize(
+    "h, blocks, run_entries, panel",
+    [
+        (_syk(5, 3), 1, 2**16, 12),  # panels of 12, 12 and 8 over 32 columns
+        (_syk(5, 3), 1, 2**16, 31),  # a lone last column joins the panel before it
+        (_syk(8, 11), 1, 2**16, 64),  # four 64-column panels
+        (_syk(8, 11), 1, 2**16, 20),  # 12 panels of 20 and a last one of 16
+        (_COMPLEX_BLOCKS, 4, 3 * 32**2, 12),  # runs of 3 and 1 blocks; panels 12, 12, 8
+        (_COMPLEX_BLOCKS, 4, 2**16, 8),  # one run of 4 blocks; four 8-column panels
+    ],
+    ids=["syk-5-by-12", "syk-5-by-31", "syk-8-by-64", "syk-8-by-20", "blocks-by-12", "blocks-by-8"],
+)
+@pytest.mark.parametrize("add", [False, True])
+def test_complex_exact_panels_are_bit_identical_to_the_whole_block_product(
+    h, blocks, run_entries, panel, add, monkeypatch
+):
+    monkeypatch.setattr(dense, "_RUN_ENTRIES", run_entries)
+    monkeypatch.setattr(dense, "_PANEL", panel)
+    act = dense._actions(h)
+    assert act.index.shape[0] == blocks
+    w, v = np.linalg.eigh(dense._blocks(act))
+    assert np.iscomplexobj(v)
+    t = 1.3
+    expected = _whole_block_exact(act, w, v.copy(), t)
+    dim = act.index.size
+    rng = np.random.default_rng(dim)
+    start = np.zeros((dim, dim), complex)
+    if add:
+        start += rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    out = start.copy()
+    dense._write_exact(out, act, w, v, t, add)
+    assert np.array_equal(_bits(out), _bits(start + expected if add else expected))
+
+
+def test_complex_evolve_memory_stays_within_three_and_a_half_matrices():
+    # One block of 256 (a k-local SYK draw, n = 8): the result, the complex
+    # eigenvectors, their scaled copy, and one 64-column panel of the
+    # product with its scatter index (3.39 MiB).  The whole block product
+    # took 4.14 MiB.
+    h = KLocalGaussianModel(n=8, k=2, seed=3).sample(np.random.SeedSequence(1))
+    assert dense._actions(h).index.shape[0] == 1
+    tracemalloc.start()
+    try:
+        evolve(h, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 16 * 4**8
+
+
 @pytest.mark.parametrize(
     "h",
     [
@@ -636,6 +708,30 @@ def test_singular_values_match_an_svd(m):
         assert got[0] == pytest.approx(top, rel=1e-13)
         assert np.sum(got**2) == pytest.approx(np.sum(expected**2), rel=1e-13)
     assert np.array_equal(m, before)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 64, 255, 1024])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_gram_eigenvalues_are_bit_identical_to_scipy_eigh(dim, order):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    gram = np.array(a.conj().T @ a, order=order)
+    expected = scipy.linalg.eigh(gram.copy(order="K"), driver="evd", eigvals_only=True, overwrite_a=True)
+    assert np.array_equal(dense._eigvalsh(gram.copy(order="K")), expected)
+
+
+def test_a_failed_eigenvalue_call_raises_linalg_error(monkeypatch):
+    lapack = dense._flapack
+
+    def failing_zheevd(*args, **kwargs):
+        w, v, _ = lapack.zheevd(*args, **kwargs)
+        return w, v, 2
+
+    monkeypatch.setattr(
+        dense, "_flapack", SimpleNamespace(zheevd_lwork=lapack.zheevd_lwork, zheevd=failing_zheevd)
+    )
+    with pytest.raises(np.linalg.LinAlgError, match="info=2"):
+        dense._singular_values(np.eye(3))
 
 
 def test_schatten_norm_rejects_a_non_finite_matrix():
