@@ -36,9 +36,8 @@ from .pauli import (
     jordan_wigner,
     leading_error,
     multiply,
-    strings_commute,
 )
-from .norms import NormProfile, lambda_k, lambda_prime_k, local_norm, norm_profile
+from .norms import NormProfile, norm_profile
 from .suzuki import Schedule, build_schedule, q_coefficient, upsilon
 from .models import (
     KLocalGaussianModel,
@@ -111,9 +110,6 @@ __all__ = [
     "fermi_hop",
     "fermi_optimality_experiment",
     "gatecount",
-    "lambda_k",
-    "lambda_prime_k",
-    "local_norm",
     "markov_tail",
     "norm_profile",
     "optimality_experiment",
@@ -148,6 +144,5 @@ __all__ = [
     "jordan_wigner",
     "leading_error",
     "multiply",
-    "strings_commute",
     "__version__",
 ]

@@ -312,6 +312,10 @@ def _verify_rows(args) -> list[tuple]:
 
     seed = args.seed
     trials = args.trials
+    if seed < 0:
+        raise ValidationError(f"the seed must be a non-negative integer, got {seed}")
+    if trials < 1:
+        raise ValidationError(f"--trials must be at least 1, got {trials}")
     p_values = tuple(args.p or (2.0, 4.0))
     suites = (
         ("hypercontractivity", "smoothness", "two-point", "optimality", "suzuki")

@@ -190,10 +190,6 @@ def sites_of(matrix: np.ndarray) -> int:
     return n
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(np.allclose(a, a.conj().T, atol=tol))
-
-
 # Columns of a product that ``_schur_power`` and ``_write_exact`` form at
 # once, at least.  Each product packs all of its left factor again, so a
 # large matrix takes panels of an eighth of its columns: at dim 4096, with
@@ -267,23 +263,16 @@ def _write_exact(
         put(out.imag, entries, (v_run * sin[:, None, :]) @ vt)
 
 
-def evolve(h: MatrixLike, t: float, cap_n: int = DEFAULT_CAP_N) -> np.ndarray:
-    """e^{i H t} through a Hermitian eigendecomposition (unitary to 1e-10);
-    per coset block for a PauliHamiltonian."""
-    if isinstance(h, PauliHamiltonian):
-        check_cap(h.n, cap_n)
-        act = _actions(h)
-        w, v = np.linalg.eigh(_blocks(act))
-        out = np.zeros((act.index.size, act.index.size), dtype=complex)
-        _write_exact(out, act, w, v, t, add=False)
-        return out
-    m = to_matrix(h, cap_n)
-    if not is_hermitian(m):
-        raise ValidationError("evolve requires a Hermitian operator")
-    w, v = np.linalg.eigh(m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(1j * t * w)
-    return (v * phases) @ v.conj().T
+def evolve(h: PauliHamiltonian, t: float, cap_n: int = DEFAULT_CAP_N) -> np.ndarray:
+    """e^{i H t} through a Hermitian eigendecomposition per coset block."""
+    if not isinstance(h, PauliHamiltonian):
+        raise TypeError(f"cannot evolve under {type(h).__name__}")
+    check_cap(h.n, cap_n)
+    act = _actions(h)
+    w, v = np.linalg.eigh(_blocks(act))
+    out = np.zeros((act.index.size, act.index.size), dtype=complex)
+    _write_exact(out, act, w, v, t, add=False)
+    return out
 
 
 def apply_schedule(
@@ -375,7 +364,7 @@ def _schedule_product(
     return out
 
 
-# Above this power, unitary_power diagonalizes; at or below it, binary powering.
+# Above this power the Schur power diagonalizes; at or below it, binary powering.
 _BINARY_POWER_MAX = 4096
 
 
@@ -445,11 +434,13 @@ def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
 def _trotter_power(
     h: PauliHamiltonian, t: float, r: int, order: int, cap_n: int
 ) -> np.ndarray:
-    """S_order(t/r)^r.  Above 4096 steps the segment is assembled in Fortran
-    order and the Schur power overwrites it: two dim x dim matrices."""
+    """S_order(t/r)^r.  Up to 4096 steps the segment is powered by binary
+    powering (at r = 1 it is returned as it is, not copied); above, it is
+    assembled in Fortran order and the Schur power overwrites it: two
+    dim x dim matrices."""
     schedule = build_schedule(h.gamma, order, t / r)
     if r <= _BINARY_POWER_MAX:
-        return unitary_power(apply_schedule(h, schedule, cap_n), r)
+        return np.linalg.matrix_power(apply_schedule(h, schedule, cap_n), r)
     return _schur_power(_schedule_product(h, schedule, cap_n, "F"), r)
 
 

@@ -89,7 +89,7 @@ __all__ = [
     "pauli_two_norm",
 ]
 
-ENSEMBLES = ("basis-1-design", "haar", "gaussian-hamiltonian")
+ENSEMBLES = ("basis-1-design", "haar")
 
 _QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
 # Memory the per-sample arrays, lists and seeds of one experiment may take.
@@ -120,6 +120,8 @@ class ExperimentConfig:
     cap_n: int = DEFAULT_CAP_N
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"the seed must be a non-negative integer, got {self.seed}")
         if self.samples < 1:
             raise ValidationError("need at least one sample")
         if self.ensemble not in ENSEMBLES:
@@ -169,7 +171,6 @@ class ErrorReport:
     expected_pnorms: dict[float, float]
     expected_pnorm_se: dict[float, float]
     fixed_pnorms: dict[float, float]
-    fixed_is_lower_bound: bool = True
     extras: dict = field(default_factory=dict)
 
 
@@ -232,6 +233,14 @@ def _check_samples(samples: int, bytes_each: int) -> None:
         )
 
 
+def _child_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
+    """``count`` independent child seeds of ``seed``, one per draw or trial,
+    refused before they are made when they would not fit: a child seed
+    takes about 380 bytes, and a draw keeps a few floats besides."""
+    _check_samples(count, 1024)
+    return np.random.SeedSequence(seed).spawn(count)
+
+
 _experiment_float_guard = _float_guard(
     "the experiment leaves the floating-point range", "lower the time or the Schatten index"
 )
@@ -251,11 +260,6 @@ def sample_typical_error(
     check_cap(h.n, cfg.cap_n)
     # about 80 bytes per state entry (Haar) or per basis draw
     _check_samples(cfg.samples, 80 * (2**h.n if cfg.ensemble == "haar" else 1))
-    if cfg.ensemble == "gaussian-hamiltonian":
-        raise ValidationError(
-            "gaussian-hamiltonian is an operator ensemble; "
-            "use sample_random_hamiltonian"
-        )
     err_op = trotter_error_op(h, cfg.t, cfg.r, cfg.order, cfg.cap_n)
     spectral, pnorms = _spectral_and_pnorms(err_op, cfg.p_values)
 
@@ -309,8 +313,7 @@ def sample_random_hamiltonian(
     against its 2x l2-error ceiling).
     """
     check_cap(model.n, cfg.cap_n)
-    _check_samples(cfg.samples, 1024)  # a child seed (about 380 B) and a few floats per draw
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
+    seeds = _child_seeds(cfg.seed, cfg.samples)
 
     spectrals: list[float] = []
     fixed_errors: list[float] = []
@@ -417,7 +420,7 @@ def random_r_sweep(
     check_cap(model.n, cfg.cap_n)
     if any(r < 1 for r in r_values):
         raise ValidationError("need r >= 1 throughout the sweep")
-    seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.samples)
+    seeds = _child_seeds(cfg.seed, cfg.samples)
     per_r: dict[int, list[float]] = {r: [] for r in r_values}
     for child in seeds:
         h = model.sample(child)
@@ -491,9 +494,9 @@ class HypercontractivityCheck:
 
 
 def check_hypercontractivity(
-    f: Union[PauliSum, np.ndarray], p: float, n: Optional[int] = None
-) -> HypercontractivityCheck:
-    """Moment estimates for a local operator at Schatten index p.
+    f: Union[PauliSum, np.ndarray], p_values: Sequence[float], n: Optional[int] = None
+) -> list[HypercontractivityCheck]:
+    """Moment estimates for a local operator, one check per Schatten index p.
 
     Checks three one-sided inequalities on the support decomposition
     F = sum_S F_S with C_p = p - 1:
@@ -502,17 +505,11 @@ def check_hypercontractivity(
     - aggregated form:    |F|_p <= |sum_S C_p^(|S|/2) F_S|_2,
     - 2-norm form:        |F|_p^2 <= sum_S (3 C_p)^|S| |F_S|_2^2,
 
-    all in normalized norms.  ``margin`` is rhs - lhs for the first.
+    all in normalized norms.  ``margin`` is rhs - lhs for the first.  Every
+    p is read from one matrix, one support decomposition and one set of
+    singular values per operator; only the aggregated form's p-dependent
+    combination takes an SVD per p.
     """
-    return _hypercontractivity_checks(f, (p,), n)[0]
-
-
-def _hypercontractivity_checks(
-    f: Union[PauliSum, np.ndarray], p_values: Sequence[float], n: Optional[int] = None
-) -> list[HypercontractivityCheck]:
-    """``check_hypercontractivity`` at every p, from one matrix, one support
-    decomposition and one set of singular values per operator; only the
-    aggregated form's p-dependent combination takes an SVD per p."""
     if min(p_values) < 2:
         raise ValidationError("hypercontractivity checks need p >= 2")
     m = to_matrix(f)
@@ -654,12 +651,12 @@ def fuzz_hypercontractivity(
 ) -> SmoothnessReport:
     """Random-operator fuzz over all three hypercontractive forms."""
     tally = _Tally("hypercontractivity")
-    for child in np.random.SeedSequence(seed).spawn(trials):
+    for child in _child_seeds(seed, trials):
         rng = np.random.default_rng(child)
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         k = min(k_max, n)
         f = random_local_operator(n, k, int(rng.integers(1, 9)), rng)
-        for res in _hypercontractivity_checks(f, p_values, n):
+        for res in check_hypercontractivity(f, p_values, n):
             margin = res.margin / max(res.rhs, 1e-300)
             tally.record(margin, not res.passed, lambda: {"operator": to_matrix(f)})
     return tally.report(trials)
@@ -695,7 +692,7 @@ def check_uniform_smoothness(
     if not 0 <= site < n:
         raise ValidationError("site out of range")
     tally = _Tally("uniform-smoothness")
-    for child in np.random.SeedSequence(seed).spawn(trials):
+    for child in _child_seeds(seed, trials):
         rng = np.random.default_rng(child)
         x = _with_identity_site(_ginibre(2 ** (n - 1), rng), site, n)
         y = _recenter_site(_ginibre(2**n, rng), site, n)
@@ -713,6 +710,7 @@ def check_two_point_inequality(
 ) -> SmoothnessReport:
     """Scalar two-point inequality, vectorized:
     ((|a+b|^p + |a-b|^p)/2)^(2/p) <= a^2 + (p-1) b^2."""
+    _check_samples(trials, 80)  # about ten float arrays of one entry per trial
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(trials) * 10.0 ** rng.uniform(-2, 2, trials)
     b = rng.standard_normal(trials) * 10.0 ** rng.uniform(-2, 2, trials)
@@ -754,7 +752,7 @@ def check_weighted_smoothness(
         raise ValidationError("site out of range")
     w = spec.weights[site]
     tally = _Tally("weighted-smoothness")
-    for child in np.random.SeedSequence(seed).spawn(trials):
+    for child in _child_seeds(seed, trials):
         rng = np.random.default_rng(child)
         x = _with_identity_site(_ginibre(2 ** (n - 1), rng), site, n)
         y = _recenter_site(_ginibre(2**n, rng), site, n, weight=w)
@@ -795,7 +793,7 @@ def check_fermionic_smoothness(
     if p < 2:
         raise ValidationError("needs p >= 2")
     tally = _Tally("fermionic-smoothness")
-    for child in np.random.SeedSequence(seed).spawn(trials):
+    for child in _child_seeds(seed, trials):
         rng = np.random.default_rng(child)
         total, groups = _random_fermion_sum(n, rng)
         m = to_matrix(total)

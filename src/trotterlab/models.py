@@ -142,6 +142,8 @@ class KLocalGaussianModel:
             raise ValidationError("need 1 <= k <= n")
         if self.j_coupling <= 0:
             raise ValidationError("coupling J must be positive")
+        if self.seed < 0:
+            raise ValidationError(f"the seed must be a non-negative integer, got {self.seed}")
         _check_size(self.gamma, _pauli_term_bytes(self.n))
         subsets = itertools.combinations(range(self.n), self.k)
         sites = np.fromiter(itertools.chain.from_iterable(subsets), np.intp)

@@ -23,7 +23,6 @@ since every fermionic monomial maps to a single tensor product).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import NamedTuple, Optional, Union
@@ -170,23 +169,14 @@ def _subset_incidence(data: _TermData, c: int) -> tuple[np.ndarray, np.ndarray]:
     return code, owner[order]
 
 
-def _norm_table(data: _TermData, c_max: int) -> dict[tuple[int, int], float]:
-    """(c, q) -> ||H||_{(c),q} for 0 <= c <= c_max, one loop over the terms per c.
+def _norm_table(data: _TermData) -> dict[tuple[int, int], float]:
+    """(c, q) -> ||H||_{(c),q} for 0 <= c <= k, one loop over the terms per c.
 
-    Norms above the locality k are 0; asking for them warns.  A weight-w
-    term has C(w, c) subsets, so wide terms are refused before any is
-    enumerated when the subsets would not fit in ``_SUBSET_BYTES``.
+    A weight-w term has C(w, c) subsets, so wide terms are refused before
+    any is enumerated when the subsets would not fit in ``_SUBSET_BYTES``.
     """
-    k = data.k
-    if c_max > k:
-        warnings.warn(
-            f"local norm requested at c={c_max} above the Hamiltonian locality k={k}; "
-            "no term support contains such a subset (returning 0)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     counts = np.bincount(data.weight).tolist()  # terms per support size
-    for c in range(1, c_max + 1):
+    for c in range(1, data.k + 1):
         subsets = sum(count * math.comb(w, c) for w, count in enumerate(counts))
         if subsets * 40 * (c + 1) > _SUBSET_BYTES:
             raise ResourceCapError(
@@ -194,22 +184,9 @@ def _norm_table(data: _TermData, c_max: int) -> dict[tuple[int, int], float]:
                 f"supports, more than {_SUBSET_BYTES} bytes of memory allow"
             )
     norms: dict[tuple[int, int], float] = {}
-    for c in range(c_max + 1):
+    for c in range(data.k + 1):
         norms[(c, 1)], norms[(c, 2)] = _norm_pair(data, c)
     return norms
-
-
-def local_norm(h: AnyHamiltonian, c: int, q: int) -> float:
-    """||H||_{(c),q} by exact enumeration of size-c subsets of term supports.
-
-    Only subsets occurring inside some term support are visited (never all
-    C(n, c) subsets).  c greater than the locality k returns 0 with a warning.
-    """
-    if q not in (1, 2):
-        raise ValueError(f"q must be 1 or 2, got {q}")
-    if c < 0:
-        raise ValueError(f"c must be nonnegative, got {c}")
-    return _norm_table(_term_data(h), c)[(c, q)]
 
 
 def _lambda(norms: dict[tuple[int, int], float], k: int) -> float:
@@ -247,45 +224,6 @@ def _ladder_zero_two(f: FermionHamiltonian, data: _TermData) -> float:
     return math.sqrt(sum(b * b for t, b in zip(f.terms, bounds) if t.has_ladder))
 
 
-def lambda_k(h: AnyHamiltonian, k: Optional[int] = None) -> float:
-    """lambda(k) evaluated from the (c,2) norm family."""
-    if k is None:
-        k = h.k
-    if k < 1:
-        raise ValueError("lambda(k) requires locality k >= 1")
-    return _lambda(_norm_table(_term_data(h), k), k)
-
-
-def lambda_prime_k(h: AnyHamiltonian, k: Optional[int] = None) -> float:
-    """lambda'(k) evaluated from the (c,1) norm family."""
-    if k is None:
-        k = h.k
-    if k < 1:
-        raise ValueError("lambda'(k) requires locality k >= 1")
-    return _lambda_prime(_norm_table(_term_data(h), k), k)
-
-
-def ladder_part(f: FermionHamiltonian) -> FermionHamiltonian:
-    """The sub-Hamiltonian of terms containing creation/annihilation factors."""
-    return FermionHamiltonian(f.n, (t for t in f.terms if t.has_ladder))
-
-
-def lambda_ferm_k(f: FermionHamiltonian, k: Optional[int] = None) -> float:
-    """lambda(k) plus the same-site-collision correction for fermions."""
-    if not isinstance(f, FermionHamiltonian):
-        raise TypeError("lambda_ferm requires a fermionic Hamiltonian")
-    if not f.is_number_preserving:
-        raise ValueError(
-            "lambda_ferm is defined for particle-number-preserving Hamiltonians"
-        )
-    if k is None:
-        k = f.k
-    if k < 1:
-        raise ValueError("lambda(k) requires locality k >= 1")
-    data = _term_data(f)
-    return _lambda_ferm(_lambda(_norm_table(data, k), k), _ladder_zero_two(f, data), k)
-
-
 def norm_profile(h: AnyHamiltonian) -> NormProfile:
     """Compute every (c, q) norm for 0 <= c <= k plus the derived constants.
 
@@ -294,7 +232,7 @@ def norm_profile(h: AnyHamiltonian) -> NormProfile:
     """
     data = _term_data(h)
     k = data.k
-    norms = _norm_table(data, k)
+    norms = _norm_table(data)
     lam = _lambda(norms, k) if k >= 1 else 0.0
     lam_p = _lambda_prime(norms, k) if k >= 1 else 0.0
     lam_f = None

@@ -113,13 +113,6 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(p.n, *_row_ints(x), *_row_ints(z), _PHASES.tolist().index(c[0]))
 
 
-def strings_commute(p: PauliString, q: PauliString) -> bool:
-    """True iff the strings commute (symplectic inner product is even)."""
-    if p.n != q.n:
-        raise DimensionMismatchError(f"qubit counts differ: {p.n} vs {q.n}")
-    return not _anticommuting(_ingest(p.n, [(p, 1.0)]), _ingest(q.n, [(q, 1.0)]))[0]
-
-
 @dataclass(frozen=True)
 class PauliTerm:
     """A Pauli string with a complex coefficient; phase folded into the coefficient."""
@@ -778,9 +771,11 @@ def jordan_wigner(
     return acc
 
 
-def fermion_term_site_matrices(term: FermionTerm, n: int):
-    """Per-site 2x2 matrices whose tensor product (up to the tracked phase)
-    equals the Jordan-Wigner image of the term divided by its coefficient.
+def _jw_site_products(term: FermionTerm, sites: Iterable[int]):
+    """The per-site 2x2 factor products of a fermionic term on ``sites``.
+    Over all n sites their tensor product (up to the tracked phase) equals
+    the Jordan-Wigner image of the term divided by its coefficient; each
+    site's product is formed in the same order whichever sites are asked.
 
     Every fermionic monomial maps to a single tensor product of per-site 2x2
     factors (each factor of the monomial contributes its own site matrix and
@@ -788,12 +783,6 @@ def fermion_term_site_matrices(term: FermionTerm, n: int):
     product of the 2x2 spectral norms.  Only sites in the term's support can
     carry a non-unitary factor; all others are powers of Z.
     """
-    return _jw_site_products(term, range(n))
-
-
-def _jw_site_products(term: FermionTerm, sites: Iterable[int]):
-    """The per-site factor products of ``fermion_term_site_matrices`` on
-    ``sites`` only; each site's product is formed in the same order."""
     sig_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     sig_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
     sig_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -11,7 +11,24 @@ def test_every_exported_name_resolves(name):
     assert getattr(trotterlab, name) is not None
 
 
-@pytest.mark.parametrize("name", ["commutator", "adjoint_apply", "string_matrix", "is_unitary", "state_error"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "commutator",
+        "adjoint_apply",
+        "string_matrix",
+        "is_unitary",
+        "state_error",
+        "local_norm",
+        "lambda_k",
+        "lambda_prime_k",
+        "lambda_ferm_k",
+        "ladder_part",
+        "is_hermitian",
+        "strings_commute",
+        "fermion_term_site_matrices",
+    ],
+)
 def test_deleted_names_are_gone(name):
     assert name not in trotterlab.__all__
     with pytest.raises(AttributeError):
@@ -26,8 +43,18 @@ def test_deleted_names_are_gone(name):
         ("dense", "string_matrix"),
         ("dense", "is_unitary"),
         ("dense", "state_error"),
+        ("norms", "local_norm"),
+        ("norms", "lambda_k"),
+        ("norms", "lambda_prime_k"),
+        ("norms", "lambda_ferm_k"),
+        ("norms", "ladder_part"),
+        ("dense", "is_hermitian"),
+        ("pauli", "strings_commute"),
+        ("pauli", "fermion_term_site_matrices"),
+        ("lab", "_hypercontractivity_checks"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):
     assert not hasattr(getattr(trotterlab, module), name)
+
 

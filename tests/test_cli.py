@@ -540,7 +540,7 @@ def dense_flag_argv(draw):
     if family == "k-local-syk":
         argv += [f"--k={draw(st.integers(-1, 4))}", f"--j={draw(_FUZZ_FLOAT)}"]
     flags = {
-        "seed": st.integers(0, 3),
+        "seed": st.integers(-2, 3) | st.sampled_from([-(10**30)]),
         "samples": st.integers(min_value=-1, max_value=30) | st.sampled_from([10**30]),
         "ensemble": st.sampled_from(["basis-1-design", "haar"]),
         "t": _FUZZ_FLOAT,
@@ -558,6 +558,56 @@ def dense_flag_argv(draw):
 @settings(max_examples=150, deadline=None)
 def test_fuzz_schedule_and_simulate_flags_exit_cleanly(argv):
     _assert_clean_exit(*_call(argv))
+
+
+_FUZZ_SEED = st.integers(-2, 3) | st.sampled_from([-(10**30), 10**30])
+
+
+@st.composite
+def seeded_flag_argv(draw):
+    """verify with every flag drawn (a few trials each, so each call stays
+    fast), and model's stochastic family with a drawn seed."""
+    if draw(st.booleans()):
+        argv = ["model", "--family=k-local-syk", f"--n={draw(st.integers(-1, 5))}",
+                f"--k={draw(st.integers(-1, 3))}"]
+        return argv + [f"--seed={draw(_FUZZ_SEED)}"]
+    suite = draw(st.sampled_from(["all", "hypercontractivity", "smoothness", "two-point", "optimality", "suzuki"]))
+    trials = draw(st.integers(min_value=-1, max_value=3) | st.sampled_from([10**30]))
+    argv = ["verify", f"--suite={suite}", f"--trials={trials}", f"--seed={draw(_FUZZ_SEED)}"]
+    return argv + [f"--p={draw(_FUZZ_FLOAT)}" for _ in range(draw(st.integers(0, 2)))]
+
+
+@given(argv=seeded_flag_argv())
+@settings(max_examples=150, deadline=None)
+def test_fuzz_verify_and_model_flags_exit_cleanly(argv):
+    _assert_clean_exit(*_call(argv))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--family", "k-local-syk", "--n", "3", "--k", "2"],
+        ["simulate", "--family", "k-local-syk", "--n", "3", "--k", "2", "--t", "1"],
+        ["simulate", "--family", "chain-heisenberg", "--n", "3", "--t", "1"],
+        ["verify"],
+        ["verify", "--suite", "suzuki"],
+    ],
+)
+def test_negative_seed_exits_2_with_one_error_line(argv):
+    code, out, err = _call([*argv, "--seed=-1"])
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and "non-negative" in err
+
+
+@pytest.mark.parametrize("suite", ["all", "hypercontractivity", "smoothness", "two-point", "optimality", "suzuki"])
+@pytest.mark.parametrize("trials, code, message", [("0", 2, "at least 1"), ("-1", 2, "at least 1"), (str(10**30), 3, "bytes of memory")])
+def test_verify_trial_counts_outside_the_contract_exit_cleanly(suite, trials, code, message):
+    got, out, err = _call(["verify", f"--suite={suite}", f"--trials={trials}", "--seed=1"])
+    if code == 3 and suite in ("optimality", "suzuki"):
+        code = 0  # these suites draw no trials
+    assert got == code
+    if code:
+        assert out == "" and err.count("error:") == 1 and message in err
 
 
 @pytest.mark.parametrize(

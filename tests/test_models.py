@@ -20,7 +20,7 @@ from trotterlab.models import (
     zxyz,
     zxyz_groups,
 )
-from trotterlab.norms import fermion_term_bound, local_norm, norm_profile
+from trotterlab.norms import fermion_term_bound, norm_profile
 from trotterlab.pauli import PauliHamiltonian, jordan_wigner, leading_error
 
 
@@ -46,10 +46,10 @@ def test_chain_rejects_single_site():
 
 def test_chain_local_norms():
     # Interior site of an n=5 chain touches 2 bonds x 3 letters = 6 terms.
-    h = chain_heisenberg(5)
-    assert local_norm(h, 1, 2) == pytest.approx(math.sqrt(6.0))
-    assert local_norm(h, 1, 1) == pytest.approx(6.0)
-    assert local_norm(h, 0, 2) == pytest.approx(math.sqrt(12.0))
+    prof = norm_profile(chain_heisenberg(5))
+    assert prof.norm(1, 2) == pytest.approx(math.sqrt(6.0))
+    assert prof.norm(1, 1) == pytest.approx(6.0)
+    assert prof.norm(0, 2) == pytest.approx(math.sqrt(12.0))
 
 
 # ------------------------------------------------------------ power law
@@ -187,11 +187,11 @@ def test_syk_bound_hamiltonian_norms():
     model = KLocalGaussianModel(8, 2, 1.0, seed=0)
     hb = model.bound_hamiltonian()
     sigma = model.sigma
-    assert local_norm(hb, 0, 2) == pytest.approx(sigma * math.sqrt(28))
-    # Every site sits in C(7,1) = 7 subsets.
-    assert local_norm(hb, 1, 2) == pytest.approx(sigma * math.sqrt(7))
-    assert local_norm(hb, 0, 1) == pytest.approx(sigma * 28)
     profile = norm_profile(hb)
+    assert profile.norm(0, 2) == pytest.approx(sigma * math.sqrt(28))
+    # Every site sits in C(7,1) = 7 subsets.
+    assert profile.norm(1, 2) == pytest.approx(sigma * math.sqrt(7))
+    assert profile.norm(0, 1) == pytest.approx(sigma * 28)
     assert profile.gamma == 28
     assert profile.k == 2
 
@@ -215,11 +215,11 @@ def test_zxyz_structure():
 
 def test_zxyz_norm_profile():
     for m in (1, 2, 3):
-        h = zxyz(m)
-        assert local_norm(h, 0, 2) == pytest.approx(m * math.sqrt(2.0))
-        assert local_norm(h, 1, 2) == pytest.approx(math.sqrt(2.0 * m))
-        assert local_norm(h, 1, 1) == pytest.approx(2.0 * m)
-        assert local_norm(h, 2, 2) == pytest.approx(1.0)
+        prof = norm_profile(zxyz(m))
+        assert prof.norm(0, 2) == pytest.approx(m * math.sqrt(2.0))
+        assert prof.norm(1, 2) == pytest.approx(math.sqrt(2.0 * m))
+        assert prof.norm(1, 1) == pytest.approx(2.0 * m)
+        assert prof.norm(2, 2) == pytest.approx(1.0)
 
 
 def test_zxyz_first_order_leading_error_is_zzz_product():
@@ -263,15 +263,15 @@ def test_fermi_hop_all_bounds_unit():
     assert all(
         fermion_term_bound(t, f.n) == pytest.approx(1.0) for t in f.terms
     )
-    assert local_norm(f, 0, 2) == pytest.approx(4.0)  # sqrt(16)
+    assert norm_profile(f).norm(0, 2) == pytest.approx(4.0)  # sqrt(16)
 
 
 def test_fermi_hop_qubit_image_hermitian():
-    from trotterlab.dense import is_hermitian, to_matrix
+    from trotterlab.dense import to_matrix
 
     f = fermi_hop(1)
     mat = to_matrix(jordan_wigner(f), cap_n=6)
-    assert is_hermitian(mat)
+    np.testing.assert_allclose(mat, mat.conj().T, rtol=0, atol=1e-10)
 
 
 def test_fermi_hop_m1_monomials():

@@ -14,11 +14,6 @@ from trotterlab.norms import (
     _sequential_sum,
     _term_data,
     fermion_term_bound,
-    ladder_part,
-    lambda_ferm_k,
-    lambda_k,
-    lambda_prime_k,
-    local_norm,
     norm_profile,
 )
 from trotterlab.pauli import (
@@ -26,7 +21,6 @@ from trotterlab.pauli import (
     FermionTerm,
     PauliHamiltonian,
     _jw_site_products,
-    fermion_term_site_matrices,
 )
 
 
@@ -37,32 +31,18 @@ def zfield(n):
 
 
 def test_disjoint_unit_terms():
-    h = zfield(5)
-    assert local_norm(h, 0, 2) == pytest.approx(math.sqrt(5))
-    assert local_norm(h, 1, 2) == pytest.approx(1.0)
-    assert local_norm(h, 1, 1) == pytest.approx(1.0)
-    assert local_norm(h, 0, 1) == pytest.approx(5.0)
+    prof = norm_profile(zfield(5))
+    assert prof.norm(0, 2) == pytest.approx(math.sqrt(5))
+    assert prof.norm(1, 2) == pytest.approx(1.0)
+    assert prof.norm(1, 1) == pytest.approx(1.0)
+    assert prof.norm(0, 1) == pytest.approx(5.0)
 
 
 def test_single_term_all_values_equal():
-    h = PauliHamiltonian.from_labels(2, [("ZZ", 3.0)])
+    prof = norm_profile(PauliHamiltonian.from_labels(2, [("ZZ", 3.0)]))
     for c in (0, 1, 2):
         for q in (1, 2):
-            assert local_norm(h, c, q) == pytest.approx(3.0)
-
-
-def test_c_above_locality_warns_and_returns_zero():
-    h = PauliHamiltonian.from_labels(2, [("ZI", 1.0)])
-    with pytest.warns(RuntimeWarning):
-        assert local_norm(h, 2, 2) == 0.0
-
-
-def test_invalid_arguments():
-    h = zfield(2)
-    with pytest.raises(ValueError):
-        local_norm(h, 0, 3)
-    with pytest.raises(ValueError):
-        local_norm(h, -1, 2)
+            assert prof.norm(c, q) == pytest.approx(3.0)
 
 
 def zxyz_like(m):
@@ -86,11 +66,12 @@ def zxyz_like(m):
 def test_block_model_norms(m):
     h = zxyz_like(m)
     assert h.gamma == 2 * m * m
-    assert local_norm(h, 0, 2) == pytest.approx(m * math.sqrt(2.0))
+    prof = norm_profile(h)
+    assert prof.norm(0, 2) == pytest.approx(m * math.sqrt(2.0))
     # middle sites touch 2m terms (m from each block pairing)
-    assert local_norm(h, 1, 2) == pytest.approx(math.sqrt(2.0 * m))
-    assert local_norm(h, 1, 1) == pytest.approx(2.0 * m)
-    assert local_norm(h, 2, 2) == pytest.approx(1.0)
+    assert prof.norm(1, 2) == pytest.approx(math.sqrt(2.0 * m))
+    assert prof.norm(1, 1) == pytest.approx(2.0 * m)
+    assert prof.norm(2, 2) == pytest.approx(1.0)
 
 
 @given(st.integers(min_value=0, max_value=6), st.data())
@@ -108,7 +89,7 @@ def test_monotone_in_c_and_q(seed, data):
         pairs.append(("".join(label), float(rng.normal())))
     h = PauliHamiltonian.from_labels(n, pairs)
     k = h.k
-    values = {(c, q): local_norm(h, c, q) for c in range(k + 1) for q in (1, 2)}
+    values = norm_profile(h).norms
     for c in range(k + 1):
         assert values[(c, 2)] <= values[(c, 1)] + 1e-12
         if c + 1 <= k:
@@ -119,16 +100,17 @@ def test_monotone_in_c_and_q(seed, data):
 
 
 def test_lambda_unit_term():
-    h = PauliHamiltonian.from_labels(1, [("Z", 1.0)])
-    assert lambda_k(h) == pytest.approx(4.0)
-    assert lambda_prime_k(h) == pytest.approx(4.0 * math.sqrt(5.0))
+    prof = norm_profile(PauliHamiltonian.from_labels(1, [("Z", 1.0)]))
+    assert prof.lambda_k == pytest.approx(4.0)
+    assert prof.lambda_prime_k == pytest.approx(4.0 * math.sqrt(5.0))
 
 
 def test_lambda_homogeneous_degree_one():
     h = zxyz_like(2)
     h2 = PauliHamiltonian(h.n, [(t.string, 3.0 * t.coeff) for t in h.terms])
-    assert lambda_k(h2) == pytest.approx(3.0 * lambda_k(h), rel=1e-12)
-    assert lambda_prime_k(h2) == pytest.approx(3.0 * lambda_prime_k(h), rel=1e-12)
+    prof, prof2 = norm_profile(h), norm_profile(h2)
+    assert prof2.lambda_k == pytest.approx(3.0 * prof.lambda_k, rel=1e-12)
+    assert prof2.lambda_prime_k == pytest.approx(3.0 * prof.lambda_prime_k, rel=1e-12)
 
 
 def test_lambda_independent_arithmetic_oracle():
@@ -140,21 +122,21 @@ def test_lambda_independent_arithmetic_oracle():
             label = ["I"] * n
             label[i] = label[i + 1] = p
             pairs.append(("".join(label), 1.0))
-    h = PauliHamiltonian.from_labels(n, pairs)
+    prof = norm_profile(PauliHamiltonian.from_labels(n, pairs))
     # oracle values by hand: every bond has 3 terms. site 1 and 2 touch 6
     # terms each -> ||H||_(1),2 = sqrt(6); a bond subset {i,i+1} is covered by
     # its 3 terms -> ||H||_(2),2 = sqrt(3); ||H||_(0),2 = sqrt(9) = 3.
-    assert local_norm(h, 1, 2) == pytest.approx(math.sqrt(6.0))
-    assert local_norm(h, 2, 2) == pytest.approx(math.sqrt(3.0))
+    assert prof.norm(1, 2) == pytest.approx(math.sqrt(6.0))
+    assert prof.norm(2, 2) == pytest.approx(math.sqrt(3.0))
     expected_lambda = (2.0 ** 2.0 / 1.0) * (
         2.0 ** 0.5 / 1.0 * math.sqrt(6.0) + 2.0 / 1.0 * math.sqrt(3.0)
     )
-    assert lambda_k(h) == pytest.approx(expected_lambda, rel=1e-12)
+    assert prof.lambda_k == pytest.approx(expected_lambda, rel=1e-12)
     expected_lp = 2.0 * (
         2.0 * math.sqrt(20.0) * math.sqrt(6.0 * 9.0)
         + 1.0 * 20.0 * math.sqrt(3.0 * 9.0 / 2.0)
     )
-    assert lambda_prime_k(h) == pytest.approx(expected_lp, rel=1e-12)
+    assert prof.lambda_prime_k == pytest.approx(expected_lp, rel=1e-12)
 
 
 def hop(i, j, coeff=1.0):
@@ -211,7 +193,7 @@ def fermion_terms(draw):
 @settings(max_examples=200, deadline=None)
 def test_support_site_products_equal_full_products(case):
     term, n = case
-    full = fermion_term_site_matrices(term, n)
+    full = _jw_site_products(term, range(n))
     assert sorted(full) == list(range(n))
     support = term.support()
     restricted = _jw_site_products(term, support)
@@ -229,20 +211,21 @@ def test_support_site_products_equal_full_products(case):
 @pytest.mark.parametrize("m", [1, 2])
 def test_fermionic_ladder_zero_two(m):
     f = fermi_hop_like(m)
-    assert local_norm(ladder_part(f), 0, 2) == pytest.approx(2.0 * m)
+    assert norm_profile(f).ferm_zero_two == pytest.approx(2.0 * m)
 
 
 def test_lambda_ferm_occupation_only_equals_lambda():
     f = FermionHamiltonian(
         2, [FermionTerm(((0, "z"),), 1.0), FermionTerm(((1, "z"),), 1.0)]
     )
-    assert lambda_ferm_k(f) == pytest.approx(lambda_k(f), rel=1e-12)
+    prof = norm_profile(f)
+    assert prof.lambda_ferm_k == pytest.approx(prof.lambda_k, rel=1e-12)
 
 
 def test_lambda_ferm_requires_number_preservation():
     f = FermionHamiltonian(2, [FermionTerm(((0, "+"),), 1.0)])
-    with pytest.raises(ValueError):
-        lambda_ferm_k(f)
+    assert not f.is_number_preserving
+    assert norm_profile(f).lambda_ferm_k is None
 
 
 def test_lambda_ferm_hopping_adds_extra_term():
@@ -250,7 +233,8 @@ def test_lambda_ferm_hopping_adds_extra_term():
     k = f.k
     assert k == 2
     extra = 2.0 ** 2.0 / math.factorial(1) / math.factorial(2) * 2.0
-    assert lambda_ferm_k(f) == pytest.approx(lambda_k(f) + extra, rel=1e-12)
+    prof = norm_profile(f)
+    assert prof.lambda_ferm_k == pytest.approx(prof.lambda_k + extra, rel=1e-12)
 
 
 def test_profile_collects_everything():
@@ -276,7 +260,7 @@ def test_zero_two_matches_dense_normalized_norm():
             m = np.kron(m, mats[ch])
         dense += t.coeff * m
     normalized_two = np.linalg.norm(dense, "fro") / math.sqrt(8)
-    assert local_norm(h, 0, 2) == pytest.approx(normalized_two, rel=1e-12)
+    assert norm_profile(h).norm(0, 2) == pytest.approx(normalized_two, rel=1e-12)
 
 
 def random_pauli_hamiltonian(rng, n=7, k_max=4):
@@ -316,27 +300,41 @@ def random_fermion_hamiltonian(rng, n=6, k_max=4, number_preserving=True):
     st.sampled_from(["pauli", "fermion", "fermion-nonpreserving"]),
 )
 @settings(max_examples=80, deadline=None)
-def test_profile_equals_per_norm_functions_exactly(seed, k_max, kind):
+def test_profile_equals_independent_oracles(seed, k_max, kind):
     rng = np.random.default_rng(seed)
     if kind == "pauli":
         h = random_pauli_hamiltonian(rng, k_max=k_max)
+        data = [(t.string.support(), abs(t.coeff)) for t in h.terms]
     else:
         h = random_fermion_hamiltonian(
             rng, k_max=k_max, number_preserving=kind == "fermion"
         )
+        data = [(t.support(), fermion_term_bound(t, h.n)) for t in h.terms]
     prof = norm_profile(h)
-    assert prof.k == h.k
-    assert set(prof.norms) == {(c, q) for c in range(h.k + 1) for q in (1, 2)}
-    for (c, q), value in prof.norms.items():
-        assert value == local_norm(h, c, q)
-    assert prof.lambda_k == lambda_k(h)
-    assert prof.lambda_prime_k == lambda_prime_k(h)
+    k = h.k
+    assert prof.k == k
+    assert set(prof.norms) == {(c, q) for c in range(k + 1) for q in (1, 2)}
+    for c in range(k + 1):
+        assert (prof.norm(c, 1), prof.norm(c, 2)) == _combinations_norms(data, c)
+    # The paper's formulas, evaluated straight from the norm table.
+    norms = prof.norms
+    lam = 2.0 ** (k / 2 + 1) / math.factorial(k - 1) * math.fsum(
+        2.0 ** (j / 2) / math.factorial(k - j) * norms[(j, 2)] for j in range(1, k + 1)
+    )
+    lam_prime = 2.0 * math.fsum(
+        math.comb(k, j) * 20.0 ** (j / 2) * math.sqrt(norms[(j, 1)] * norms[(0, 1)] / math.factorial(j))
+        for j in range(1, k + 1)
+    )
+    assert prof.lambda_k == pytest.approx(lam, rel=1e-12)
+    assert prof.lambda_prime_k == pytest.approx(lam_prime, rel=1e-12)
     if kind == "pauli":
         assert prof.lambda_ferm_k is None and prof.ferm_zero_two is None
         return
-    assert prof.ferm_zero_two == local_norm(ladder_part(h), 0, 2)
+    ladder = FermionHamiltonian(h.n, [t for t in h.terms if t.has_ladder])
+    assert prof.ferm_zero_two == norm_profile(ladder).norm(0, 2)
     if kind == "fermion":
-        assert prof.lambda_ferm_k == lambda_ferm_k(h)
+        extra = 2.0 ** (k / 2 + 1) / math.factorial(k - 1) / math.factorial(k) * prof.ferm_zero_two
+        assert prof.lambda_ferm_k == pytest.approx(lam + extra, rel=1e-12)
     else:
         assert prof.lambda_ferm_k is None
 
@@ -399,12 +397,9 @@ def test_bincount_norms_equal_combinations_oracle_bit_for_bit(seed, n, gamma, k_
     rng = np.random.default_rng(seed)
     h = _random_wide_pauli(rng, n, gamma, min(k_max, n))
     data = [(t.string.support(), abs(t.coeff)) for t in h.terms]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # c above k
-        for c in range(1, k_max + 1):
-            one, two = _combinations_norms(data, c)
-            assert local_norm(h, c, 1) == one
-            assert local_norm(h, c, 2) == two
+    prof = norm_profile(h)
+    for c in range(1, prof.k + 1):
+        assert (prof.norm(c, 1), prof.norm(c, 2)) == _combinations_norms(data, c)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -421,12 +416,9 @@ def test_fermionic_bincount_norms_equal_oracle_with_zero_terms(seed):
     assert zero.is_zero
     h = FermionHamiltonian(n, [*h.terms, zero, *h.terms[:2]])
     data = [(t.support(), fermion_term_bound(t, n)) for t in h.terms]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for c in range(1, 5):
-            one, two = _combinations_norms(data, c)
-            assert local_norm(h, c, 1) == one
-            assert local_norm(h, c, 2) == two
+    prof = norm_profile(h)
+    for c in range(1, prof.k + 1):
+        assert (prof.norm(c, 1), prof.norm(c, 2)) == _combinations_norms(data, c)
 
 
 def test_wide_term_subsets_are_refused_before_enumeration(monkeypatch):
@@ -434,9 +426,11 @@ def test_wide_term_subsets_are_refused_before_enumeration(monkeypatch):
     from trotterlab.errors import ResourceCapError
 
     h = PauliHamiltonian.from_labels(12, [("XYZXYZXYZXII", 1.0), ("IIIIIIIIIIZZ", 0.5)])
-    # The weight-10 term has C(10, 4) = 210 subsets at c = 4 and 252 at c = 5.
-    monkeypatch.setattr(norms_module, "_SUBSET_BYTES", 50_000)
-    assert local_norm(h, 4, 1) == 1.0
+    # The weight-10 term has C(10, 5) = 252 subsets at c = 5, the most of any
+    # c, taking 252 * 40 * 6 = 60_480 bytes by the kernel's measure.
+    monkeypatch.setattr(norms_module, "_SUBSET_BYTES", 60_480)
+    assert norm_profile(h).norm(10, 1) == 1.0
+    monkeypatch.setattr(norms_module, "_SUBSET_BYTES", 60_479)
     monkeypatch.setattr(
         norms_module,
         "_subset_incidence",

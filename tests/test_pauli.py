@@ -29,8 +29,10 @@ from trotterlab.pauli import (
     PauliSum,
     PauliTerm,
     commutator_sum,
+    _anticommuting,
+    _ingest,
+    _jw_site_products,
     fermion_from_json,
-    fermion_term_site_matrices,
     fermion_to_json,
     jordan_wigner,
     leading_error,
@@ -38,7 +40,6 @@ from trotterlab.pauli import (
     _pauli_json_text,
     pauli_from_json,
     pauli_to_json,
-    strings_commute,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -195,7 +196,8 @@ def test_multiply_associative(p, q, r):
 def test_commute_predicate_matches_dense(p, q):
     mp, mq = dense(p), dense(q)
     comm = mp @ mq - mq @ mp
-    assert strings_commute(p, q) == bool(np.allclose(comm, 0, atol=1e-12))
+    anticommute = _anticommuting(_ingest(p.n, [(p, 1.0)]), _ingest(q.n, [(q, 1.0)]))[0]
+    assert (not anticommute) == bool(np.allclose(comm, 0, atol=1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -977,7 +979,7 @@ def test_fermion_hamiltonian_to_pauli_hermitian():
 def test_fermion_site_matrices_reconstruct_image():
     t = FermionTerm(((1, "+"), (3, "-"), (2, "z")), 0.9, eta=0.4)
     n = 4
-    mats = fermion_term_site_matrices(t, n)
+    mats = _jw_site_products(t, range(n))
     out = np.array([[1.0 + 0.0j]])
     for s in range(n):
         out = np.kron(out, mats[s])
