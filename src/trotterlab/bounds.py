@@ -88,7 +88,7 @@ REGIMES = (
     "spectral-1norm-baseline",
 )
 
-HamiltonianLike = Union[PauliHamiltonian, FermionHamiltonian, NormProfile]
+HamiltonianLike = Union[PauliHamiltonian, FermionHamiltonian]
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class GateCountResult:
 
 
 def _profile_of(h: HamiltonianLike) -> NormProfile:
-    profile = h if isinstance(h, NormProfile) else norm_profile(h)
+    profile = norm_profile(h)
     # Every step-count formula has a (1, q) norm or a 1/lambda(k) in it.
     if profile.gamma and not profile.k:
         raise ValidationError(
@@ -375,31 +375,24 @@ def gatecount_nonrandom(
     return _staged_result(q, profile, r, p_star, diagnostics, feasible)
 
 
-def _first_order_log_term(regime: str, n: int, delta: float, d_local: int) -> float:
-    """log(e^2/delta), plus n ln d in the spectral regime."""
+def _first_order_log_term(regime: str, n: int, delta: float) -> float:
+    """log(e^2/delta), plus n ln 2 (the n qubits' ln dim) in the spectral regime."""
     if regime not in ("first-order-random-spectral", "first-order-random-fixed"):
         raise ValidationError("regime must be a first-order-random variant")
-    if d_local < 1:
-        raise ValidationError(f"local dimension d_local must be >= 1, got {d_local}")
     log_term = math.log(math.e**2 / delta)
     if regime == "first-order-random-spectral":
-        log_term += n * math.log(d_local)
+        log_term += n * math.log(2)
     return log_term
 
 
-def gatecount_random_first(
-    h: HamiltonianLike,
-    n: int,
-    q: GateCountQuery,
-    d_local: int = 2,
-) -> GateCountResult:
+def gatecount_random_first(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
     """First-order step count for Hamiltonians with random terms.
 
-    Spectral regime: G = 2 sqrt(2) Gamma (n ln d + log(e^2/delta))
-    |H|_(0),2 |H|_(1),2 t^2 / eps.  The fixed-input regime drops the
-    n ln d term.  Logarithms are natural.
+    Spectral regime: G = 2 sqrt(2) Gamma (n ln 2 + log(e^2/delta))
+    |H|_(0),2 |H|_(1),2 t^2 / eps on the n = ``h.n`` qubits.  The
+    fixed-input regime drops the n ln 2 term.  Logarithms are natural.
     """
-    log_term = _first_order_log_term(q.regime, n, q.delta, d_local)
+    log_term = _first_order_log_term(q.regime, h.n, q.delta)
     if q.order != 1:
         raise ValidationError(
             f"first-order-random regimes require order 1, got {q.order}"
@@ -429,14 +422,13 @@ def syk_first_order_gate_count(
     eps: float,
     delta: float,
     regime: str = "first-order-random-spectral",
-    d_local: int = 2,
 ) -> float:
-    """SYK-normalized first-order gate count.
+    """SYK-normalized first-order gate count on n qubits.
 
-    G = (2 sqrt(2) / (k k!)) (n ln d + log(e^2/delta)) n^{k+1/2}
+    G = (2 sqrt(2) / (k k!)) (n ln 2 + log(e^2/delta)) n^{k+1/2}
     (J t)^2 / eps; the fixed-input variant keeps only log(e^2/delta).
     """
-    log_term = _first_order_log_term(regime, n, delta, d_local)
+    log_term = _first_order_log_term(regime, n, delta)
     return (
         2.0
         * math.sqrt(2.0)
@@ -448,9 +440,7 @@ def syk_first_order_gate_count(
     )
 
 
-def gatecount_random_ho(
-    h: HamiltonianLike, n: int, q: GateCountQuery
-) -> GateCountResult:
+def gatecount_random_ho(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
     """Higher-order step count for random-coefficient Hamiltonians.
 
     Returns the proof-level r (explicit constants, constraint-checked)
@@ -464,7 +454,7 @@ def gatecount_random_ho(
     if profile.gamma == 0:
         return _empty_result(q.regime, q.order)
 
-    k, ell = profile.k, q.order
+    k, ell, n = profile.k, q.order, h.n
     t, eps, delta = q.t, q.eps, q.delta
     h02, h12, h01 = profile.norm(0, 2), profile.norm(1, 2), profile.norm(0, 1)
 
@@ -543,21 +533,15 @@ def baseline_1norm(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
 @_float_guard(
     "the step count overflows floating point", "rescale the coefficients or the time"
 )
-def gatecount(
-    h: HamiltonianLike, q: GateCountQuery, n: Optional[int] = None
-) -> GateCountResult:
+def gatecount(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
     """Dispatch a query to the calculator selected by its regime."""
-    if n is None and not isinstance(h, NormProfile):
-        n = h.n
     if q.regime == "nonrandom-typical":
         return gatecount_nonrandom(h, q)
     if q.regime == "spectral-1norm-baseline":
         return baseline_1norm(h, q)
-    if n is None:
-        raise ValidationError("random regimes need the qubit count n")
     if q.regime in ("random-spectral", "random-fixed"):
-        return gatecount_random_ho(h, n, q)
-    return gatecount_random_first(h, n, q)
+        return gatecount_random_ho(h, q)
+    return gatecount_random_first(h, q)
 
 
 # ------------------------------------------------------------- Table 1

@@ -19,7 +19,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -715,17 +715,14 @@ def _conditional_expectation(
     return _with_identity(traced, site, n)
 
 
-def subset_component(
-    f: MatrixLike, subset: Iterable[int], n: Optional[int] = None
-) -> np.ndarray:
+def subset_component(f: MatrixLike, subset: Iterable[int]) -> np.ndarray:
     """The component F_S = prod_{s in S}(id - E_s) prod_{s not in S} E_s [F].
 
     The components over all subsets sum back to F; a Pauli term contributes
     exactly to the subset equal to its support.
     """
     m = to_matrix(f)
-    if n is None:
-        n = sites_of(m)
+    n = sites_of(m)
     subset = frozenset(subset)
     if subset and (min(subset) < 0 or max(subset) >= n):
         raise ValidationError(f"subset {sorted(subset)} outside 0..{n - 1}")

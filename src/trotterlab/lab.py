@@ -445,14 +445,28 @@ def random_r_sweep(
 # ------------------------------------------------- inequality suite
 
 
+def _inequality(lhs, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """The relative margin (rhs - lhs)/max(rhs, 1e-300) of lhs <= rhs and
+    whether lhs exceeds rhs beyond the relative slack, for scalars or
+    elementwise for arrays.  A side outside the floating-point range
+    raises ``ValidationError``: such an inequality cannot be decided."""
+    lhs = np.asarray(lhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise ValidationError(
+            "a side of an inequality leaves the floating-point range; "
+            "lower the Schatten index or the operator's scale"
+        )
+    scale = np.maximum(rhs, 1e-300)
+    return (rhs - lhs) / scale, lhs > rhs + _REL_SLACK * scale
+
+
 def pauli_two_norm(f: PauliSum) -> float:
     """Normalized 2-norm of a Pauli sum: sqrt(sum |coeff|^2)."""
     return math.sqrt(math.fsum(abs(c) ** 2 for c in f._rows.c.tolist()))
 
 
-def support_components(
-    f: Union[PauliSum, np.ndarray], n: Optional[int] = None
-) -> dict[frozenset, np.ndarray]:
+def support_components(f: Union[PauliSum, np.ndarray]) -> dict[frozenset, np.ndarray]:
     """Decompose an operator into its site-support components F_S.
 
     Pauli sums decompose symbolically (each string contributes to the
@@ -467,13 +481,12 @@ def support_components(
             s: to_matrix(PauliSum(f.n, ts)) for s, ts in groups.items()
         }
     m = to_matrix(f)
-    if n is None:
-        n = sites_of(m)
+    n = sites_of(m)
     out: dict[frozenset, np.ndarray] = {}
     sites = list(range(n))
     for mask in range(2**n):
         subset = frozenset(s for s in sites if mask >> s & 1)
-        comp = subset_component(m, subset, n)
+        comp = subset_component(m, subset)
         if np.linalg.norm(comp) > 1e-14 * max(1.0, np.linalg.norm(m)):
             out[subset] = comp
     return out
@@ -494,7 +507,7 @@ class HypercontractivityCheck:
 
 
 def check_hypercontractivity(
-    f: Union[PauliSum, np.ndarray], p_values: Sequence[float], n: Optional[int] = None
+    f: Union[PauliSum, np.ndarray], p_values: Sequence[float]
 ) -> list[HypercontractivityCheck]:
     """Moment estimates for a local operator, one check per Schatten index p.
 
@@ -513,15 +526,7 @@ def check_hypercontractivity(
     if min(p_values) < 2:
         raise ValidationError("hypercontractivity checks need p >= 2")
     m = to_matrix(f)
-    comps = support_components(f, n)
-    if not comps:
-        return [
-            HypercontractivityCheck(
-                p=p, lhs=0.0, rhs=0.0, margin=0.0, fact_lhs=0.0, fact_rhs=0.0,
-                fact_margin=0.0, two_norm_rhs=0.0, two_norm_margin=0.0, passed=True,
-            )
-            for p in p_values
-        ]
+    comps = support_components(f)
     lhs_norms = _spectral_and_pnorms(m, p_values)[1]
     comp_norms = {s: _spectral_and_pnorms(c, (*p_values, 2.0))[1] for s, c in comps.items()}
     checks = []
@@ -530,33 +535,24 @@ def check_hypercontractivity(
         lhs_norm = lhs_norms[p]
         lhs = lhs_norm**2
         rhs = math.fsum(cp ** len(s) * norms[p] ** 2 for s, norms in comp_norms.items())
-        combo = sum(
-            (cp ** (len(s) / 2.0)) * c for s, c in comps.items()
-        )
-        fact_rhs = schatten_norm(np.asarray(combo), 2, normalized=True)
+        combo = sum((cp ** (len(s) / 2.0) * c for s, c in comps.items()), np.zeros_like(m))
+        fact_rhs = schatten_norm(combo, 2, normalized=True)
         two_rhs = math.fsum(
             (3.0 * cp) ** len(s) * norms[2.0] ** 2 for s, norms in comp_norms.items()
         )
-        margin = rhs - lhs
-        fact_margin = fact_rhs - lhs_norm
-        two_margin = two_rhs - lhs
-        passed = (
-            margin >= -_REL_SLACK * max(rhs, 1e-300)
-            and fact_margin >= -_REL_SLACK * max(fact_rhs, 1e-300)
-            and two_margin >= -_REL_SLACK * max(two_rhs, 1e-300)
-        )
+        violated = _inequality((lhs, lhs_norm, lhs), (rhs, fact_rhs, two_rhs))[1]
         checks.append(
             HypercontractivityCheck(
                 p=p,
                 lhs=lhs,
                 rhs=rhs,
-                margin=margin,
+                margin=rhs - lhs,
                 fact_lhs=lhs_norm,
                 fact_rhs=fact_rhs,
-                fact_margin=fact_margin,
+                fact_margin=fact_rhs - lhs_norm,
                 two_norm_rhs=two_rhs,
-                two_norm_margin=two_margin,
-                passed=passed,
+                two_norm_margin=two_rhs - lhs,
+                passed=not violated.any(),
             )
         )
     return checks
@@ -573,7 +569,7 @@ class SmoothnessReport:
 
 
 class _Tally:
-    """The worst relative margin, the violations and the first
+    """The checks, violations, worst relative margin and first
     counterexample dump of one inequality suite."""
 
     def __init__(self, tag: str) -> None:
@@ -583,19 +579,27 @@ class _Tally:
         self.worst = math.inf
         self.dump_path: Optional[str] = None
 
-    def record(self, margin: float, violated: bool, arrays) -> None:
-        """One check; ``arrays()`` gives the operators to dump if it failed."""
-        self.checks += 1
-        self.worst = min(self.worst, margin)
-        if violated:
-            self.violations += 1
+    def record(self, margin, violated, arrays) -> None:
+        """One check, or one per entry of array ``margin`` and ``violated``.
+        ``arrays()`` gives the operators to dump at the first violation; of
+        an array check, only the entries of the violated checks are dumped."""
+        margin = np.asarray(margin)
+        violated = np.asarray(violated)
+        self.checks += margin.size
+        self.worst = min(self.worst, float(margin.min(initial=math.inf)))
+        count = int(np.count_nonzero(violated))
+        if count:
+            self.violations += count
             if self.dump_path is None:
-                self.dump_path = _dump_counterexample(self.tag, arrays())
+                dump = arrays()
+                if violated.ndim:
+                    dump = {name: a[violated] for name, a in dump.items()}
+                self.dump_path = _dump_counterexample(self.tag, dump)
 
-    def inequality(self, lhs: float, rhs: float, arrays) -> None:
-        """Check lhs <= rhs up to the relative slack."""
-        scale = max(rhs, 1e-300)
-        self.record((rhs - lhs) / scale, lhs > rhs + _REL_SLACK * scale, arrays)
+    def inequality(self, lhs, rhs, arrays) -> None:
+        """Check lhs <= rhs up to the relative slack, for scalars or
+        elementwise for arrays."""
+        self.record(*_inequality(lhs, rhs), arrays)
 
     def report(self, trials: int) -> SmoothnessReport:
         return SmoothnessReport(
@@ -642,22 +646,21 @@ def random_local_hamiltonian(
     )
 
 
-def fuzz_hypercontractivity(
-    trials: int,
-    seed: int,
-    n_range: tuple[int, int] = (2, 6),
-    k_max: int = 3,
-    p_values: tuple[float, ...] = (2.0, 4.0, 6.0, 8.0),
-) -> SmoothnessReport:
-    """Random-operator fuzz over all three hypercontractive forms."""
+def fuzz_hypercontractivity(trials: int, seed: int) -> SmoothnessReport:
+    """Random-operator fuzz over all three hypercontractive forms.
+
+    Each trial draws an operator of 2 to 6 sites, with 1 to 8 Pauli strings
+    of at most 3 sites each, and checks it at p = 2, 4, 6 and 8: one check
+    per (operator, p), violated when any form is.  The margin is the
+    squared-norm form's.
+    """
     tally = _Tally("hypercontractivity")
     for child in _child_seeds(seed, trials):
         rng = np.random.default_rng(child)
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        k = min(k_max, n)
-        f = random_local_operator(n, k, int(rng.integers(1, 9)), rng)
-        for res in check_hypercontractivity(f, p_values, n):
-            margin = res.margin / max(res.rhs, 1e-300)
+        n = int(rng.integers(2, 7))
+        f = random_local_operator(n, min(3, n), int(rng.integers(1, 9)), rng)
+        for res in check_hypercontractivity(f, (2.0, 4.0, 6.0, 8.0)):
+            margin = _inequality(res.lhs, res.rhs)[0]
             tally.record(margin, not res.passed, lambda: {"operator": to_matrix(f)})
     return tally.report(trials)
 
@@ -717,22 +720,9 @@ def check_two_point_inequality(
     p = rng.uniform(2.0, 10.0, trials)
     lhs = ((np.abs(a + b) ** p + np.abs(a - b) ** p) / 2.0) ** (2.0 / p)
     rhs = a**2 + (p - 1.0) * b**2
-    rel = (rhs - lhs) / np.maximum(rhs, 1e-300)
-    violations = int(np.count_nonzero(rel < -_REL_SLACK))
-    dump_path = None
-    if violations:
-        bad = rel < -_REL_SLACK
-        dump_path = _dump_counterexample(
-            "two-point", {"a": a[bad], "b": b[bad], "p": p[bad]}
-        )
-    return SmoothnessReport(
-        trials=trials,
-        checks=trials,
-        violations=violations,
-        worst_relative_margin=float(rel.min()),
-        passed=violations == 0,
-        dump_path=dump_path,
-    )
+    tally = _Tally("two-point")
+    tally.inequality(lhs, rhs, lambda: {"a": a, "b": b, "p": p})
+    return tally.report(trials)
 
 
 def check_weighted_smoothness(

@@ -178,7 +178,7 @@ def test_criterion_07_first_order_random_theorem():
     query = GateCountQuery(
         t=1.0, eps=0.1, delta=0.1, order=1, regime="first-order-random-fixed"
     )
-    plan = gatecount_random_first(model.bound_hamiltonian(), 8, query)
+    plan = gatecount_random_first(model.bound_hamiltonian(), query)
     assert plan.gate_count == plan.gamma * plan.r
 
     cfg = ExperimentConfig(

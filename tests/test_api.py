@@ -1,5 +1,8 @@
 """The public surface of the package: what ``trotterlab.__all__`` promises."""
 
+import inspect
+import typing
+
 import pytest
 
 import trotterlab
@@ -33,6 +36,32 @@ def test_deleted_names_are_gone(name):
     assert name not in trotterlab.__all__
     with pytest.raises(AttributeError):
         getattr(trotterlab, name)
+
+
+@pytest.mark.parametrize(
+    "module, function, parameter",
+    [
+        ("lab", "check_hypercontractivity", "n"),
+        ("lab", "support_components", "n"),
+        ("dense", "subset_component", "n"),
+        ("lab", "fuzz_hypercontractivity", "n_range"),
+        ("lab", "fuzz_hypercontractivity", "k_max"),
+        ("lab", "fuzz_hypercontractivity", "p_values"),
+        ("bounds", "gatecount", "n"),
+        ("bounds", "gatecount_random_first", "n"),
+        ("bounds", "gatecount_random_ho", "n"),
+        ("bounds", "gatecount_random_first", "d_local"),
+        ("bounds", "syk_first_order_gate_count", "d_local"),
+    ],
+)
+def test_parameters_the_input_fixes_are_gone(module, function, parameter):
+    # n is read off the Hamiltonian or the matrix; the sites are qubits.
+    fn = getattr(getattr(trotterlab, module), function)
+    assert parameter not in inspect.signature(fn).parameters
+
+
+def test_bounds_take_no_norm_profile_as_hamiltonian():
+    assert trotterlab.norms.NormProfile not in typing.get_args(trotterlab.bounds.HamiltonianLike)
 
 
 @pytest.mark.parametrize(

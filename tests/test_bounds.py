@@ -225,14 +225,14 @@ def test_random_ho_constant_example():
     # k = 2 with unit per-site overlap norm: c(k) = 8 e.
     h = PauliHamiltonian.from_labels(2, [("ZZ", 1.0)])
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2, regime="random-fixed")
-    res = gatecount_random_ho(h, 2, q)
+    res = gatecount_random_ho(h, q)
     assert res.diagnostics["c_k"] == pytest.approx(8.0 * E, rel=1e-12)
 
 
 def test_random_ho_chain8_straight_line():
     h = chain8()
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2, regime="random-fixed")
-    res = gatecount_random_ho(h, 8, q)
+    res = gatecount_random_ho(h, q)
 
     h02, h12, h01 = math.sqrt(21.0), math.sqrt(6.0), 21.0
     ck = 4.0 * E * 2 * h12
@@ -251,8 +251,8 @@ def test_random_ho_spectral_uses_dimension_in_index_target():
     h = chain8()
     qf = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2, regime="random-fixed")
     qs = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2, regime="random-spectral")
-    rf = gatecount_random_ho(h, 8, qf)
-    rs = gatecount_random_ho(h, 8, qs)
+    rf = gatecount_random_ho(h, qf)
+    rs = gatecount_random_ho(h, qs)
     assert rs.diagnostics["p_target"] == pytest.approx(
         (8 * math.log(2.0) + math.log(10.0)) / 1.5
     )
@@ -262,7 +262,7 @@ def test_random_ho_spectral_uses_dimension_in_index_target():
 def test_random_ho_asymptotic_form_matches_display():
     h = chain8()
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2, regime="random-spectral")
-    res = gatecount_random_ho(h, 8, q)
+    res = gatecount_random_ho(h, q)
     s = math.sqrt(8 + math.log(10.0))
     h02, h12 = math.sqrt(21.0), math.sqrt(6.0)
     expect = h12 * s * 1.0 * (h02**2 * s * 1.0 / (h12 * 0.1)) ** 0.5
@@ -277,19 +277,19 @@ def test_random_ho_rejects_odd_or_first_order():
             t=1.0, eps=0.1, delta=0.1, order=order, regime="random-fixed"
         )
         with pytest.raises(ValidationError):
-            gatecount_random_ho(h, 8, q)
+            gatecount_random_ho(h, q)
 
 
 def test_first_order_random_matches_formula():
     h = chain8()
-    n, t, eps, delta = 8, 0.7, 0.05, 0.1
+    t, eps, delta = 0.7, 0.05, 0.1
     h02, h12 = math.sqrt(21.0), math.sqrt(6.0)
     for regime, log_term in [
         ("first-order-random-spectral", 8 * math.log(2.0) + math.log(E**2 / delta)),
         ("first-order-random-fixed", math.log(E**2 / delta)),
     ]:
         q = GateCountQuery(t=t, eps=eps, delta=delta, order=1, regime=regime)
-        res = gatecount_random_first(h, n, q)
+        res = gatecount_random_first(h, q)
         r_real = 2.0 * math.sqrt(2.0) * log_term * h02 * h12 * t**2 / eps
         assert res.diagnostics["r_formula"] == pytest.approx(r_real, rel=1e-12)
         assert res.r == math.ceil(r_real)
@@ -301,7 +301,7 @@ def test_first_order_fixed_never_exceeds_spectral():
     h = chain8()
     qs = GateCountQuery(t=1.0, eps=0.1, order=1, regime="first-order-random-spectral")
     qf = GateCountQuery(t=1.0, eps=0.1, order=1, regime="first-order-random-fixed")
-    assert gatecount_random_first(h, 8, qf).r <= gatecount_random_first(h, 8, qs).r
+    assert gatecount_random_first(h, qf).r <= gatecount_random_first(h, qs).r
 
 
 def test_syk_first_order_gate_count_oracle():
@@ -324,16 +324,6 @@ def test_syk_first_order_gate_count_oracle():
         expect * math.log(E**2 / delta) / log_term, rel=1e-12
     )
 
-
-
-@pytest.mark.parametrize("d_local", [0, -1])
-@pytest.mark.parametrize("regime", ["first-order-random-spectral", "first-order-random-fixed"])
-def test_first_order_random_rejects_local_dimension_below_one(d_local, regime):
-    q = GateCountQuery(t=1.0, eps=0.1, order=1, regime=regime)
-    with pytest.raises(ValidationError, match="d_local"):
-        gatecount_random_first(chain8(), 8, q, d_local=d_local)
-    with pytest.raises(ValidationError, match="d_local"):
-        syk_first_order_gate_count(8, 2, 1.0, 1.0, 0.1, 0.1, regime=regime, d_local=d_local)
 
 # ------------------------------------------------------------- baseline
 

@@ -628,6 +628,8 @@ def test_verify_trial_counts_outside_the_contract_exit_cleanly(suite, trials, co
           "--samples", "3"], 2, "not finite"),
         (["simulate", "--family", "k-local-syk", "--n", "3", "--k", "2", "--t", "3", "--seed", "1",
           "--samples", "3", "--p", "1e308"], 2, "floating-point range"),
+        (["verify", "--suite", "smoothness", "--trials", "3", "--seed", "1", "--p", "1.7e308"], 2,
+         "floating-point range"),
     ],
 )
 def test_model_schedule_and_simulate_limits_exit_cleanly(argv, code, message):

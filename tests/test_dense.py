@@ -921,7 +921,7 @@ def test_subset_component_completeness():
     total = np.zeros_like(f)
     for bits in range(2**n):
         subset = {s for s in range(n) if (bits >> s) & 1}
-        total += subset_component(f, subset, n)
+        total += subset_component(f, subset)
     np.testing.assert_allclose(total, f, atol=1e-10)
 
 

@@ -1,7 +1,9 @@
 """Lab experiments: error sampling, inequality fuzzing, slope checks."""
 
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from trotterlab.dense import WeightedNormSpec, _trotter_power, evolve, schatten_
 from trotterlab.errors import ValidationError
 from trotterlab.lab import (
     ExperimentConfig,
+    _Tally,
     _recenter_site,
     _with_identity_site,
     check_fermionic_smoothness,
@@ -211,11 +214,18 @@ def test_hypercontractivity_identity_equality():
     assert res.passed
 
 
+def test_hypercontractivity_zero_operator_holds_with_equality():
+    for zero in (PauliSum(2, []), np.zeros((4, 4))):
+        (res,) = check_hypercontractivity(zero, (4.0,))
+        assert (res.lhs, res.rhs, res.margin, res.fact_rhs, res.two_norm_rhs) == (0, 0, 0, 0, 0)
+        assert res.passed
+
+
 def test_hypercontractivity_symbolic_matches_matrix_path():
     rng = np.random.default_rng(12)
     f = random_local_operator(3, 2, 5, rng)
     (sym,) = check_hypercontractivity(f, (4.0,))
-    (mat,) = check_hypercontractivity(to_matrix(f), (4.0,), n=3)
+    (mat,) = check_hypercontractivity(to_matrix(f), (4.0,))
     assert sym.lhs == pytest.approx(mat.lhs, rel=1e-9)
     assert sym.rhs == pytest.approx(mat.rhs, rel=1e-9)
     assert sym.fact_rhs == pytest.approx(mat.fact_rhs, rel=1e-9)
@@ -276,6 +286,56 @@ def test_two_point_inequality_vectorized():
     rep = check_two_point_inequality(trials=20000, seed=3)
     assert rep.passed
     assert rep.worst_relative_margin >= -1e-9
+
+
+def test_empty_suites_report_no_checks():
+    reports = [
+        check_two_point_inequality(0),
+        check_uniform_smoothness(0, 4.0, 0),
+        fuzz_hypercontractivity(0, 1),
+    ]
+    for rep in reports:
+        assert (rep.trials, rep.checks, rep.violations) == (0, 0, 0)
+        assert rep.worst_relative_margin == math.inf
+        assert rep.passed and rep.dump_path is None
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_tally_refuses_a_side_outside_the_float_range(bad):
+    with pytest.raises(ValidationError, match="floating-point range"):
+        _Tally("t").inequality(1.0, bad, dict)
+    with pytest.raises(ValidationError, match="floating-point range"):
+        _Tally("t").inequality(bad, 1.0, dict)
+    with pytest.raises(ValidationError, match="floating-point range"):
+        _Tally("t").inequality(np.array([1.0, bad]), np.array([2.0, 2.0]), dict)
+    with pytest.raises(ValidationError, match="floating-point range"):
+        _Tally("t").inequality(np.array([1.0, 1.0]), np.array([bad, 2.0]), dict)
+
+
+def test_tally_counts_and_dumps_violations(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    folder = tmp_path / "trotterlab-counterexamples"
+
+    scalar = _Tally("scalar")
+    scalar.inequality(1.0, 2.0, lambda: {"x": np.eye(2)})
+    scalar.inequality(3.0, 2.0, lambda: {"x": np.ones(2)})
+    scalar.inequality(5.0, 2.0, lambda: {"x": np.zeros(2)})
+    rep = scalar.report(3)
+    assert (rep.checks, rep.violations, rep.passed) == (3, 2, False)
+    assert rep.worst_relative_margin == pytest.approx(-1.5)
+    assert list(folder.glob("scalar-*.npz")) == [Path(rep.dump_path)]
+    with np.load(rep.dump_path) as dump:
+        np.testing.assert_array_equal(dump["x"], np.ones(2))
+
+    a = np.array([0.0, 1.0, 2.0, 3.0])
+    array = _Tally("array")
+    array.inequality(np.array([1.0, 4.0, 1.0, 8.0]), np.array([2.0, 2.0, 2.0, 2.0]), lambda: {"a": a})
+    rep = array.report(4)
+    assert (rep.checks, rep.violations, rep.passed) == (4, 2, False)
+    assert rep.worst_relative_margin == pytest.approx(-3.0)
+    assert list(folder.glob("array-*.npz")) == [Path(rep.dump_path)]
+    with np.load(rep.dump_path) as dump:
+        np.testing.assert_array_equal(dump["a"], [1.0, 3.0])
 
 
 def test_weighted_smoothness_fuzz():
