@@ -323,9 +323,10 @@ def sample_random_hamiltonian(
     td_violations = 0
     for child in seeds:
         h = model.sample(child)
-        # The exact evolution first: its eigh and block products are the
-        # peak of a draw, and no power is alive next to them.  The difference
-        # is then formed in its buffer, keeping only a = e^{iHt}|0...0>.
+        # The difference is formed in the exact evolution's buffer, keeping
+        # only a = e^{iHt}|0...0>.  On an 8-site k = 2 draw this order peaks
+        # below trotter_error_op's above 4096 steps (3.39 against 3.64
+        # matrices), above it at or below (5.02 against 4.0 at r = 107).
         err_op = evolve(h, cfg.t, cfg.cap_n)
         a = err_op[:, 0].copy()
         err_op -= _trotter_power(h, cfg.t, cfg.r, cfg.order, cfg.cap_n)
@@ -482,12 +483,16 @@ def support_components(f: Union[PauliSum, np.ndarray]) -> dict[frozenset, np.nda
         }
     m = to_matrix(f)
     n = sites_of(m)
+    with np.errstate(over="ignore"):  # numpy's norm squares the entries
+        floor = 1e-14 * max(1.0, float(np.linalg.norm(m)))
+    if math.isinf(floor):  # no component can be told negligible
+        raise ValidationError("the operator's norm leaves the floating-point range")
     out: dict[frozenset, np.ndarray] = {}
     sites = list(range(n))
     for mask in range(2**n):
         subset = frozenset(s for s in sites if mask >> s & 1)
         comp = subset_component(m, subset)
-        if np.linalg.norm(comp) > 1e-14 * max(1.0, np.linalg.norm(m)):
+        if np.linalg.norm(comp) > floor:  # at most m's norm
             out[subset] = comp
     return out
 
@@ -506,6 +511,7 @@ class HypercontractivityCheck:
     passed: bool
 
 
+@_float_guard("the operator's norms leave the floating-point range", "lower its scale or p")
 def check_hypercontractivity(
     f: Union[PauliSum, np.ndarray], p_values: Sequence[float]
 ) -> list[HypercontractivityCheck]:
@@ -842,24 +848,14 @@ def check_order_condition(
             break
         window = window * 10.0
         widened = True
-    if max(errors) < _ERROR_FLOOR:
-        return OrderConditionReport(
-            order=order,
-            expected_slope=order + 1.0,
-            slope=None,
-            taus=tuple(float(x) for x in window),
-            errors=tuple(errors),
-            exact=True,
-            widened=widened,
-        )
-    slope = float(np.polyfit(np.log(window), np.log(errors), 1)[0])
+    exact = max(errors) < _ERROR_FLOOR
     return OrderConditionReport(
         order=order,
         expected_slope=order + 1.0,
-        slope=slope,
+        slope=None if exact else float(np.polyfit(np.log(window), np.log(errors), 1)[0]),
         taus=tuple(float(x) for x in window),
         errors=tuple(errors),
-        exact=False,
+        exact=exact,
         widened=widened,
     )
 
@@ -933,9 +929,7 @@ class FermiOptimalityReport:
     second_ratio: float
 
 
-def fermi_optimality_experiment(
-    m: int, cap_n: int = DEFAULT_CAP_N
-) -> FermiOptimalityReport:
+def fermi_optimality_experiment(m: int) -> FermiOptimalityReport:
     """Exact commutator norms of the two-block hopping model.
 
     Compares the normalized 2-norms of [A, B] and [B, [B, A]] against
@@ -943,10 +937,9 @@ def fermi_optimality_experiment(
     2 sqrt|S1| |S2|^2 sqrt|S3| = 2 m^3.  The measured values run a
     factor 2 sqrt(2) below the claims (each hopping pair has normalized
     2-norm 1/sqrt(2), not 1); the report carries both so callers can
-    assert either side.
+    assert either side.  No matrix is built, so no dense cap applies.
     """
     f = fermi_hop(m)
-    check_cap(f.n, cap_n)
     groups = fermi_hop_groups(m)
     terms = f.terms
     a = FermionHamiltonian(f.n, [terms[i] for i in groups[0]]).to_pauli()

@@ -1,7 +1,9 @@
 """The public surface of the package: what ``trotterlab.__all__`` promises."""
 
 import inspect
+import tomllib
 import typing
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,7 @@ def test_deleted_names_are_gone(name):
         ("bounds", "gatecount_random_ho", "n"),
         ("bounds", "gatecount_random_first", "d_local"),
         ("bounds", "syk_first_order_gate_count", "d_local"),
+        ("lab", "fermi_optimality_experiment", "cap_n"),
     ],
 )
 def test_parameters_the_input_fixes_are_gone(module, function, parameter):
@@ -81,9 +84,21 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("pauli", "strings_commute"),
         ("pauli", "fermion_term_site_matrices"),
         ("lab", "_hypercontractivity_checks"),
+        ("dense", "unitary_power"),
+        ("dense", "product_state_diagonal"),
+        ("dense", "weighted_norm_diagonal"),
+        ("dense", "errors_for_basis"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):
     assert not hasattr(getattr(trotterlab, module), name)
 
 
+
+
+def test_distribution_is_named_after_its_package():
+    # pip show, install and uninstall find the package by this name.
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["name"] == "trotterlab"
+    assert project["version"] == trotterlab.__version__

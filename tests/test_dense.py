@@ -18,19 +18,15 @@ from trotterlab.dense import (
     WeightedNormSpec,
     apply_schedule,
     basis_indices,
-    errors_for_basis,
     errors_for_states,
     evolve,
     haar_states,
-    product_state_diagonal,
     schatten_norm,
     sector_norm,
     subset_component,
     to_matrix,
     trotter_error_op,
-    unitary_power,
     weighted_norm,
-    weighted_norm_diagonal,
 )
 from trotterlab.errors import ResourceCapError, ValidationError
 from trotterlab.models import KLocalGaussianModel, chain_heisenberg, power_law
@@ -200,19 +196,9 @@ def test_apply_schedule_index_validation():
         apply_schedule(h, sched)
 
 
-def test_unitary_power_matches_matrix_power():
-    rng = np.random.default_rng(5)
-    z = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    q, _ = np.linalg.qr(z)
-    for r in (0, 1, 2, 7):
-        np.testing.assert_allclose(
-            unitary_power(q, r), np.linalg.matrix_power(q, r), atol=1e-10
-        )
-
-
 def _scipy_schur_power(u, r):
-    """unitary_power's Schur branch as it was written on scipy.linalg.schur,
-    kept as the oracle."""
+    """The Schur power as it was written on scipy.linalg.schur, kept as the
+    oracle."""
     t, q = scipy.linalg.schur(u, output="complex")
     powered = np.exp(1j * r * np.angle(np.diag(t)))
     scaled = q * powered
@@ -225,10 +211,9 @@ def _scipy_schur_power(u, r):
 def test_schur_power_is_bit_identical_to_scipy_schur(dim, r):
     rng = np.random.default_rng(dim * 7919 + r)
     q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    before = q.copy()
-    got = unitary_power(q, r)
-    assert np.array_equal(q, before)
-    assert np.array_equal(got, _scipy_schur_power(q.copy(), r))
+    expected = _scipy_schur_power(q.copy(), r)
+    got = dense._schur_power(np.asfortranarray(q), r)
+    assert np.array_equal(got, expected)
     assert got.flags.c_contiguous
 
 
@@ -248,13 +233,11 @@ def test_schur_power_of_the_chain_segment_is_bit_identical_to_scipy_schur():
     h = chain_heisenberg(8)
     r = 11436
     segment = apply_schedule(h, build_schedule(h.gamma, 2, 1.0 / r))
-    before = segment.copy()
     expected = _scipy_schur_power(segment.copy(), r)
-    assert np.array_equal(unitary_power(segment, r), expected)
-    assert np.array_equal(segment, before)
+    assert np.array_equal(dense._schur_power(np.asfortranarray(segment), r), expected)
     # The consuming path: the segment assembled in Fortran order, overwritten.
     fortran = dense._schedule_product(h, build_schedule(h.gamma, 2, 1.0 / r), 12, "F")
-    assert fortran.flags.f_contiguous and np.array_equal(fortran, before)
+    assert fortran.flags.f_contiguous and np.array_equal(fortran, segment)
     assert np.array_equal(dense._schur_power(fortran, r), expected)
 
 
@@ -262,18 +245,18 @@ def test_schur_power_rejects_non_finite_input():
     u = np.eye(4, dtype=complex)
     u[1, 2] = np.nan
     with pytest.raises(ValueError):
-        unitary_power(u, 5000)
+        dense._schur_power(np.asfortranarray(u), 5000)
 
 
-def test_unitary_power_of_an_empty_matrix():
-    assert unitary_power(np.zeros((0, 0), dtype=complex), 5000).shape == (0, 0)
+def test_schur_power_of_an_empty_matrix():
+    assert dense._schur_power(np.zeros((0, 0), dtype=complex, order="F"), 5000).shape == (0, 0)
 
 
-def test_unitary_power_large_r_stays_unitary():
+def test_schur_power_large_r_stays_unitary():
     rng = np.random.default_rng(6)
     z = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     q, _ = np.linalg.qr(z)
-    u = unitary_power(q, 10**6)
+    u = dense._schur_power(np.asfortranarray(q), 10**6)
     assert is_unitary(u, tol=1e-8)
 
 
@@ -478,7 +461,11 @@ def test_schedule_panels_keep_the_sign_of_zero():
 def test_trotter_error_op_is_bit_identical_to_public_parts(case, order, r):
     _, h = case
     segment = apply_schedule(h, build_schedule(h.gamma, order, 0.7 / r))
-    expected = evolve(h, 0.7) - unitary_power(segment, r)
+    if r <= dense._BINARY_POWER_MAX:
+        power = np.linalg.matrix_power(segment, r)
+    else:
+        power = dense._schur_power(np.asfortranarray(segment), r)
+    expected = evolve(h, 0.7) - power
     assert np.array_equal(trotter_error_op(h, 0.7, r, order), expected)
 
 
@@ -510,7 +497,7 @@ def test_exact_evolution_by_block_runs_is_bit_identical_to_one_batched_product(
     with mock.patch.object(dense, "_RUN_ENTRIES", run_entries):
         assert np.array_equal(evolve(h, t), expected)
         error = trotter_error_op(h, t, 3, 1)
-    assert np.array_equal(error, expected - unitary_power(segment, 3))
+    assert np.array_equal(error, expected - np.linalg.matrix_power(segment, 3))
 
 
 @pytest.mark.parametrize(
@@ -553,7 +540,7 @@ def test_trotter_error_op_memory_stays_within_two_and_a_quarter_matrices():
 def test_one_step_error_operator_holds_no_copy_of_the_segment():
     # At r = 1 the power is the segment itself (16 MiB), which then takes the
     # exact evolution block by block: 24.2 MiB measured.  A copy of the
-    # segment, as unitary_power makes, peaks at 32.0 MiB.
+    # segment, as a power at r = 2 holds, peaks at 32.0 MiB.
     h = chain_heisenberg(10)
     tracemalloc.start()
     try:
@@ -679,7 +666,7 @@ def test_error_singular_values_match_eigenphases(h, t, r, order):
     """sigma(U - V) = |1 - e^{i theta}| = 2|sin(theta/2)| over the eigenphases
     theta of U^dagger V, an SVD-free path to the same norms."""
     u = evolve(h, t)
-    v = unitary_power(apply_schedule(h, build_schedule(h.gamma, order, t / r)), r)
+    v = np.linalg.matrix_power(apply_schedule(h, build_schedule(h.gamma, order, t / r)), r)
     theta = np.angle(np.linalg.eigvals(u.conj().T @ v))
     sv = np.sort(2.0 * np.abs(np.sin(theta / 2.0)))
     np.testing.assert_allclose(sv, np.sort(scipy.linalg.svdvals(u - v)), rtol=0, atol=1e-12)
@@ -759,6 +746,33 @@ def test_schatten_norm_rejects_a_non_finite_matrix():
         schatten_norm(m, 2)
 
 
+def test_schatten_norm_of_a_matrix_whose_gram_matrix_overflows():
+    # E^dagger E has entries 4e310: the Gram matrix is formed of E / 2^516.
+    assert schatten_norm(np.full((4, 4), 1e155), 2) == pytest.approx(4e155, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_schatten_norm_past_the_float_range_is_inf(p):
+    # sigma_max = 4e308; pyproject.toml turns any overflow warning into a failure.
+    assert schatten_norm(np.full((4, 4), 1e308), p, normalized=True) == math.inf
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e100, 1e154, 1e155, 1e200, 1e300])
+@pytest.mark.parametrize("p", [2.0, 4.0, math.inf])
+def test_schatten_norm_matches_an_svd_across_the_float_range(scale, p):
+    sv = _svd_oracle(_square * scale)
+    top = sv.max()
+    expected = top if math.isinf(p) else top * float(np.sum((sv / top) ** p)) ** (1.0 / p)
+    assert schatten_norm(_square * scale, p) == pytest.approx(expected, rel=1e-12)
+
+
+def test_in_range_singular_values_take_one_unscaled_gram_matrix():
+    a = np.asfortranarray(_square * 1e150)
+    gram = dense._fblas.zherk(1.0, a, trans=0, lower=1)
+    expected = np.sqrt(np.maximum(dense._eigvalsh(gram)[::-1], 0.0))
+    assert np.array_equal(dense._singular_values(a), expected)
+
+
 def test_spectral_and_pnorms_memory_stays_within_its_input_and_one_tenth_more():
     # The Gram matrix and the eigenvalue workspace: one more matrix.  An SVD
     # of the 10-site error operator held a copy and its workspace (17.1 MiB).
@@ -833,18 +847,6 @@ def test_weighted_norm_zero_weights_pseudo_power():
     assert val == pytest.approx(abs(a[2, 2]))
 
 
-def test_weighted_norm_monotone_in_rho():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        hi = rng.uniform(0.1, 1.0, size=8)
-        lo = hi * rng.uniform(0.0, 1.0, size=8)
-        for s in (0.0, 0.5, 1.0):
-            assert weighted_norm_diagonal(a, lo, 4, s) <= weighted_norm_diagonal(
-                a, hi, 4, s
-            ) + 1e-10
-
-
 def test_weighted_spec_validation():
     with pytest.raises(ValidationError):
         WeightedNormSpec(weights=(0.5,), s=1.5, p=2)
@@ -852,11 +854,6 @@ def test_weighted_spec_validation():
         WeightedNormSpec(weights=(1.5,), s=0.5, p=2)
     with pytest.raises(ValidationError):
         WeightedNormSpec(weights=(0.5,), s=0.5, p=1)
-
-
-def test_product_state_diagonal_order():
-    d = product_state_diagonal([0.25, 1.0])
-    np.testing.assert_allclose(d, [0.25, 0.0, 0.75, 0.0])
 
 
 def test_sector_b_value():
@@ -937,7 +934,6 @@ def state_error(e: np.ndarray, psi: np.ndarray) -> float:
 
 def test_errors_of_the_zero_operator_are_zero():
     e = np.zeros((4, 4))
-    assert errors_for_basis(e, np.array([0, 3])).tolist() == [0.0, 0.0]
     assert errors_for_states(e, haar_states(2, 3, np.random.default_rng(12))).tolist() == [0.0] * 3
 
 
@@ -957,17 +953,6 @@ def test_basis_and_haar_ensembles_deterministic():
     s1 = haar_states(3, 5, np.random.default_rng(42))
     s2 = haar_states(3, 5, np.random.default_rng(42))
     np.testing.assert_array_equal(s1, s2)
-
-
-def test_errors_for_basis_are_column_norms():
-    rng = np.random.default_rng(15)
-    e = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    idx = np.array([0, 3, 7])
-    got = errors_for_basis(e, idx)
-    for j, i in enumerate(idx):
-        psi = np.zeros(8)
-        psi[i] = 1.0
-        assert got[j] == pytest.approx(state_error(e, psi))
 
 
 def test_errors_for_states_match_loop():

@@ -3,12 +3,21 @@
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from trotterlab.dense import WeightedNormSpec, _trotter_power, evolve, schatten_norm, to_matrix
+from trotterlab.dense import (
+    WeightedNormSpec,
+    _trotter_power,
+    basis_indices,
+    evolve,
+    schatten_norm,
+    to_matrix,
+    trotter_error_op,
+)
 from trotterlab.errors import ValidationError
 from trotterlab.lab import (
     ExperimentConfig,
@@ -93,6 +102,21 @@ def test_typical_error_markov_consistency_and_quantiles():
     assert rep.expected_pnorms == rep.exact_pnorms
     # The probe sup dominates every sampled basis-state error.
     assert rep.fixed_pnorms[2.0] >= rep.quantiles[1.0] - 1e-12
+
+
+def test_typical_error_basis_draws_are_column_norms():
+    # Each basis-1-design error is ||E e_i||, the column norm of E at the
+    # drawn index, and the fixed-input lower bound covers every column.
+    h = chain_heisenberg(3)
+    cfg = ExperimentConfig(seed=15, samples=40, t=0.9, r=2, order=1)
+    rep = sample_typical_error(h, cfg)
+    e = trotter_error_op(h, cfg.t, cfg.r, cfg.order)
+    draws = basis_indices(h.n, cfg.samples, np.random.default_rng(np.random.SeedSequence(cfg.seed)))
+    errors = [float(np.linalg.norm(e @ np.eye(8)[i])) for i in draws]
+    assert rep.mean_error == pytest.approx(math.fsum(errors) / cfg.samples, rel=1e-12)
+    expected = np.quantile(errors, list(rep.quantiles))
+    assert list(rep.quantiles.values()) == pytest.approx(expected.tolist(), rel=1e-12)
+    assert rep.fixed_pnorms[2.0] >= max(np.linalg.norm(e[:, i]) for i in range(8))
 
 
 def test_typical_error_haar_ensemble():
@@ -245,6 +269,22 @@ def test_hypercontractivity_fuzz_small():
     assert rep.violations == 0
     assert rep.checks == 400
     assert rep.worst_relative_margin >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "f, p_values",
+    [
+        (np.full((2, 2), 1e200), (4.0,)),
+        (np.full((4, 4), 1e160), (4.0, 6.0)),
+        (PauliSum(2, [(PauliString.from_label("ZZ"), 1e160)]), (4.0,)),
+    ],
+    ids=["matrix-2x2", "matrix-4x4", "pauli-sum"],
+)
+def test_hypercontractivity_past_the_float_range_is_refused_without_a_warning(f, p_values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="floating-point range"):
+            check_hypercontractivity(f, p_values)
 
 
 def test_hypercontractivity_rejects_small_p():
@@ -416,7 +456,8 @@ def test_optimality_rejects_other_orders():
 
 
 def test_fermi_optimality_true_values_and_claim_gap():
-    for m in (1, 2):
+    # m = 5 has 15 sites, past the dense cap: no matrix is built.
+    for m in (1, 2, 5):
         rep = fermi_optimality_experiment(m)
         # True normalized 2-norms sit a factor 2 sqrt(2) under the claims.
         assert rep.first_norm2 == pytest.approx(m**2 / math.sqrt(2), rel=1e-9)
