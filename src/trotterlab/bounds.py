@@ -2,16 +2,10 @@
 
 Implements:
 
-- ``gatecount_nonrandom``: step counts for deterministic k-local
-  Hamiltonians under typical (1-design) inputs, with the explicit
-  lambda(k)/lambda'(k) constants, the two small-step constraints, and
-  the transcendental floor.
-- ``gatecount_random_first``: the constant-explicit first-order result
-  for Hamiltonians with independent random terms (spectral and
-  fixed-input variants), plus the SYK-normalized corollary.
-- ``gatecount_random_ho``: higher-order random-Hamiltonian step counts
-  (proof-level constants plus the asymptotic theorem forms).
-- ``baseline_1norm``: the coherent-error baseline G ~ Gamma |H|_(1),1 t.
+- ``gatecount``: the one entry to a step and gate count.  Its regime
+  selects typical inputs to a deterministic Hamiltonian, higher- or
+  first-order random terms, or the coherent 1-norm baseline.
+- ``syk_first_order_gate_count``: the SYK-normalized first-order corollary.
 - ``table1_exponents``: the gate-complexity comparison table (golden).
 - ``truncation_plan``: power-law tail truncation planning.
 - ``counting_net_size``: the Bernstein collision-probability net-size
@@ -47,11 +41,7 @@ __all__ = [
     "Table1Cell",
     "TABLE1_METHODS",
     "gatecount",
-    "gatecount_nonrandom",
-    "gatecount_random_first",
-    "gatecount_random_ho",
     "syk_first_order_gate_count",
-    "baseline_1norm",
     "table1_exponents",
     "table1_all",
     "truncation_plan",
@@ -271,8 +261,8 @@ def solve_transcendental_floor(k: int, order: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def gatecount_nonrandom(
-    h: HamiltonianLike, q: GateCountQuery
+def _nonrandom(
+    h: HamiltonianLike, profile: NormProfile, q: GateCountQuery
 ) -> GateCountResult:
     """Step and gate counts for deterministic k-local Hamiltonians.
 
@@ -285,10 +275,6 @@ def gatecount_nonrandom(
     taken of an argument below e, and ``p_star_floored`` when the
     probability-driven display undershoots the norm-index target.
     """
-    profile = _profile_of(h)
-    if profile.gamma == 0:
-        return _empty_result(q.regime, q.order)
-
     k, ell = profile.k, q.order
     fermionic = profile.lambda_ferm_k is not None
     lam = profile.lambda_ferm_k if fermionic else profile.lambda_k
@@ -385,7 +371,9 @@ def _first_order_log_term(regime: str, n: int, delta: float) -> float:
     return log_term
 
 
-def gatecount_random_first(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
+def _random_first(
+    h: HamiltonianLike, profile: NormProfile, q: GateCountQuery
+) -> GateCountResult:
     """First-order step count for Hamiltonians with random terms.
 
     Spectral regime: G = 2 sqrt(2) Gamma (n ln 2 + log(e^2/delta))
@@ -393,13 +381,6 @@ def gatecount_random_first(h: HamiltonianLike, q: GateCountQuery) -> GateCountRe
     fixed-input regime drops the n ln 2 term.  Logarithms are natural.
     """
     log_term = _first_order_log_term(q.regime, h.n, q.delta)
-    if q.order != 1:
-        raise ValidationError(
-            f"first-order-random regimes require order 1, got {q.order}"
-        )
-    profile = _profile_of(h)
-    if profile.gamma == 0:
-        return _empty_result(q.regime, 1)
     h02, h12 = profile.norm(0, 2), profile.norm(1, 2)
     r_real = 2.0 * math.sqrt(2.0) * log_term * h02 * h12 * q.t**2 / q.eps
     r = max(1, math.ceil(r_real)) if q.t > 0 else 0
@@ -440,20 +421,14 @@ def syk_first_order_gate_count(
     )
 
 
-def gatecount_random_ho(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
+def _random_ho(
+    h: HamiltonianLike, profile: NormProfile, q: GateCountQuery
+) -> GateCountResult:
     """Higher-order step count for random-coefficient Hamiltonians.
 
     Returns the proof-level r (explicit constants, constraint-checked)
     and carries the asymptotic theorem form in the diagnostics.
     """
-    if q.regime not in ("random-spectral", "random-fixed"):
-        raise ValidationError("regime must be random-spectral/random-fixed")
-    if q.order < 2 or q.order % 2:
-        raise ValidationError("random higher-order path requires even order >= 2")
-    profile = _profile_of(h)
-    if profile.gamma == 0:
-        return _empty_result(q.regime, q.order)
-
     k, ell, n = profile.k, q.order, h.n
     t, eps, delta = q.t, q.eps, q.delta
     h02, h12, h01 = profile.norm(0, 2), profile.norm(1, 2), profile.norm(0, 1)
@@ -510,11 +485,10 @@ def gatecount_random_ho(h: HamiltonianLike, q: GateCountQuery) -> GateCountResul
     return _staged_result(q, profile, r, p_star, diagnostics, feasible)
 
 
-def baseline_1norm(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
+def _baseline_1norm(
+    h: HamiltonianLike, profile: NormProfile, q: GateCountQuery
+) -> GateCountResult:
     """Coherent-error baseline G ~ Gamma |H|_(1),1 t (asymptotic)."""
-    profile = _profile_of(h)
-    if profile.gamma == 0:
-        return _empty_result("spectral-1norm-baseline", q.order)
     h11 = profile.norm(1, 1)
     g_real = profile.gamma * h11 * q.t
     r = math.ceil(h11 * q.t) if q.t > 0 else 0
@@ -534,14 +508,39 @@ def baseline_1norm(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
     "the step count overflows floating point", "rescale the coefficients or the time"
 )
 def gatecount(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
-    """Dispatch a query to the calculator selected by its regime."""
+    """Step and gate counts of ``h``; ``q.regime`` selects the calculation:
+
+    - ``nonrandom-typical``: a deterministic k-local Hamiltonian on typical
+      (1-design) inputs, with the lambda(k)/lambda'(k) constants, the two
+      small-step constraints and the transcendental floor;
+    - ``random-spectral`` / ``random-fixed``: the higher-order count for
+      independent random terms, over all inputs or one fixed input (even
+      order);
+    - ``first-order-random-spectral`` / ``first-order-random-fixed``: the
+      first-order count for independent random terms (order 1);
+    - ``spectral-1norm-baseline``: the coherent-error baseline
+      G ~ Gamma |H|_(1),1 t of arXiv:1912.08854 (asymptotic).
+
+    An empty Hamiltonian gives r = 0; a count past the floating-point range
+    raises ``ValidationError``.
+    """
+    random_ho = q.regime in ("random-spectral", "random-fixed")
+    if q.regime.startswith("first-order") and q.order != 1:
+        raise ValidationError(
+            f"first-order-random regimes require order 1, got {q.order}"
+        )
+    if random_ho and (q.order < 2 or q.order % 2):
+        raise ValidationError("random higher-order path requires even order >= 2")
+    profile = _profile_of(h)
+    if profile.gamma == 0:
+        return _empty_result(q.regime, q.order)
     if q.regime == "nonrandom-typical":
-        return gatecount_nonrandom(h, q)
+        return _nonrandom(h, profile, q)
     if q.regime == "spectral-1norm-baseline":
-        return baseline_1norm(h, q)
-    if q.regime in ("random-spectral", "random-fixed"):
-        return gatecount_random_ho(h, q)
-    return gatecount_random_first(h, q)
+        return _baseline_1norm(h, profile, q)
+    if random_ho:
+        return _random_ho(h, profile, q)
+    return _random_first(h, profile, q)
 
 
 # ------------------------------------------------------------- Table 1

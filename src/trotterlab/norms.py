@@ -23,7 +23,7 @@ since every fermionic monomial maps to a single tensor product).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import NamedTuple, Optional, Union
 
@@ -50,7 +50,6 @@ class NormProfile:
     lambda_prime_k: float
     lambda_ferm_k: Optional[float] = None
     ferm_zero_two: Optional[float] = None
-    bounds: tuple[float, ...] = field(default=(), repr=False)
 
     def norm(self, c: int, q: int) -> float:
         return self.norms[(c, q)]
@@ -254,5 +253,4 @@ def norm_profile(h: AnyHamiltonian) -> NormProfile:
         lambda_prime_k=lam_p,
         lambda_ferm_k=lam_f,
         ferm_zero_two=ferm02,
-        bounds=tuple(data.bound.tolist()),
     )

@@ -542,10 +542,6 @@ class PauliHamiltonian(PauliSum):
         labels = [label for label, _ in pairs]
         return cls(n, _label_rows(n, labels, [coeff for _, coeff in pairs]))
 
-    def bounds(self) -> tuple[float, ...]:
-        """Per-term bounds b_gamma = |coeff|."""
-        return tuple(np.abs(self._rows.c).tolist())
-
 
 @dataclass(frozen=True)
 class LeadingError:

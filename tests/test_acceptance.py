@@ -18,8 +18,7 @@ import pytest
 
 from trotterlab.bounds import (
     GateCountQuery,
-    gatecount_nonrandom,
-    gatecount_random_first,
+    gatecount,
     table1_all,
     table1_exponents,
     truncation_plan,
@@ -148,7 +147,7 @@ def test_criterion_06_markov_coverage():
     query = GateCountQuery(
         t=1.0, eps=0.1, delta=0.1, order=2, regime="nonrandom-typical"
     )
-    res = gatecount_nonrandom(h, query)
+    res = gatecount(h, query)
     assert res.r == 11436  # frozen planner output for this instance
     assert res.p_star == pytest.approx(2.0)
 
@@ -173,7 +172,7 @@ def test_criterion_07_first_order_random_theorem():
     query = GateCountQuery(
         t=1.0, eps=0.1, delta=0.1, order=1, regime="first-order-random-fixed"
     )
-    plan = gatecount_random_first(model.bound_hamiltonian(), query)
+    plan = gatecount(model.bound_hamiltonian(), query)
     assert plan.gate_count == plan.gamma * plan.r
 
     cfg = ExperimentConfig(

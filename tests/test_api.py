@@ -50,11 +50,10 @@ def test_deleted_names_are_gone(name):
         ("lab", "fuzz_hypercontractivity", "k_max"),
         ("lab", "fuzz_hypercontractivity", "p_values"),
         ("bounds", "gatecount", "n"),
-        ("bounds", "gatecount_random_first", "n"),
-        ("bounds", "gatecount_random_ho", "n"),
-        ("bounds", "gatecount_random_first", "d_local"),
         ("bounds", "syk_first_order_gate_count", "d_local"),
         ("lab", "fermi_optimality_experiment", "cap_n"),
+        ("lab", "check_order_condition", "cap_n"),
+        ("lab", "optimality_experiment", "cap_n"),
     ],
 )
 def test_parameters_the_input_fixes_are_gone(module, function, parameter):
@@ -88,10 +87,50 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("dense", "product_state_diagonal"),
         ("dense", "weighted_norm_diagonal"),
         ("dense", "errors_for_basis"),
+        ("bounds", "gatecount_nonrandom"),
+        ("bounds", "gatecount_random_first"),
+        ("bounds", "gatecount_random_ho"),
+        ("bounds", "baseline_1norm"),
+        ("pauli.PauliHamiltonian", "bounds"),
+        ("norms.NormProfile", "bounds"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):
-    assert not hasattr(getattr(trotterlab, module), name)
+    owner = trotterlab
+    for part in module.split("."):
+        owner = getattr(owner, part)
+    assert not hasattr(owner, name)
+
+
+def test_bounds_exports_are_pinned():
+    assert trotterlab.bounds.__all__ == [
+        "REGIMES",
+        "GateCountQuery",
+        "GateCountResult",
+        "TruncationPlan",
+        "CountingEstimate",
+        "Table1Cell",
+        "TABLE1_METHODS",
+        "gatecount",
+        "syk_first_order_gate_count",
+        "table1_exponents",
+        "table1_all",
+        "truncation_plan",
+        "counting_net_size",
+        "markov_tail",
+    ]
+
+
+def test_gatecount_is_the_one_public_function_returning_a_result():
+    bounds = trotterlab.bounds
+    returning = [
+        name
+        for name, fn in inspect.getmembers(bounds, inspect.isfunction)
+        if not name.startswith("_")
+        and fn.__module__ == bounds.__name__
+        and inspect.signature(fn).return_annotation == "GateCountResult"
+    ]
+    assert returning == ["gatecount"]
 
 
 

@@ -9,12 +9,8 @@ from trotterlab.bounds import (
     CountingEstimate,
     GateCountQuery,
     GateCountResult,
-    baseline_1norm,
     counting_net_size,
     gatecount,
-    gatecount_nonrandom,
-    gatecount_random_first,
-    gatecount_random_ho,
     markov_tail,
     solve_transcendental_floor,
     syk_first_order_gate_count,
@@ -82,7 +78,7 @@ def straight_line_chain8_r(t=1.0, eps=0.1, delta=0.1):
 def test_nonrandom_chain8_matches_straight_line_oracle():
     r_oracle, lam, lam_prime, ck, eta = straight_line_chain8_r()
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2)
-    res = gatecount_nonrandom(chain8(), q)
+    res = gatecount(chain8(), q)
     assert res.r == r_oracle == 11436
     assert res.diagnostics["lambda_k"] == pytest.approx(lam, rel=1e-12)
     assert res.diagnostics["lambda_prime_k"] == pytest.approx(lam_prime, rel=1e-12)
@@ -94,7 +90,7 @@ def test_nonrandom_chain8_matches_straight_line_oracle():
 
 def test_nonrandom_chain8_p_star_floored_to_two():
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2)
-    res = gatecount_nonrandom(chain8(), q)
+    res = gatecount(chain8(), q)
     # The displayed step count undershoots the index target, so the
     # reported index is the floor and the flag records the shortfall.
     assert res.p_star == 2.0
@@ -110,7 +106,7 @@ def test_nonrandom_chain8_p_star_floored_to_two():
 
 def test_nonrandom_gate_counts_nominal_and_merged():
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2)
-    res = gatecount_nonrandom(chain8(), q)
+    res = gatecount(chain8(), q)
     assert res.gamma == 21
     assert res.upsilon == 2
     assert res.gate_count == 2 * 21 * res.r
@@ -120,7 +116,7 @@ def test_nonrandom_gate_counts_nominal_and_merged():
 
 def test_nonrandom_constraints_hold_at_returned_point():
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2)
-    res = gatecount_nonrandom(chain8(), q)
+    res = gatecount(chain8(), q)
     assert res.diagnostics["constraint_1_ok"]
     assert res.diagnostics["constraint_2_ok"]
     lhs = res.diagnostics["constraint_lhs"]
@@ -137,8 +133,8 @@ def test_nonrandom_homogeneity_in_coefficient_scale():
     )
     q1 = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2)
     q2 = GateCountQuery(t=1.0 / alpha, eps=0.1, delta=0.1, order=2)
-    r1 = gatecount_nonrandom(h, q1)
-    r2 = gatecount_nonrandom(scaled, q2)
+    r1 = gatecount(h, q1)
+    r2 = gatecount(scaled, q2)
     assert r1.diagnostics["r_probability"] == pytest.approx(
         r2.diagnostics["r_probability"], rel=1e-9
     )
@@ -160,15 +156,15 @@ def test_nonrandom_monotone_in_each_knob(knob):
         harder["eps"] = 0.01
     else:
         harder["delta"] = 1e-6
-    r_soft = gatecount_nonrandom(h, GateCountQuery(**base)).r
-    r_hard = gatecount_nonrandom(h, GateCountQuery(**harder)).r
+    r_soft = gatecount(h, GateCountQuery(**base)).r
+    r_hard = gatecount(h, GateCountQuery(**harder)).r
     assert r_hard >= r_soft
 
 
 def test_nonrandom_single_site_skips_constraints():
     h = PauliHamiltonian.from_labels(3, [("ZII", 1.0), ("IZI", 1.0), ("IIZ", 1.0)])
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2)
-    res = gatecount_nonrandom(h, q)
+    res = gatecount(h, q)
     prof = norm_profile(h)
     assert prof.k == 1
     assert prof.lambda_k == pytest.approx(4.0)  # 4 |H|_(1),2, unit coefficients
@@ -187,7 +183,7 @@ def test_nonrandom_single_site_skips_constraints():
 def test_nonrandom_fermionic_uses_augmented_lambda():
     h = fermi_hop(1)
     q = GateCountQuery(t=0.3, eps=0.1, delta=0.1, order=2)
-    res = gatecount_nonrandom(h, q)
+    res = gatecount(h, q)
     assert res.diagnostics["fermionic_lambda"] is True
     prof = norm_profile(h)
     assert res.diagnostics["lambda_k"] == pytest.approx(prof.lambda_ferm_k)
@@ -196,10 +192,10 @@ def test_nonrandom_fermionic_uses_augmented_lambda():
 
 def test_nonrandom_zero_time_and_empty_hamiltonian():
     q = GateCountQuery(t=0.0, eps=0.1, delta=0.1, order=2)
-    assert gatecount_nonrandom(chain8(), q).gate_count == 0.0
+    assert gatecount(chain8(), q).gate_count == 0.0
     empty = PauliHamiltonian(2, ())
     qq = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2)
-    res = gatecount_nonrandom(empty, qq)
+    res = gatecount(empty, qq)
     assert res.gate_count == 0.0 and res.r == 0
     assert res.diagnostics["empty_hamiltonian"] is True
 
@@ -225,14 +221,14 @@ def test_random_ho_constant_example():
     # k = 2 with unit per-site overlap norm: c(k) = 8 e.
     h = PauliHamiltonian.from_labels(2, [("ZZ", 1.0)])
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2, regime="random-fixed")
-    res = gatecount_random_ho(h, q)
+    res = gatecount(h, q)
     assert res.diagnostics["c_k"] == pytest.approx(8.0 * E, rel=1e-12)
 
 
 def test_random_ho_chain8_straight_line():
     h = chain8()
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2, regime="random-fixed")
-    res = gatecount_random_ho(h, q)
+    res = gatecount(h, q)
 
     h02, h12, h01 = math.sqrt(21.0), math.sqrt(6.0), 21.0
     ck = 4.0 * E * 2 * h12
@@ -251,8 +247,8 @@ def test_random_ho_spectral_uses_dimension_in_index_target():
     h = chain8()
     qf = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2, regime="random-fixed")
     qs = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2, regime="random-spectral")
-    rf = gatecount_random_ho(h, qf)
-    rs = gatecount_random_ho(h, qs)
+    rf = gatecount(h, qf)
+    rs = gatecount(h, qs)
     assert rs.diagnostics["p_target"] == pytest.approx(
         (8 * math.log(2.0) + math.log(10.0)) / 1.5
     )
@@ -262,7 +258,7 @@ def test_random_ho_spectral_uses_dimension_in_index_target():
 def test_random_ho_asymptotic_form_matches_display():
     h = chain8()
     q = GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2, regime="random-spectral")
-    res = gatecount_random_ho(h, q)
+    res = gatecount(h, q)
     s = math.sqrt(8 + math.log(10.0))
     h02, h12 = math.sqrt(21.0), math.sqrt(6.0)
     expect = h12 * s * 1.0 * (h02**2 * s * 1.0 / (h12 * 0.1)) ** 0.5
@@ -277,7 +273,7 @@ def test_random_ho_rejects_odd_or_first_order():
             t=1.0, eps=0.1, delta=0.1, order=order, regime="random-fixed"
         )
         with pytest.raises(ValidationError):
-            gatecount_random_ho(h, q)
+            gatecount(h, q)
 
 
 def test_first_order_random_matches_formula():
@@ -289,7 +285,7 @@ def test_first_order_random_matches_formula():
         ("first-order-random-fixed", math.log(E**2 / delta)),
     ]:
         q = GateCountQuery(t=t, eps=eps, delta=delta, order=1, regime=regime)
-        res = gatecount_random_first(h, q)
+        res = gatecount(h, q)
         r_real = 2.0 * math.sqrt(2.0) * log_term * h02 * h12 * t**2 / eps
         assert res.diagnostics["r_formula"] == pytest.approx(r_real, rel=1e-12)
         assert res.r == math.ceil(r_real)
@@ -301,7 +297,7 @@ def test_first_order_fixed_never_exceeds_spectral():
     h = chain8()
     qs = GateCountQuery(t=1.0, eps=0.1, order=1, regime="first-order-random-spectral")
     qf = GateCountQuery(t=1.0, eps=0.1, order=1, regime="first-order-random-fixed")
-    assert gatecount_random_first(h, qf).r <= gatecount_random_first(h, qs).r
+    assert gatecount(h, qf).r <= gatecount(h, qs).r
 
 
 def test_syk_first_order_gate_count_oracle():
@@ -330,11 +326,11 @@ def test_syk_first_order_gate_count_oracle():
 
 def test_baseline_1norm_values_and_flags():
     h = chain8()
-    res = baseline_1norm(h, GateCountQuery(t=2.0, eps=0.1))
+    res = gatecount(h, GateCountQuery(t=2.0, eps=0.1, regime="spectral-1norm-baseline"))
     assert res.asymptotic is True
     assert res.gate_count == pytest.approx(21 * 6.0 * 2.0)
     assert res.r == math.ceil(6.0 * 2.0)
-    zero = baseline_1norm(h, GateCountQuery(t=0.0, eps=0.1))
+    zero = gatecount(h, GateCountQuery(t=0.0, eps=0.1, regime="spectral-1norm-baseline"))
     assert zero.gate_count == 0.0 and zero.r == 0
 
 
@@ -345,7 +341,7 @@ def test_baseline_equals_typical_for_disjoint_supports():
     h = PauliHamiltonian.from_labels(4, [("ZIII", 1.0), ("IZII", 1.0), ("IIZI", 1.0), ("IIIZ", 1.0)])
     prof = norm_profile(h)
     assert prof.norm(1, 1) == prof.norm(1, 2) == 1.0
-    res = baseline_1norm(h, GateCountQuery(t=3.0, eps=0.1))
+    res = gatecount(h, GateCountQuery(t=3.0, eps=0.1, regime="spectral-1norm-baseline"))
     assert res.gate_count == pytest.approx(4 * 1.0 * 3.0)
 
 
@@ -629,9 +625,9 @@ def test_truncation_plan_rejects_non_finite_values(field, value):
         truncation_plan(**params)
 
 
-def _regime_query(regime):
+def _regime_query(regime, t=1.0):
     order = 1 if regime.startswith("first") else 2
-    return GateCountQuery(t=1.0, eps=0.1, regime=regime, order=order)
+    return GateCountQuery(t=t, eps=0.1, regime=regime, order=order)
 
 
 @pytest.mark.parametrize("regime", REGIMES)
@@ -645,9 +641,12 @@ def test_gatecount_rejects_identity_only_hamiltonian(regime):
 @pytest.mark.parametrize("regime", REGIMES)
 def test_gatecount_overflow_is_a_validation_error(regime):
     # 1e200 squared overflows the 2-norms; 3e100 overflows the higher-order
-    # step counts (the first-order and baseline counts stay finite).
+    # step counts (the first-order and baseline counts stay finite); t = 1e308
+    # overflows every regime's count (t**2, t**(order+1) or ceil(inf)).
     with pytest.raises(ValidationError, match="overflow"):
         gatecount(PauliHamiltonian.from_labels(2, [("XX", 1e200)]), _regime_query(regime))
+    with pytest.raises(ValidationError, match="overflow"):
+        gatecount(chain8(), _regime_query(regime, t=1e308))
     if not regime.startswith(("first", "spectral")):
         with pytest.raises(ValidationError, match="overflow"):
             gatecount(PauliHamiltonian.from_labels(2, [("XX", 3e100)]), _regime_query(regime))

@@ -862,6 +862,17 @@ def test_gatecount_first_order_regime_rejects_order_two(chain8, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("regime", trotterlab.bounds.REGIMES)
+def test_gatecount_time_past_the_float_range_exits_2_in_every_regime(chain8, capsys, regime):
+    order = "1" if regime.startswith("first") else "2"
+    code, out, err = run(
+        capsys, "gatecount", chain8, "--regime", regime, "--order", order,
+        "--t", "1e308", "--eps", "0.1",
+    )
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and "overflows floating point" in err
+
+
 def test_gatecount_p_override(chain8, capsys):
     code, out, _ = run(
         capsys, "gatecount", chain8, "--t", "1", "--eps", "0.1", "--p", "4"

@@ -287,6 +287,15 @@ def test_hypercontractivity_past_the_float_range_is_refused_without_a_warning(f,
             check_hypercontractivity(f, p_values)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4)])
+def test_hypercontractivity_refuses_a_non_finite_operator(bad, shape):
+    # The operator is the caller's: the message names it, not an evolution time.
+    for m in (np.full(shape, bad), np.where(np.eye(shape[0]) > 0, bad, 0.5)):
+        with pytest.raises(ValidationError, match="operator has an infinite or NaN entry"):
+            check_hypercontractivity(m, (4.0,))
+
+
 def test_hypercontractivity_rejects_small_p():
     with pytest.raises(ValidationError):
         check_hypercontractivity(PauliSum(1, [(PauliString.from_label("Z"), 1.0)]), (4.0, 1.5))

@@ -21,6 +21,7 @@ from trotterlab.errors import (
     PartitionError,
     ValidationError,
 )
+from trotterlab.norms import _term_data
 from trotterlab.pauli import (
     FermionHamiltonian,
     FermionTerm,
@@ -397,7 +398,7 @@ def test_ingest_matches_three_pass_oracle(cls, case):
         assert built.coeff_map() == {t.string.key(): t.coeff for t in built.terms}
         assert built.k == max((t.string.weight for t in built.terms), default=0)
         if cls is PauliHamiltonian:
-            assert built.bounds() == tuple(abs(t.coeff) for t in built.terms)
+            assert _term_data(built).bound.tolist() == [abs(t.coeff) for t in built.terms]
             labels = [(t.string.label(), t.coeff.real) for t in built.terms]
             # Reading the labels back merges again, and drops a real part
             # below MERGE_TOL: a term kept for a sub-tolerance imaginary part
