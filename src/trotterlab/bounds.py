@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import DivergentTailError, ValidationError
-from .models import lattice_coordinates
+from .models import _lattice_pairs
 from .norms import NormProfile, norm_profile
 from .pauli import FermionHamiltonian, PauliHamiltonian
 from .suzuki import upsilon as stage_count
@@ -747,7 +747,8 @@ def truncation_plan(
 
     The cutoff solves t sqrt(n ell^(d-2a)) = eps with unit constant;
     the residual coefficient mass beyond the cutoff is enumerated
-    exactly for lattices up to 4096 sites and bounded by the radial
+    exactly for lattices up to 4096 sites, over the pair distances that
+    ``power_law`` weights its terms by, and bounded by the radial
     integral above that.
     """
     for name, value in (("alpha", alpha), ("t", t), ("eps", eps)):
@@ -770,11 +771,7 @@ def truncation_plan(
 
     total_pairs = n * (n - 1) // 2
     if n <= _ENUMERATION_CAP:
-        coords = np.asarray(lattice_coordinates(n, d), dtype=float)
-        diff = coords[:, None, :] - coords[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        iu = np.triu_indices(n, k=1)
-        pair_dist = dist[iu]
+        pair_dist = np.sqrt(_lattice_pairs(n, d)[2])
         far = pair_dist > ell_cut
         residual_sq = float((pair_dist[far] ** (-2.0 * alpha)).sum())
         dropped = int(far.sum())

@@ -59,7 +59,7 @@ def check_cap(n: int, cap_n: int = DEFAULT_CAP_N) -> None:
         # float above n = 509, and takes unbounded memory as n grows
         raise ResourceCapError(
             f"dense matrix on n={n} qubits needs 2^{2 * n + 4} bytes "
-            f"(cap is n={cap_n}; raise cap_n to override)"
+            f"(cap is n={cap_n})"
         )
 
 

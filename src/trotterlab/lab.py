@@ -319,7 +319,6 @@ def sample_random_hamiltonian(
     fixed_errors: list[float] = []
     trace_distances: list[float] = []
     powers: dict[float, list[float]] = {p: [] for p in cfg.p_values}
-    fixed_powers: dict[float, list[float]] = {p: [] for p in cfg.p_values}
     td_violations = 0
     for child in seeds:
         h = model.sample(child)
@@ -336,8 +335,6 @@ def sample_random_hamiltonian(
             powers[p].append(pnorms[p] ** p)
         l2 = float(np.linalg.norm(err_op[:, 0]))
         fixed_errors.append(l2)
-        for p in cfg.p_values:
-            fixed_powers[p].append(l2**p)
         # The pure-state trace distance sqrt(1 - |<a, b>|^2) of a and
         # b = S^r|0...0> = a - d, d = err_op[:, 0], as sqrt(|d|^2 - |<a, d>|^2):
         # equal for unit vectors, without the cancellation of 1 - |<a, b>|^2
@@ -361,9 +358,7 @@ def sample_random_hamiltonian(
         expected_se[p] = (
             se_pow * mean_pow ** (1.0 / p - 1.0) / p if mean_pow > 0 else 0.0
         )
-        fixed_pnorms[p] = (math.fsum(fixed_powers[p]) / cfg.samples) ** (
-            1.0 / p
-        )
+        fixed_pnorms[p] = (math.fsum(e**p for e in fixed_errors) / cfg.samples) ** (1.0 / p)
 
     spectral_arr = np.asarray(spectrals)
     return ErrorReport(
@@ -524,10 +519,11 @@ def check_hypercontractivity(
     - aggregated form:    |F|_p <= |sum_S C_p^(|S|/2) F_S|_2,
     - 2-norm form:        |F|_p^2 <= sum_S (3 C_p)^|S| |F_S|_2^2,
 
-    all in normalized norms.  ``margin`` is rhs - lhs for the first.  Every
-    p is read from one matrix, one support decomposition and one set of
-    singular values per operator; only the aggregated form's p-dependent
-    combination takes an SVD per p.
+    all in normalized norms.  ``margin`` is rhs - lhs for the first.  The
+    F_S are orthogonal (Pauli strings of different supports are, and each
+    matrix-path F_S is a product of the commuting projections E_s and
+    id - E_s), so the aggregated right side is (sum_S C_p^|S| |F_S|_2^2)^(1/2).
+    Every p is read from one SVD of the operator and one of each component.
     """
     if min(p_values) < 2:
         raise ValidationError("hypercontractivity checks need p >= 2")
@@ -537,17 +533,15 @@ def check_hypercontractivity(
     comps = support_components(f)
     lhs_norms = _spectral_and_pnorms(m, p_values)[1]
     comp_norms = {s: _spectral_and_pnorms(c, (*p_values, 2.0))[1] for s, c in comps.items()}
+    sizes_sq2 = [(len(s), norms[2.0] ** 2) for s, norms in comp_norms.items()]
     checks = []
     for p in p_values:
         cp = p - 1.0
         lhs_norm = lhs_norms[p]
         lhs = lhs_norm**2
         rhs = math.fsum(cp ** len(s) * norms[p] ** 2 for s, norms in comp_norms.items())
-        combo = sum((cp ** (len(s) / 2.0) * c for s, c in comps.items()), np.zeros_like(m))
-        fact_rhs = schatten_norm(combo, 2, normalized=True)
-        two_rhs = math.fsum(
-            (3.0 * cp) ** len(s) * norms[2.0] ** 2 for s, norms in comp_norms.items()
-        )
+        fact_rhs = math.sqrt(math.fsum(cp**size * sq2 for size, sq2 in sizes_sq2))
+        two_rhs = math.fsum((3.0 * cp) ** size * sq2 for size, sq2 in sizes_sq2)
         violated = _inequality((lhs, lhs_norm, lhs), (rhs, fact_rhs, two_rhs))[1]
         checks.append(
             HypercontractivityCheck(
@@ -693,13 +687,14 @@ def check_uniform_smoothness(
     site: int,
     p: float,
     trials: int,
-    n: int = 3,
     seed: int = 0,
 ) -> SmoothnessReport:
     """Subsystem uniform smoothness: |X+Y|_p^2 <= |X|_p^2 + (p-1)|Y|_p^2
-    for X acting as identity on ``site`` and Y traceless on it."""
+    for X acting as identity on ``site`` and Y traceless on it, both
+    Ginibre draws on 3 qubits (Hermitian in about half of the trials)."""
     if p < 2:
         raise ValidationError("uniform smoothness needs p >= 2")
+    n = 3
     if not 0 <= site < n:
         raise ValidationError("site out of range")
     tally = _Tally("uniform-smoothness")

@@ -48,7 +48,6 @@ __all__ = [
     "chain_heisenberg",
     "power_law",
     "lattice_coordinates",
-    "pair_distance",
     "KLocalGaussianModel",
     "zxyz",
     "zxyz_groups",
@@ -99,8 +98,18 @@ def _lattice_side(n: int, d: int) -> int:
     return side
 
 
-def pair_distance(a: tuple[int, ...], b: tuple[int, ...]) -> float:
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+def _lattice_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Site pairs i < j of the d-D lattice in ``np.triu_indices`` order
+    (that of ``itertools.combinations``), with exact squared distances."""
+    coords = np.array(lattice_coordinates(n, d)).reshape(n, d)
+    i, j = np.triu_indices(n, 1)
+    squared = np.zeros(i.shape, dtype=np.int64)
+    for axis in coords.T:  # one axis at a time: no (pairs, d) temporaries
+        step = axis[i]
+        step -= axis[j]
+        step *= step
+        squared += step
+    return i, j, squared
 
 
 def power_law(n: int, d: int, alpha: float) -> PauliHamiltonian:
@@ -109,10 +118,8 @@ def power_law(n: int, d: int, alpha: float) -> PauliHamiltonian:
         raise ValidationError("alpha must be positive")
     _lattice_side(n, d)
     _check_size(n * (n - 1) // 2, _pauli_term_bytes(n))
-    coords = np.array(lattice_coordinates(n, d)).reshape(n, d)
-    i, j = np.triu_indices(n, 1)  # the order of itertools.combinations
-    squared = ((coords[i] - coords[j]) ** 2).sum(axis=1)
-    # Python float powers, term by term, as pair_distance(...) ** -alpha
+    i, j, squared = _lattice_pairs(n, d)
+    # Python float powers, term by term, of the exact distances
     coeffs = [math.sqrt(s) ** -alpha for s in squared.tolist()]
     sites = np.stack([i, j], axis=1)
     return PauliHamiltonian(n, _site_rows(n, sites, np.full(sites.shape, _Z), coeffs))

@@ -54,6 +54,7 @@ def test_deleted_names_are_gone(name):
         ("lab", "fermi_optimality_experiment", "cap_n"),
         ("lab", "check_order_condition", "cap_n"),
         ("lab", "optimality_experiment", "cap_n"),
+        ("lab", "check_uniform_smoothness", "n"),
     ],
 )
 def test_parameters_the_input_fixes_are_gone(module, function, parameter):
@@ -93,6 +94,7 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("bounds", "baseline_1norm"),
         ("pauli.PauliHamiltonian", "bounds"),
         ("norms.NormProfile", "bounds"),
+        ("models", "pair_distance"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):

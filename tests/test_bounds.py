@@ -1,7 +1,9 @@
 """Gate-count calculators: independent arithmetic oracles and invariants."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from trotterlab.bounds import (
@@ -9,6 +11,7 @@ from trotterlab.bounds import (
     CountingEstimate,
     GateCountQuery,
     GateCountResult,
+    TruncationPlan,
     counting_net_size,
     gatecount,
     markov_tail,
@@ -19,7 +22,7 @@ from trotterlab.bounds import (
     truncation_plan,
 )
 from trotterlab.errors import DivergentTailError, ValidationError
-from trotterlab.models import chain_heisenberg, fermi_hop
+from trotterlab.models import chain_heisenberg, fermi_hop, lattice_coordinates
 from trotterlab.norms import norm_profile
 from trotterlab.pauli import PauliHamiltonian
 
@@ -527,6 +530,62 @@ def test_truncation_bound_dominates_exact_tail():
     ell = exact.ell_cut
     bound_sq = 64 * 2.0 * ell ** (1 - 4.0) / 3.0
     assert exact.residual_norm**2 <= bound_sq
+
+
+def _truncation_oracle(n, d, alpha, t, eps):
+    # The enumerated plan from the full n x n distance matrix of the
+    # lattice coordinates, built one axis at a time.
+    coords = np.asarray(lattice_coordinates(n, d), dtype=float)
+    dist = np.zeros((n, n))
+    for axis in coords.T:
+        step = axis[:, None] - axis[None, :]
+        dist += step * step
+    np.sqrt(dist, out=dist)
+    pair_dist = dist[np.triu_indices(n, k=1)]
+    del dist
+    ell_cut = max(1, math.ceil((n * t**2 / eps**2) ** (1.0 / (2.0 * alpha - d)) - 1e-12))
+    far = pair_dist > ell_cut
+    residual_norm = math.sqrt(float((pair_dist[far] ** (-2.0 * alpha)).sum()))
+    dropped = int(far.sum())
+    return TruncationPlan(
+        n=n,
+        d=d,
+        alpha=alpha,
+        t=t,
+        eps=eps,
+        ell_cut=ell_cut,
+        kept_terms=n * (n - 1) // 2 - dropped,
+        dropped_terms=dropped,
+        residual_norm=residual_norm,
+        residual_error=t * residual_norm,
+        residual_is_exact=True,
+        feasible=t * residual_norm <= eps,
+        gate_count=n * t * (n * t**2 / eps) ** (d / (2.0 * alpha - d)),
+    )
+
+
+@pytest.mark.parametrize(
+    "n, d, alpha, eps",
+    [(64, 1, 2.0, 0.5), (64, 2, 3.0, 0.5), (27, 3, 3.0, 2.0), (4096, 2, 3.0, 0.01)],
+)
+def test_truncation_plan_matches_the_distance_matrix_oracle(n, d, alpha, eps):
+    plan = truncation_plan(n, d, alpha, 1.0, eps)
+    assert plan.dropped_terms > 0  # the cutoff falls inside the lattice
+    assert plan == _truncation_oracle(n, d, alpha, 1.0, eps)
+
+
+def test_truncation_plan_memory_stays_within_six_pair_arrays():
+    # 4096 sites have 8386560 pairs, 64 MiB per 8-byte array over them.  The
+    # pair indices, the squares and two per-axis temporaries measure five;
+    # an n x n x d difference tensor with the n x n distances measures ten.
+    pair_array = 8 * (4096 * 4095 // 2)
+    tracemalloc.start()
+    try:
+        truncation_plan(4096, 2, 3.0, 1.0, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * pair_array
 
 
 # ------------------------------------------------------------- counting

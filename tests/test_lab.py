@@ -9,16 +9,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import trotterlab.dense
 from trotterlab.dense import (
     WeightedNormSpec,
     _trotter_power,
     basis_indices,
     evolve,
     schatten_norm,
+    sector_norm,
     to_matrix,
     trotter_error_op,
 )
-from trotterlab.errors import ValidationError
+from trotterlab.errors import ResourceCapError, ValidationError
 from trotterlab.lab import (
     ExperimentConfig,
     _Tally,
@@ -41,8 +43,15 @@ from trotterlab.lab import (
     sample_typical_error,
     support_components,
 )
-from trotterlab.models import KLocalGaussianModel, chain_heisenberg
-from trotterlab.pauli import PauliHamiltonian, PauliSum, PauliString
+from trotterlab.models import KLocalGaussianModel, chain_heisenberg, fermi_hop, fermi_hop_groups
+from trotterlab.pauli import (
+    FermionHamiltonian,
+    FermionTerm,
+    PauliHamiltonian,
+    PauliString,
+    PauliSum,
+    commutator_sum,
+)
 
 
 # ------------------------------------------------------------- config
@@ -255,6 +264,46 @@ def test_hypercontractivity_symbolic_matches_matrix_path():
     assert sym.fact_rhs == pytest.approx(mat.fact_rhs, rel=1e-9)
 
 
+def _aggregated_rhs_oracle(f, p):
+    # |sum_S C_p^(|S|/2) F_S|_2 from the dense combination itself.
+    cp = p - 1.0
+    comps = support_components(f)
+    combo = sum((cp ** (len(s) / 2.0) * c for s, c in comps.items()), np.zeros_like(to_matrix(f)))
+    return schatten_norm(combo, 2, normalized=True)
+
+
+@pytest.mark.parametrize("path", ["pauli", "matrix"])
+def test_hypercontractivity_aggregated_form_matches_dense_combination(path):
+    rng = np.random.default_rng(2024)
+    p_values = (2.0, 4.0, 6.0, 8.0)
+    for _ in range(12):
+        n = int(rng.integers(2, 5))
+        f = random_local_operator(n, min(3, n), int(rng.integers(1, 9)), rng)
+        if path == "matrix":
+            f = to_matrix(f)
+        for p, res in zip(p_values, check_hypercontractivity(f, p_values)):
+            assert res.fact_rhs == pytest.approx(_aggregated_rhs_oracle(f, p), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("path", ["pauli", "matrix"])
+def test_hypercontractivity_takes_one_svd_per_operator_and_component(monkeypatch, path):
+    # Every Schatten norm in the package reads dense._singular_values.
+    calls = []
+    singular_values = trotterlab.dense._singular_values
+
+    def counted(m):
+        calls.append(m.shape)
+        return singular_values(m)
+
+    monkeypatch.setattr(trotterlab.dense, "_singular_values", counted)
+    f = random_local_operator(3, 2, 6, np.random.default_rng(5))
+    if path == "matrix":
+        f = to_matrix(f)
+    components = len(support_components(f))
+    check_hypercontractivity(f, (2.0, 4.0, 6.0, 8.0))
+    assert len(calls) == 1 + components
+
+
 def test_support_components_sum_back():
     rng = np.random.default_rng(4)
     f = random_local_operator(3, 3, 6, rng)
@@ -325,9 +374,9 @@ def test_recenter_site_kills_weighted_marginal():
 
 def test_uniform_smoothness_fuzz():
     for p in (2.0, 3.0, 4.0, 6.0):
-        rep = check_uniform_smoothness(site=0, p=p, trials=100, n=3, seed=8)
+        rep = check_uniform_smoothness(site=0, p=p, trials=100, seed=8)
         assert rep.passed, f"violations at p={p}"
-    rep = check_uniform_smoothness(site=1, p=4.0, trials=50, n=3, seed=9)
+    rep = check_uniform_smoothness(site=1, p=4.0, trials=50, seed=9)
     assert rep.passed
 
 
@@ -459,6 +508,13 @@ def test_optimality_second_order_closed_forms():
         assert rep.norm2_matches and rep.spectral_matches
 
 
+def test_optimality_cap_message_names_no_missing_knob():
+    # m = 5 has 15 sites; optimality_experiment takes no cap_n to raise.
+    with pytest.raises(ResourceCapError, match=r"bytes \(cap is n=12\)") as info:
+        optimality_experiment(5, 1)
+    assert "cap_n" not in str(info.value)
+
+
 def test_optimality_rejects_other_orders():
     with pytest.raises(ValidationError):
         optimality_experiment(1, 3)
@@ -475,6 +531,46 @@ def test_fermi_optimality_true_values_and_claim_gap():
         assert not rep.second_matches
         assert rep.first_ratio == pytest.approx(2.0 * math.sqrt(2), rel=1e-9)
         assert rep.second_ratio == pytest.approx(2.0 * math.sqrt(2), rel=1e-9)
+
+
+def _fermi_hop_commutators(m, pair_scale):
+    # [A, B] and [B, [B, A]] of fermi_hop(m), every hopping monomial scaled.
+    f = fermi_hop(m)
+    a, b = (
+        FermionHamiltonian(
+            f.n, [FermionTerm(f.terms[i].factors, pair_scale * f.terms[i].coeff) for i in group]
+        ).to_pauli()
+        for group in fermi_hop_groups(m)
+    )
+    return commutator_sum(a, b), commutator_sum(b, commutator_sum(b, a))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fermi_hop_convention_audit(m):
+    # Criterion 3 claims 2 m^2 and 2 m^3.  A hopping pair a+b + b+a has
+    # normalized 2-norm 1/sqrt(2); a pair scale of sqrt(2) makes it 1.  The
+    # sector norms are over the C(3m, 1) = 3m one-particle states.
+    unit = math.sqrt(2.0)
+    expected = {
+        ("full", 1.0): (m**2 / math.sqrt(2.0), m**3 / math.sqrt(2.0)),
+        ("full", unit): (math.sqrt(2.0) * m**2, 2.0 * m**3),
+        ("sector", 1.0): (math.sqrt(2.0 * m**3 / 3.0), math.sqrt(2.0 * m**5 / 3.0)),
+        ("sector", unit): (2.0 * math.sqrt(2.0 * m**3 / 3.0), 4.0 * math.sqrt(m**5 / 3.0)),
+    }
+    found = {}
+    for pair_scale in (1.0, unit):
+        first, second = _fermi_hop_commutators(m, pair_scale)
+        found["full", pair_scale] = (pauli_two_norm(first), pauli_two_norm(second))
+        if m <= 2:
+            found["sector", pair_scale] = tuple(
+                sector_norm(to_matrix(c), 1, 2.0).value for c in (first, second)
+            )
+    claims = (2.0 * m**2, 2.0 * m**3)
+    for key, values in found.items():
+        assert values == pytest.approx(expected[key], rel=1e-9)
+        # Only the unit-pair full-space [B, [B, A]] meets its claim.
+        met = tuple(math.isclose(v, c, rel_tol=1e-9) for v, c in zip(values, claims))
+        assert met == (False, key == ("full", unit))
 
 
 def test_pauli_two_norm_matches_dense():

@@ -15,7 +15,6 @@ from trotterlab.models import (
     fermi_hop,
     fermi_hop_groups,
     lattice_coordinates,
-    pair_distance,
     power_law,
     zxyz,
     zxyz_groups,
