@@ -26,8 +26,8 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import DivergentTailError, ValidationError
-from .models import _lattice_pairs
+from .errors import DivergentTailError, ResourceCapError, ValidationError
+from .models import _MODEL_BYTES, _lattice_displacements
 from .norms import NormProfile, norm_profile
 from .pauli import FermionHamiltonian, PauliHamiltonian
 from .suzuki import upsilon as stage_count
@@ -728,12 +728,7 @@ class TruncationPlan:
     asymptotic: bool = True
 
 
-_ENUMERATION_CAP = 4096
-
-
-def _sphere_area(d: int) -> float:
-    # Surface measure of the unit (d-1)-sphere: 2 pi^(d/2) / Gamma(d/2).
-    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
+_DISPLACEMENT_BYTES = 128  # per lattice site; tracemalloc peaks at 105 if every pair drops
 
 
 @_float_guard(
@@ -745,11 +740,11 @@ def truncation_plan(
 ) -> TruncationPlan:
     """Plan a distance cutoff for a power-law pair Hamiltonian.
 
-    The cutoff solves t sqrt(n ell^(d-2a)) = eps with unit constant;
-    the residual coefficient mass beyond the cutoff is enumerated
-    exactly for lattices up to 4096 sites, over the pair distances that
-    ``power_law`` weights its terms by, and bounded by the radial
-    integral above that.
+    The cutoff solves t sqrt(n ell^(d-2a)) = eps with unit constant.  The
+    residual beyond it is exact at every n: on a lattice of side L, each
+    absolute displacement a != 0 joins prod(L - a_i) 2^#(a_i > 0) / 2 site
+    pairs of weight sqrt(|a|^2)^(-2 alpha), as in ``power_law``, and the
+    n - 1 weighted counts are summed correctly rounded.
     """
     for name, value in (("alpha", alpha), ("t", t), ("eps", eps)):
         if not math.isfinite(value):
@@ -760,35 +755,28 @@ def truncation_plan(
     if not 1 <= d <= d_max:
         raise ValidationError(f"need 1 <= d <= {d_max} for n={n} sites, got d={d}")
     if 2.0 * alpha <= d:
-        raise DivergentTailError(
-            "2 alpha <= d: the far tail carries divergent weight"
-        )
+        raise DivergentTailError("2 alpha <= d: the far tail carries divergent weight")
     if t < 0 or eps <= 0:
         raise ValidationError("need t >= 0 and eps > 0")
-    exponent = 1.0 / (2.0 * alpha - d)
-    raw = (n * t**2 / eps**2) ** exponent if t > 0 else 1.0
+    raw = (n * t**2 / eps**2) ** (1.0 / (2.0 * alpha - d)) if t > 0 else 1.0
     ell_cut = max(1, math.ceil(raw - 1e-12))
 
-    total_pairs = n * (n - 1) // 2
-    if n <= _ENUMERATION_CAP:
-        pair_dist = np.sqrt(_lattice_pairs(n, d)[2])
-        far = pair_dist > ell_cut
-        residual_sq = float((pair_dist[far] ** (-2.0 * alpha)).sum())
-        dropped = int(far.sum())
-        kept = total_pairs - dropped
-        exact = True
-    else:
-        residual_sq = (
-            n * _sphere_area(d) * ell_cut ** (d - 2.0 * alpha) / (2.0 * alpha - d)
+    if n * _DISPLACEMENT_BYTES > _MODEL_BYTES:
+        raise ResourceCapError(
+            f"a truncation plan on {n} sites needs more than {_MODEL_BYTES} bytes of memory"
         )
-        ball_volume = math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-        kept = math.ceil(n * ball_volume * ell_cut**d / 2.0)
-        dropped = max(total_pairs - kept, 0)
-        exact = False
-
-    residual_norm = math.sqrt(residual_sq)
+    squared, count = _lattice_displacements(n, d)
+    dist = np.sqrt(squared)
+    far = dist > ell_cut
+    count, term = count[far], dist[far] ** (-2.0 * alpha)
+    dropped = int(count.sum())
+    # Exact for fsum: 26-bit Veltkamp halves of each term times counts split at 2**26
+    hi = term * (2.0**27 + 1.0)
+    hi -= hi - term
+    halves = np.stack([hi, term - hi])[:, None]
+    parts = (halves * np.stack([count >> 26 << 26, count & (1 << 26) - 1])).ravel()
+    residual_norm = math.sqrt(math.fsum(memoryview(parts)))
     residual_error = t * residual_norm
-    gate_count = n * t * (n * t**2 / eps) ** (d / (2.0 * alpha - d))
     return TruncationPlan(
         n=n,
         d=d,
@@ -796,13 +784,13 @@ def truncation_plan(
         t=t,
         eps=eps,
         ell_cut=ell_cut,
-        kept_terms=kept,
+        kept_terms=n * (n - 1) // 2 - dropped,
         dropped_terms=dropped,
         residual_norm=residual_norm,
         residual_error=residual_error,
-        residual_is_exact=exact,
+        residual_is_exact=True,
         feasible=residual_error <= eps,
-        gate_count=gate_count,
+        gate_count=n * t * (n * t**2 / eps) ** (d / (2.0 * alpha - d)),
     )
 
 

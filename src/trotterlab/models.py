@@ -90,8 +90,8 @@ def lattice_coordinates(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 def _lattice_side(n: int, d: int) -> int:
-    if d < 1:
-        raise ValidationError("dimension must be >= 1")
+    if n < 1 or d < 1:
+        raise ValidationError(f"need n >= 1 sites and dimension d >= 1, got n={n}, d={d}")
     side = round(n ** (1.0 / d))
     if side**d != n:
         raise ValidationError(f"n={n} is not a d={d} lattice (need n = side**d)")
@@ -110,6 +110,18 @@ def _lattice_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         step *= step
         squared += step
     return i, j, squared
+
+
+def _lattice_displacements(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact squared length and site-pair count of each nonzero absolute displacement."""
+    side = _lattice_side(n, d)
+    steps = np.arange(side)
+    axis_count = np.where(steps > 0, 2 * (side - steps), side)  # L - a pairs, 2 signs if a > 0
+    squared, count = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for _ in range(d):  # one axis at a time: outer sums and products
+        squared = np.add.outer(squared, steps * steps).ravel()
+        count = np.multiply.outer(count, axis_count).ravel()
+    return squared[1:], count[1:] // 2
 
 
 def power_law(n: int, d: int, alpha: float) -> PauliHamiltonian:

@@ -267,7 +267,7 @@ def test_criterion_08_table1_golden():
 def test_criterion_09_truncation_residual():
     plan = truncation_plan(4, 1, 2.0, t=1.0, eps=2.0)
     assert plan.ell_cut == 1
-    assert plan.residual_is_exact  # pair enumeration, not the integral bound
+    assert plan.residual_is_exact  # the displacement count is exact at every n
     assert plan.residual_norm == pytest.approx(
         math.sqrt(1.0 / 8.0 + 1.0 / 81.0), abs=1e-6
     )

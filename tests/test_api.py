@@ -95,6 +95,9 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("pauli.PauliHamiltonian", "bounds"),
         ("norms.NormProfile", "bounds"),
         ("models", "pair_distance"),
+        ("bounds", "_ENUMERATION_CAP"),
+        ("bounds", "_sphere_area"),
+        ("bounds", "_lattice_pairs"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):

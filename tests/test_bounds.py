@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from trotterlab.bounds import (
+    _DISPLACEMENT_BYTES,
     REGIMES,
     CountingEstimate,
     GateCountQuery,
@@ -21,7 +22,7 @@ from trotterlab.bounds import (
     table1_exponents,
     truncation_plan,
 )
-from trotterlab.errors import DivergentTailError, ValidationError
+from trotterlab.errors import DivergentTailError, ResourceCapError, ValidationError
 from trotterlab.models import chain_heisenberg, fermi_hop, lattice_coordinates
 from trotterlab.norms import norm_profile
 from trotterlab.pauli import PauliHamiltonian
@@ -436,6 +437,7 @@ def test_table1_rejects_degenerate_k_and_d(family, params):
         (1, 10**9, 1e9, 1.0, 1.0),  # used to build a 10**9-tuple coordinate
         (4, 1, 2.0, 1e200, 0.1),  # t**2 overflows
         (4, 1, 2.0, 1.0, 1e-300),  # eps**2 underflows to 0
+        (4097, 2, 2.0, 1.0, 1.0),  # not a lattice
     ],
 )
 def test_truncation_plan_rejects_degenerate_or_overflowing_input(args):
@@ -514,39 +516,18 @@ def test_truncation_divergent_tail_rejected():
         truncation_plan(16, 2, 0.8, t=1.0, eps=0.1)
 
 
-def test_truncation_integral_bound_above_enumeration_cap():
-    n = 8192
-    plan = truncation_plan(n, 1, 2.0, t=1.0, eps=1.0)
-    assert not plan.residual_is_exact
-    ell = plan.ell_cut
-    expect_sq = n * 2.0 * ell ** (1 - 4.0) / 3.0
-    assert plan.residual_norm == pytest.approx(math.sqrt(expect_sq), rel=1e-12)
-
-
-def test_truncation_bound_dominates_exact_tail():
-    # On an actual chain the integral bound should upper-bound the
-    # enumerated residual for the same cutoff.
-    exact = truncation_plan(64, 1, 2.0, t=1.0, eps=0.5)
-    ell = exact.ell_cut
-    bound_sq = 64 * 2.0 * ell ** (1 - 4.0) / 3.0
-    assert exact.residual_norm**2 <= bound_sq
-
-
 def _truncation_oracle(n, d, alpha, t, eps):
-    # The enumerated plan from the full n x n distance matrix of the
-    # lattice coordinates, built one axis at a time.
-    coords = np.asarray(lattice_coordinates(n, d), dtype=float)
-    dist = np.zeros((n, n))
-    for axis in coords.T:
-        step = axis[:, None] - axis[None, :]
-        dist += step * step
-    np.sqrt(dist, out=dist)
-    pair_dist = dist[np.triu_indices(n, k=1)]
-    del dist
+    # Every site pair i < j of the lattice coordinates, one row i at a time,
+    # with the far terms summed correctly rounded.
+    coords = np.asarray(lattice_coordinates(n, d), dtype=float).reshape(n, d)
     ell_cut = max(1, math.ceil((n * t**2 / eps**2) ** (1.0 / (2.0 * alpha - d)) - 1e-12))
-    far = pair_dist > ell_cut
-    residual_norm = math.sqrt(float((pair_dist[far] ** (-2.0 * alpha)).sum()))
-    dropped = int(far.sum())
+    dropped, terms = 0, []
+    for i in range(n - 1):
+        pair_dist = np.sqrt(((coords[i + 1 :] - coords[i]) ** 2).sum(axis=1))
+        far = pair_dist[pair_dist > ell_cut]
+        dropped += far.size
+        terms.extend((far ** (-2.0 * alpha)).tolist())
+    residual_norm = math.sqrt(math.fsum(terms))
     return TruncationPlan(
         n=n,
         d=d,
@@ -566,26 +547,59 @@ def _truncation_oracle(n, d, alpha, t, eps):
 
 @pytest.mark.parametrize(
     "n, d, alpha, eps",
-    [(64, 1, 2.0, 0.5), (64, 2, 3.0, 0.5), (27, 3, 3.0, 2.0), (4096, 2, 3.0, 0.01)],
+    [
+        (64, 1, 2.0, 0.5),
+        (64, 2, 3.0, 0.5),
+        (27, 3, 3.0, 2.0),
+        (4096, 2, 3.0, 0.01),
+        (4097, 1, 2.0, 3e-4),
+        (4900, 2, 3.0, 0.01),
+        (4913, 3, 3.0, 1.0),
+        (64, 1, 200.0, 1e-3),  # subnormal and zero terms
+        (1, 1, 2.0, 0.5),  # no pairs
+    ],
 )
-def test_truncation_plan_matches_the_distance_matrix_oracle(n, d, alpha, eps):
+def test_truncation_plan_matches_the_pair_enumeration_oracle(n, d, alpha, eps):
     plan = truncation_plan(n, d, alpha, 1.0, eps)
-    assert plan.dropped_terms > 0  # the cutoff falls inside the lattice
+    assert plan.dropped_terms > 0 or n == 1  # the cutoff falls inside the lattice
+    assert plan.kept_terms + plan.dropped_terms == n * (n - 1) // 2
+    assert plan.residual_is_exact
     assert plan == _truncation_oracle(n, d, alpha, 1.0, eps)
 
 
-def test_truncation_plan_memory_stays_within_six_pair_arrays():
-    # 4096 sites have 8386560 pairs, 64 MiB per 8-byte array over them.  The
-    # pair indices, the squares and two per-axis temporaries measure five;
-    # an n x n x d difference tensor with the n x n distances measures ten.
-    pair_array = 8 * (4096 * 4095 // 2)
+def test_truncation_plan_is_exact_and_feasible_on_a_million_sites():
+    # A radial integral bound of the same tail reads 0.01253 here: infeasible.
+    plan = truncation_plan(2**20, 2, 3.0, 1.0, 0.01)
+    assert plan.ell_cut == 320
+    assert plan.kept_terms + plan.dropped_terms == 2**20 * (2**20 - 1) // 2
+    assert plan.residual_norm == pytest.approx(0.0064671349469, rel=1e-12)
+    assert plan.feasible
+
+
+def test_truncation_plan_refuses_past_the_byte_budget_before_allocating():
     tracemalloc.start()
     try:
-        truncation_plan(4096, 2, 3.0, 1.0, 0.01)
+        with pytest.raises(ResourceCapError, match="bytes of memory"):
+            truncation_plan(10**12, 2, 2.0, 1.0, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * pair_array
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "n, d, alpha, eps",
+    [(4096, 2, 3.0, 0.01), (2**14, 1, 2.0, 1e9)],  # the second drops every pair
+)
+def test_truncation_plan_memory_stays_within_its_per_site_budget(n, d, alpha, eps):
+    # Enumerating all 8386560 site pairs of n = 4096 peaks near 80 KiB per site.
+    tracemalloc.start()
+    try:
+        truncation_plan(n, d, alpha, 1.0, eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= n * _DISPLACEMENT_BYTES
 
 
 # ------------------------------------------------------------- counting

@@ -485,8 +485,8 @@ def _assert_clean_exit(code, out, err):
         assert code == 3 and json.loads(out)["feasible"] is False
 
 
-# Small and large, zero and negative: n stays at most 70 below the lattice
-# enumeration cap (4096 sites), whose distance matrix grows as n**2.
+# Small and large, zero and negative: n stays at most 70 apart from a few
+# large values, which a truncation plan counts in O(n) or refuses outright.
 _FUZZ_INT = st.integers(min_value=-3, max_value=70) | st.sampled_from(
     [4097, 10**6, 10**30, -(10**30)]
 )
@@ -1012,6 +1012,16 @@ def test_truncate_chain4(capsys):
     )
     assert plan["feasible"] is True
     assert plan["t"] * plan["residual_norm"] <= plan["eps"]
+
+
+@pytest.mark.parametrize(
+    "n, code, message",
+    [("4097", 2, "not a d=2 lattice"), (str(10**12), 3, "bytes of memory")],
+)
+def test_truncate_refuses_a_non_lattice_and_a_plan_past_the_byte_budget(n, code, message):
+    got, out, err = _call(["truncate", "--n", n, "--d", "2", "--alpha", "2", "--t", "1", "--eps", "1"])
+    assert (got, out) == (code, "")
+    assert err.count("error:") == 1 and message in err
 
 
 def test_truncate_divergent_tail_exits_3(capsys):

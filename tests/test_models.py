@@ -99,6 +99,14 @@ def test_power_law_rejects_bad_alpha():
         power_law(4, 1, 0.0)
 
 
+@pytest.mark.parametrize("n, d", [(0, 1), (-1, 1), (-4, 2), (4, 0)])
+def test_power_law_rejects_an_empty_lattice_or_dimension(n, d):
+    # n = 0 reached the pair kernel with float coordinates and raised a numpy
+    # casting error; n < 0 at d = 2 took a complex root.
+    with pytest.raises(ValidationError, match="need n >= 1 sites and dimension d >= 1"):
+        power_law(n, d, 1.0)
+
+
 # ------------------------------------------------------------------ SYK
 
 
