@@ -79,12 +79,15 @@ _UPSILON_REFERENCE = {1: 1, 2: 2, 4: 10, 6: 50}
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    p = pathlib.Path(path)
-    if not p.is_file():
-        raise ValidationError(f"no such file: {path}")
-    return p.read_text()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        p = pathlib.Path(path)
+        if not p.is_file():
+            raise ValidationError(f"no such file: {path}")
+        return p.read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path} as UTF-8: {exc}") from exc
 
 
 def _looks_fermionic(data: dict) -> bool:

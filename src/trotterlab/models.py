@@ -92,7 +92,11 @@ def lattice_coordinates(n: int, d: int) -> list[tuple[int, ...]]:
 def _lattice_side(n: int, d: int) -> int:
     if n < 1 or d < 1:
         raise ValidationError(f"need n >= 1 sites and dimension d >= 1, got n={n}, d={d}")
-    side = round(n ** (1.0 / d))
+    # The integer d-th root by Newton's method from above: exact at every n,
+    # where a floating-point root misjudges perfect powers above 2**53.
+    side = 1 if n.bit_length() <= d else 1 << -(-n.bit_length() // d)
+    while (step := ((d - 1) * side + n // side ** (d - 1)) // d) < side:
+        side = step
     if side**d != n:
         raise ValidationError(f"n={n} is not a d={d} lattice (need n = side**d)")
     return side

@@ -76,7 +76,7 @@ class PauliString:
 
     @classmethod
     def from_label(cls, label: str, phase: int = 0) -> "PauliString":
-        x, z, _ = _label_rows(len(label), [label], [0.0])
+        x, z, _ = _label_rows(len(label), [label], _label_lengths([label]), [0.0])
         return cls(len(label), *_row_ints(x), *_row_ints(z), phase)
 
     def label(self) -> str:
@@ -175,19 +175,12 @@ class _Rows(NamedTuple):
 
 def _word_count(n: int) -> int:
     """Words per row of a bit plane on n qubits (at least one, so that every
-    row has a nonempty byte key)."""
+    row has a nonempty sort key)."""
     if n < 0:
         raise ValidationError(f"negative qubit count {n}")
     if n > _MAX_QUBITS:
         raise ValidationError(f"qubit count {n} is above the supported {_MAX_QUBITS}")
     return max(1, -(-n // 64))
-
-
-def _pack_sites(bits: np.ndarray, words: int) -> np.ndarray:
-    """A (rows, n) 0/1 site matrix as a bit plane."""
-    packed = np.zeros((len(bits), 8 * words), np.uint8)
-    packed[:, : -(-bits.shape[1] // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view(_WORD)
 
 
 def _pack_ints(masks: Sequence[int], words: int) -> np.ndarray:
@@ -201,12 +194,9 @@ def _site_bits(plane: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(plane.view(np.uint8), axis=1, bitorder="little")[:, :n]
 
 
-def _row_bytes(plane: np.ndarray) -> list[bytes]:
-    return plane.view(np.dtype((np.void, plane.itemsize * plane.shape[1]))).ravel().tolist()
-
-
 def _row_ints(plane: np.ndarray) -> list[int]:
-    return [int.from_bytes(row, "little") for row in _row_bytes(plane)]
+    rows = plane.view(np.dtype((np.void, plane.itemsize * plane.shape[1]))).ravel().tolist()
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def _row_labels(n: int, x: np.ndarray, z: np.ndarray) -> list[str]:
@@ -223,31 +213,42 @@ def _imaginary(c: np.ndarray) -> np.ndarray:
     return np.abs(c.imag) > _HERMITICITY_TOL * np.fmax(1.0, np.abs(c.real))
 
 
-def _label_rows(n: int, labels: Sequence[str], coeffs) -> _Rows:
-    """The rows of I/X/Y/Z labels, all parsed in one pass.
+_LABEL_BLOCK = 1 << 16  # label characters parsed per block by _label_rows
+
+
+def _label_lengths(labels: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(len, labels), np.intp, len(labels))
+
+
+def _label_rows(n: int, labels: Sequence[str], lengths: np.ndarray, coeffs) -> _Rows:
+    """The rows of I/X/Y/Z labels whose lengths are ``lengths``, parsed
+    about ``_LABEL_BLOCK`` characters at a time into the planes.
 
     The first label with a letter other than I/X/Y/Z or a length other than
     n raises; a label with both faults reports the letter.
     """
     words = _word_count(n)
-    wrong = np.fromiter(map(len, labels), np.intp, len(labels)) != n
+    wrong = lengths != n
     size = int(wrong.argmax()) if wrong.any() else len(labels)
-    text = "".join(labels[: size + 1])
-    # One byte per character: "?" stands for every non-ASCII one.
-    codes = np.frombuffer(text.encode("ascii", "replace").translate(_LETTER_CODES), np.uint8)
-    foreign = codes > 3
-    if foreign.any():
-        pos = int(foreign.argmax())
-        label = labels[pos // n] if pos < size * n else labels[size]
-        raise ValidationError(f"invalid Pauli letter {text[pos]!r} in {label!r}")
-    if size < len(labels):
-        raise DimensionMismatchError(f"term on {len(labels[size])} qubits in a {n}-qubit sum")
-    codes = codes.reshape(size, n)
-    return _Rows(
-        _pack_sites(codes & 1, words),
-        _pack_sites(codes >> 1, words),
-        np.asarray(coeffs, dtype=complex),
-    )
+    x, z = (np.zeros((size, 8 * words), np.uint8) for _ in range(2))
+    step = max(1, _LABEL_BLOCK // max(n, 1))
+    end = min(size + 1, len(labels))  # through the first wrong-length label
+    for start in range(0, end, step):
+        stop = min(start + step, end)
+        text = "".join(labels[start:stop])
+        # One byte per character: "?" stands for every non-ASCII one.
+        codes = np.frombuffer(text.encode("ascii", "replace").translate(_LETTER_CODES), np.uint8)
+        foreign = codes > 3
+        if foreign.any():
+            pos = int(foreign.argmax())
+            label = labels[start + pos // n] if pos < (size - start) * n else labels[size]
+            raise ValidationError(f"invalid Pauli letter {text[pos]!r} in {label!r}")
+        if stop > size:
+            raise DimensionMismatchError(f"term on {len(labels[size])} qubits in a {n}-qubit sum")
+        codes = codes.reshape(stop - start, n)
+        for plane, bits in ((x, codes & 1), (z, codes >> 1)):
+            plane[start:stop, : -(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return _Rows(x.view(_WORD), z.view(_WORD), np.asarray(coeffs, dtype=complex))
 
 
 def _site_rows(n: int, sites: np.ndarray, codes: np.ndarray, coeffs) -> _Rows:
@@ -302,12 +303,24 @@ def _merged(n: int, rows: _Rows, hermitian: bool) -> _Rows:
     of zero included, as adding the Python numbers one by one.
     """
     x, z, c = rows
-    keys = _row_bytes(np.concatenate([x, z], axis=1))
-    if len(set(keys)) < len(keys):
-        index: dict[bytes, int] = {}
-        rank = np.array([index.setdefault(key, len(index)) for key in keys], np.intp)
-        first = np.ones(len(keys), bool)
-        first[1:] = rank[1:] > np.maximum.accumulate(rank)[:-1]
+    # One stable sort of the key words puts equal strings next to each other,
+    # in occurrence order; a group's first row is its first occurrence.
+    columns = (*x.T, *z.T)
+    order = np.lexsort(columns)
+    starts = np.zeros(len(order), bool)
+    starts[:1] = True
+    for column in columns:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    if not starts.all():
+        heads = order[starts]
+        first = np.zeros(len(order), bool)
+        first[heads] = True
+        # A string's rank is that of its first occurrence among all first
+        # occurrences.
+        rank = np.cumsum(first) - 1
+        rank[order] = rank[heads][np.cumsum(starts) - 1]
+        del order  # before the gathers below, which set the peak memory
         later = ~first
         x, z, total = x[first], z[first], c[first]
         # inf and nan, as Python float addition gives them without a warning
@@ -540,7 +553,7 @@ class PauliHamiltonian(PauliSum):
     def from_labels(cls, n: int, pairs: Iterable[tuple[str, float]]) -> "PauliHamiltonian":
         pairs = list(pairs)
         labels = [label for label, _ in pairs]
-        return cls(n, _label_rows(n, labels, [coeff for _, coeff in pairs]))
+        return cls(n, _label_rows(n, labels, _label_lengths(labels), [coeff for _, coeff in pairs]))
 
 
 @dataclass(frozen=True)
@@ -884,7 +897,8 @@ def pauli_from_json(data: Mapping) -> PauliHamiltonian:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed Hamiltonian JSON: {exc}") from exc
     # JSON parsers accept NaN and Infinity; PauliSum would drop a NaN term.
-    faulty = (np.fromiter(map(len, labels), np.intp, len(labels)) != n) | ~np.isfinite(coeffs)
+    lengths = _label_lengths(labels)
+    faulty = (lengths != n) | ~np.isfinite(coeffs)
     if faulty.any():
         i = int(faulty.argmax())
         label, coeff = labels[i], float(coeffs[i])
@@ -893,7 +907,7 @@ def pauli_from_json(data: Mapping) -> PauliHamiltonian:
                 f"pauli label {label!r} has length {len(label)}, expected n={n}"
             )
         raise ValidationError(f"coefficient {coeff!r} of {label!r} is not finite")
-    return PauliHamiltonian(n, _label_rows(n, labels, coeffs))
+    return PauliHamiltonian(n, _label_rows(n, labels, lengths, coeffs))
 
 
 def fermion_to_json(f: FermionHamiltonian) -> dict:

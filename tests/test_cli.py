@@ -630,6 +630,14 @@ def test_verify_trial_counts_outside_the_contract_exit_cleanly(suite, trials, co
           "--samples", "3", "--p", "1e308"], 2, "floating-point range"),
         (["verify", "--suite", "smoothness", "--trials", "3", "--seed", "1", "--p", "1.7e308"], 2,
          "floating-point range"),
+        # Lattice sides past 2**53, where a floating-point root is inexact:
+        # every n is a 1-D lattice, (2**27 + 1)**2 is a square and one more is not.
+        (["model", "--family", "power-law", "--n", str(10**30), "--d", "1", "--alpha", "2"], 3,
+         "memory"),
+        (["model", "--family", "power-law", "--n", str((2**27 + 1) ** 2), "--d", "2", "--alpha",
+          "2"], 3, "memory"),
+        (["model", "--family", "power-law", "--n", str((2**27 + 1) ** 2 + 2), "--d", "2",
+          "--alpha", "2"], 2, "not a d=2 lattice"),
     ],
 )
 def test_model_schedule_and_simulate_limits_exit_cleanly(argv, code, message):
@@ -1083,3 +1091,22 @@ def test_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "norms", "/nonexistent/h.json")
     assert code == 2
     assert "no such file" in err
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"n": 1, "terms": [{"pauli": "X\xff", "coeff": 1.0}]}', "as UTF-8"),
+        ('{"n": 1, "terms": [{"pauli": "X", "coeff": 1.0}]}'.encode("utf-16"), "as UTF-8"),
+        (b'\xef\xbb\xbf{"n": 1, "terms": []}', "Unexpected UTF-8 BOM"),
+    ],
+    ids=["byte-0xff", "utf-16", "utf-8-bom"],
+)
+def test_a_file_that_is_not_plain_utf8_exits_2(tmp_path, data, message):
+    # A decode error was a traceback with exit 1; a BOM is malformed JSON.
+    path = tmp_path / "h.json"
+    path.write_bytes(data)
+    code, out, err = _call(["norms", str(path)])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]

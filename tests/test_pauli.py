@@ -31,8 +31,11 @@ from trotterlab.pauli import (
     PauliTerm,
     commutator_sum,
     _anticommuting,
+    MERGE_TOL,
+    _Rows,
     _ingest,
     _jw_site_products,
+    _pack_ints,
     fermion_from_json,
     fermion_to_json,
     jordan_wigner,
@@ -509,11 +512,7 @@ def _caught(build):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("repeats", [False, True], ids=["distinct-keys", "repeated-keys"])
-@given(data=st.data())
-@settings(max_examples=300, deadline=None)
-def test_columnar_json_ingest_matches_dict_oracle(repeats, data):
-    """Distinct keys take the merge's fast path, repeated keys the summing one."""
+def _check_json_ingest(repeats, data):
     doc = data.draw(pauli_documents(repeats))
     labels = [t["pauli"] for t in doc["terms"]]
     assume((len(set(labels)) < len(labels)) == repeats)
@@ -524,6 +523,81 @@ def test_columnar_json_ingest_matches_dict_oracle(repeats, data):
         ]
     )
     assert got == _caught(lambda: _dict_ingest(doc))
+
+
+@pytest.mark.parametrize("repeats", [False, True], ids=["distinct-keys", "repeated-keys"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_columnar_json_ingest_matches_dict_oracle(repeats, data):
+    """Distinct keys take the merge's fast path, repeated keys the summing one."""
+    _check_json_ingest(repeats, data)
+
+
+@pytest.mark.parametrize("block", [1, 5])
+@pytest.mark.parametrize("repeats", [False, True], ids=["distinct-keys", "repeated-keys"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_blocked_json_ingest_matches_dict_oracle(repeats, block, data):
+    # A document parses as one block below 2**16 characters; blocks of a
+    # few characters put faults and repeats in later blocks.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("trotterlab.pauli._LABEL_BLOCK", block)
+        _check_json_ingest(repeats, data)
+
+
+def _label_loop(n, pairs):
+    """from_labels as a loop over the labels, kept as the oracle of the
+    blocked parse: the first label with a foreign letter or the wrong length
+    raises, the letter first."""
+    strings = []
+    for label, coeff in pairs:
+        foreign = [ch for ch in label if ch not in "IXYZ"]
+        if foreign:
+            raise ValidationError(f"invalid Pauli letter {foreign[0]!r} in {label!r}")
+        if len(label) != n:
+            raise DimensionMismatchError(f"term on {len(label)} qubits in a {n}-qubit sum")
+        x = sum(1 << s for s, ch in enumerate(label) if ch in "XY")
+        z = sum(1 << s for s, ch in enumerate(label) if ch in "ZY")
+        strings.append((PauliString(n, x, z), coeff))
+    return PauliHamiltonian(n, strings)
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_blocked_label_parse_matches_the_label_loop(block, data):
+    doc = data.draw(pauli_documents(repeats=True))
+    pairs = [(t["pauli"], t["coeff"]) for t in doc["terms"]]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("trotterlab.pauli._LABEL_BLOCK", block)
+        got = _caught(lambda: _bits(PauliHamiltonian.from_labels(doc["n"], pairs)))
+    assert got == _caught(lambda: _bits(_label_loop(doc["n"], pairs)))
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+@pytest.mark.parametrize(
+    "labels",
+    [
+        ["XY", "ZZ", "IZ", "XaZ", "Yb"],
+        ["XY", "ZZ", "IZ", "XZZ", "Ya"],
+        ["XY", "ZZ", "Ia", "XZZ", "YY"],
+        ["XY", "ZZ", "IZ", "X\u00e9", "YY"],
+        ["XY", "ZZ", "IZ", "\U0001f600", "YY"],
+    ],
+    ids=[
+        "letter-in-wrong-length",
+        "length-before-later-letter",
+        "letter-before-length",
+        "non-ascii-letter",
+        "non-ascii-in-short-label",
+    ],
+)
+def test_blocked_label_parse_keeps_the_fault_precedence(block, labels):
+    pairs = [(label, 1.0 + i) for i, label in enumerate(labels)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("trotterlab.pauli._LABEL_BLOCK", block)
+        got = _caught(lambda: PauliHamiltonian.from_labels(2, pairs))
+    assert got == _caught(lambda: _label_loop(2, pairs))
 
 
 def test_negative_qubit_count_is_rejected():
@@ -752,6 +826,140 @@ def test_multiply_carries_every_input_phase(phase):
     y, x = PauliString.from_label("Y", phase), PauliString.from_label("X", 3)
     assert multiply(y, x) == _term_product(y, x)
     assert multiply(x, y) == _term_product(x, y)
+
+
+def _dict_merged(n, rows, hermitian):
+    """PauliSum's merge with the strings numbered by a dictionary of row
+    bytes in first-occurrence order, the numbering the stable sort replaced,
+    kept as its oracle: (x, z, c.tobytes()) or the error."""
+    x, z, c = rows
+    keys = [row.tobytes() for row in np.concatenate([x, z], axis=1)]
+    index = {}
+    rank = np.array([index.setdefault(key, len(index)) for key in keys], np.intp)
+    first = np.ones(len(keys), bool)
+    first[1:] = rank[1:] > np.maximum.accumulate(rank)[:-1]
+    later = ~first
+    x, z, c = x[first], z[first], c[first]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.at(c, rank[later], rows.c[later])
+    kept = np.abs(c) >= MERGE_TOL
+    x, z, c = x[kept], z[kept], c[kept]
+    if hermitian:
+        imaginary = np.abs(c.imag) > 1e-12 * np.fmax(1.0, np.abs(c.real))
+        if imaginary.any():
+            i = int(imaginary.argmax())
+            label = PauliString(n, *(int.from_bytes(p[i].tobytes(), "little") for p in (x, z))).label()
+            raise ValidationError(
+                f"non-Hermitian total: term {label} has coefficient "
+                f"{complex(c[i])} with non-real part"
+            )
+        c = c.real.astype(complex)
+    return x.tolist(), z.tolist(), c.tobytes()
+
+
+_MERGE_COEFFS = st.sampled_from(
+    [1.0, -1.0, 0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1e-15, -1e-15, 6e-15, 2j,
+     1e308, -1e308, 1e308j, math.inf, -math.inf, math.nan]
+) | st.complex_numbers(max_magnitude=4.0)
+
+
+@st.composite
+def merge_tables(draw):
+    """Rows over a pool of at most five strings, so that most repeat; on
+    n > 64 a string and its copy with a top-word bit flipped differ only in
+    their last word."""
+    n = draw(st.sampled_from([0, 1, 5, 64, 65, 130]))
+    bits = st.integers(min_value=0, max_value=(1 << n) - 1)
+    pool = draw(st.lists(st.tuples(bits, bits), min_size=1, max_size=5))
+    if n > 64:
+        pool += [(x ^ (1 << (n - 1)), z) for x, z in pool] + [(x, z ^ (1 << 64)) for x, z in pool]
+    table = draw(st.lists(st.tuples(st.sampled_from(pool), _MERGE_COEFFS), max_size=40))
+    words = max(1, -(-n // 64))
+    keys, coeffs = [key for key, _ in table], [coeff for _, coeff in table]
+    planes = (_pack_ints([key[i] for key in keys], words) for i in range(2))
+    return n, _Rows(*planes, np.array(coeffs, dtype=complex).reshape(-1))
+
+
+def _sorted_merge(cls, n, rows):
+    try:
+        x, z, c = cls(n, rows)._rows
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return x.tolist(), z.tolist(), c.tobytes()
+
+
+def _oracle_merge(cls, n, rows):
+    try:
+        return _dict_merged(n, rows, cls is PauliHamiltonian)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@given(merge_tables())
+@example((0, _Rows(np.zeros((0, 1), np.uint64), np.zeros((0, 1), np.uint64), np.zeros(0, complex))))
+@example((3, _Rows(np.array([[5]], np.uint64), np.array([[1]], np.uint64), np.array([-0.0j]))))
+@example((2, _Rows(np.zeros((3, 1), np.uint64), np.zeros((3, 1), np.uint64), np.array([1e308, 1e308, -math.inf]))))
+@settings(max_examples=400, deadline=None)
+def test_sorted_numbering_matches_the_dict_oracle_byte_for_byte(table):
+    n, rows = table
+    for cls in (PauliSum, PauliHamiltonian):
+        assert _sorted_merge(cls, n, rows) == _oracle_merge(cls, n, rows)
+
+
+def test_sorted_numbering_matches_the_dict_oracle_on_many_repeats():
+    # 6000 rows over 40 strings on 130 qubits, half of them differing from
+    # another only in the last word, with cancelling and sub-tolerance sums.
+    rng = np.random.default_rng(7)
+    n, words = 130, 3
+    pool = rng.integers(0, 2**63, size=(20, 2, words), dtype=np.uint64)
+    pool[:, :, -1] &= np.uint64(3)
+    twins = pool.copy()
+    twins[:, 1, -1] ^= np.uint64(2)
+    pool = np.concatenate([pool, twins])
+    pick = rng.integers(0, len(pool), size=6000)
+    c = rng.normal(size=6000) + 1j * rng.normal(size=6000)
+    c[pick == 3] = np.where(np.arange((pick == 3).sum()) % 2, 1.5, -1.5)  # cancels to 0 or 1.5
+    c[pick == 5] = 1e-18
+    rows = _Rows(pool[pick, 0], pool[pick, 1], c)
+    assert _sorted_merge(PauliSum, n, rows) == _oracle_merge(PauliSum, n, rows)
+    assert PauliSum(n, rows).gamma < 40
+
+
+def test_json_ingest_memory_follows_the_planes():
+    # 20000 distinct terms on 256 sites, a 5 MiB label text: a parse of the
+    # whole text at once peaks near 22 MiB above the document, one block
+    # at a time near 3 MiB.
+    rng = np.random.default_rng(3)
+    n, gamma = 256, 20000
+    text = rng.choice(list(b"IXYZ"), size=gamma * n).astype(np.uint8).tobytes().decode("ascii")
+    coeffs = rng.normal(size=gamma).tolist()
+    doc = {"n": n, "terms": [{"pauli": text[i * n : (i + 1) * n], "coeff": coeffs[i]} for i in range(gamma)]}
+    tracemalloc.start()
+    try:
+        h = pauli_from_json(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.gamma == gamma
+    assert peak < 6 * 2**20
+
+
+def test_product_merge_memory_stays_near_the_product_rows():
+    # L^dagger L of the 12-site 2-local leading error: 208849 products merge
+    # to 51046 strings.  Numbering the strings by a dictionary of row bytes
+    # peaked near 150 bytes per product, the sort near 82.
+    from trotterlab.models import KLocalGaussianModel
+
+    op = leading_error(KLocalGaussianModel(12, k=2, seed=0).bound_hamiltonian(), 1).operator
+    adjoint = op.adjoint()
+    tracemalloc.start()
+    try:
+        product = adjoint * op
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (op.gamma, product.gamma) == (457, 51046)
+    assert peak < 100 * op.gamma**2
 
 
 # ---------------------------------------------------------------------------
