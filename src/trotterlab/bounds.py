@@ -19,15 +19,15 @@ as displayed in their derivations.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import DivergentTailError, ResourceCapError, ValidationError
-from .models import _MODEL_BYTES, _lattice_displacements
+from . import errors
+from .errors import DivergentTailError, ValidationError, check_budget, check_finite
+from .models import _lattice_displacements
 from .norms import NormProfile, norm_profile
 from .pauli import FermionHamiltonian, PauliHamiltonian
 from .suzuki import upsilon as stage_count
@@ -48,23 +48,6 @@ __all__ = [
     "counting_net_size",
     "markov_tail",
 ]
-
-
-def _float_guard(what: str, hint: str):
-    """Report an OverflowError or ZeroDivisionError raised inside the wrapped
-    calculator as bad input: a ValidationError saying ``what`` and ``hint``."""
-
-    def wrap(fn):
-        @functools.wraps(fn)
-        def guarded(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except (OverflowError, ZeroDivisionError) as exc:
-                raise ValidationError(f"{what} ({exc}); {hint}") from exc
-
-        return guarded
-
-    return wrap
 
 
 R_LIMIT = 1e15
@@ -97,11 +80,10 @@ class GateCountQuery:
     p: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # NaN fails every comparison below, so it is rejected here first.
         for name in ("t", "eps", "delta", "p"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            if value is not None:
+                check_finite(name, value)
         if self.t < 0:
             raise ValidationError("t must be nonnegative")
         if self.eps <= 0:
@@ -504,7 +486,7 @@ def _baseline_1norm(
     )
 
 
-@_float_guard(
+@errors._float_guard(
     "the step count overflows floating point", "rescale the coefficients or the time"
 )
 def gatecount(h: HamiltonianLike, q: GateCountQuery) -> GateCountResult:
@@ -731,7 +713,7 @@ class TruncationPlan:
 _DISPLACEMENT_BYTES = 128  # per lattice site; tracemalloc peaks at 105 if every pair drops
 
 
-@_float_guard(
+@errors._float_guard(
     "the truncation plan leaves the floating-point range",
     "rescale the time or the error budget",
 )
@@ -747,8 +729,7 @@ def truncation_plan(
     n - 1 weighted counts are summed correctly rounded.
     """
     for name, value in (("alpha", alpha), ("t", t), ("eps", eps)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+        check_finite(name, value)
     if n < 1:
         raise ValidationError(f"need n >= 1 sites, got {n}")
     d_max = max(1, n.bit_length())  # a lattice of side >= 2 on n sites has n >= 2**d
@@ -761,10 +742,7 @@ def truncation_plan(
     raw = (n * t**2 / eps**2) ** (1.0 / (2.0 * alpha - d)) if t > 0 else 1.0
     ell_cut = max(1, math.ceil(raw - 1e-12))
 
-    if n * _DISPLACEMENT_BYTES > _MODEL_BYTES:
-        raise ResourceCapError(
-            f"a truncation plan on {n} sites needs more than {_MODEL_BYTES} bytes of memory"
-        )
+    check_budget(n * _DISPLACEMENT_BYTES, f"a truncation plan on {n} sites needs")
     squared, count = _lattice_displacements(n, d)
     dist = np.sqrt(squared)
     far = dist > ell_cut
@@ -820,7 +798,7 @@ class CountingEstimate:
 _LN_TINIEST_FLOAT = math.log(5e-324)
 
 
-@_float_guard(
+@errors._float_guard(
     "the counting estimate leaves the floating-point range",
     "rescale n, k, eps or the coupling",
 )
@@ -837,8 +815,7 @@ def counting_net_size(
     Gamma.
     """
     for name, value in (("eps", eps), ("j_coupling", j_coupling)):
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
+        check_finite(name, value)
     if eps < 0:
         raise ValidationError("eps must be nonnegative")
     if not 1 <= k <= n:

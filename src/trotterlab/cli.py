@@ -43,12 +43,7 @@ from .bounds import (
     table1_exponents,
     truncation_plan,
 )
-from .errors import (
-    DivergentTailError,
-    ResourceCapError,
-    TrotterlabError,
-    ValidationError,
-)
+from .errors import TrotterlabError, ValidationError
 from .models import (
     KLocalGaussianModel,
     chain_heisenberg,
@@ -549,12 +544,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
-    except (ResourceCapError, DivergentTailError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except TrotterlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     if text:
         _emit(text, args.out)
     return code

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ResourceCapError, ValidationError, check_finite
 from .pauli import PauliHamiltonian, PauliString, PauliSum, PauliTerm, _ingest, _site_bits
 from .suzuki import Schedule, build_schedule
 
@@ -161,9 +161,9 @@ def _block_entries(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return index[:, :, None], index[:, None, :]
 
 
-def _assembled(index: np.ndarray, blocks: np.ndarray, layout: str = "C") -> np.ndarray:
-    """The dim x dim complex matrix of a block stack, in C or Fortran layout."""
-    out = np.zeros((index.size, index.size), dtype=complex, order=layout)
+def _assembled(index: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """The dim x dim complex matrix of a block stack."""
+    out = np.zeros((index.size, index.size), dtype=complex)
     out[_block_entries(index)] = blocks
     return out
 
@@ -286,7 +286,8 @@ def apply_schedule(
     product is formed on the coset blocks, each entry by the same scalar
     operations as on the full matrix.
     """
-    return _schedule_product(h, schedule, cap_n, "C")
+    check_cap(h.n, cap_n)
+    return _schedule_product(h, schedule, "C")
 
 
 # Bytes of one panel of the schedule product: the segment columns that
@@ -319,7 +320,9 @@ def _schedule_steps(act: _Actions, schedule: Schedule) -> list[_Step]:
         if idx not in factors:
             perm = cols ^ act.shift[idx]
             factors[idx] = (perm, _term_values(act, idx, act.index[:, perm], act.phase[idx]))
-        steps.append((*factors[idx], coeff * coeffs[idx]))
+        angle = coeff * coeffs[idx]
+        check_finite("the angle of a schedule step", angle)  # math.sin refuses it
+        steps.append((*factors[idx], angle))
     return steps
 
 
@@ -338,9 +341,7 @@ def _apply_steps(panel: np.ndarray, steps: list[_Step]) -> None:
         panel += moved
 
 
-def _schedule_product(
-    h: PauliHamiltonian, schedule: Schedule, cap_n: int, layout: str
-) -> np.ndarray:
+def _schedule_product(h: PauliHamiltonian, schedule: Schedule, layout: str) -> np.ndarray:
     """``apply_schedule`` assembled in C or Fortran layout.
 
     The columns of the block stack are independent, so they are formed a
@@ -348,7 +349,6 @@ def _schedule_product(
     step and then written into the assembled matrix; the full stack is never
     held.
     """
-    check_cap(h.n, cap_n)
     act = _actions(h)
     steps = _schedule_steps(act, schedule)
     index = act.index
@@ -412,9 +412,7 @@ def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
     return q.T
 
 
-def _trotter_power(
-    h: PauliHamiltonian, t: float, r: int, order: int, cap_n: int
-) -> np.ndarray:
+def _trotter_power(h: PauliHamiltonian, t: float, r: int, order: int) -> np.ndarray:
     """S_order(t/r)^r.  Up to 4096 steps ``np.linalg.matrix_power`` powers
     the segment; it returns it as it is at r = 1 and otherwise holds up to
     three more matrices.  Above, the Schur power overwrites the segment,
@@ -423,8 +421,8 @@ def _trotter_power(
     MiB traced at r = 1, 2, 3, 107, 4096 and 4097 (16 MiB per matrix)."""
     schedule = build_schedule(h.gamma, order, t / r)
     if r <= _BINARY_POWER_MAX:
-        return np.linalg.matrix_power(apply_schedule(h, schedule, cap_n), r)
-    return _schur_power(_schedule_product(h, schedule, cap_n, "F"), r)
+        return np.linalg.matrix_power(_schedule_product(h, schedule, "C"), r)
+    return _schur_power(_schedule_product(h, schedule, "F"), r)
 
 
 def trotter_error_op(
@@ -446,7 +444,8 @@ def trotter_error_op(
     """
     if r < 1:
         raise ValidationError("need at least one segment (r >= 1)")
-    out = _trotter_power(h, t, r, order, cap_n)
+    check_cap(h.n, cap_n)
+    out = _trotter_power(h, t, r, order)
     np.negative(out, out=out)
     act = _actions(h)
     w, v = np.linalg.eigh(_blocks(act))

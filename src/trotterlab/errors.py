@@ -1,10 +1,20 @@
-"""Shared exception types for the trotterlab package."""
+"""The refusal contract: exception types carrying the CLI's exit code, one
+memory budget, one finite-input rule and one floating-point range guard."""
 
 from __future__ import annotations
+
+import functools
+import math
+
+# Memory one allocation may take, by the estimate next to it: a model's terms,
+# a local norm's site subsets, an experiment's samples, a plan's displacements.
+_MEMORY_BYTES = 1 << 30
 
 
 class TrotterlabError(Exception):
     """Base class for all package-specific errors."""
+
+    exit_code = 2
 
 
 class DimensionMismatchError(TrotterlabError):
@@ -24,8 +34,41 @@ class PartitionError(TrotterlabError):
 
 
 class ResourceCapError(TrotterlabError):
-    """A request exceeds the dense qubit cap or a memory budget."""
+    """A request exceeds the dense qubit cap or the memory budget."""
+
+    exit_code = 3
 
 
 class DivergentTailError(TrotterlabError):
     """Power-law interaction tail does not decay fast enough to truncate."""
+
+    exit_code = 3
+
+
+def check_budget(nbytes: int, what: str) -> None:
+    """Refuse ``what`` (say, "a model of 9 terms needs") past the budget."""
+    if nbytes > _MEMORY_BYTES:
+        raise ResourceCapError(f"{what} more than {_MEMORY_BYTES} bytes of memory")
+
+
+def check_finite(name: str, value: float) -> None:
+    # NaN fails every comparison a caller makes next, so it is refused first.
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
+
+
+def _float_guard(what: str, hint: str):
+    """Report an OverflowError or ZeroDivisionError raised inside the wrapped
+    calculator as bad input: a ValidationError saying ``what`` and ``hint``."""
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def guarded(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except (OverflowError, ZeroDivisionError) as exc:
+                raise ValidationError(f"{what} ({exc}); {hint}") from exc
+
+        return guarded
+
+    return wrap

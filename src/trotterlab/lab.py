@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import _float_guard, markov_tail
+from .bounds import markov_tail
 from .dense import (
     DEFAULT_CAP_N,
     _conditional_expectation,
@@ -43,7 +43,7 @@ from .dense import (
     trotter_error_op,
     weighted_norm,
 )
-from .errors import ResourceCapError, ValidationError
+from .errors import ValidationError, _float_guard, check_budget
 from .models import (
     KLocalGaussianModel,
     fermi_hop,
@@ -92,8 +92,6 @@ __all__ = [
 ENSEMBLES = ("basis-1-design", "haar")
 
 _QUANTILES = (0.25, 0.5, 0.75, 0.9, 0.99, 1.0)
-# Memory the per-sample arrays, lists and seeds of one experiment may take.
-_SAMPLE_BYTES = 1 << 30
 _REL_SLACK = 1e-9
 
 
@@ -225,19 +223,11 @@ def _dump_counterexample(tag: str, arrays: dict[str, np.ndarray]) -> str:
 # ----------------------------------------------------- error experiments
 
 
-def _check_samples(samples: int, bytes_each: int) -> None:
-    """Refuse an experiment whose samples would not fit in ``_SAMPLE_BYTES``."""
-    if samples * bytes_each > _SAMPLE_BYTES:
-        raise ResourceCapError(
-            f"{samples} samples need more than {_SAMPLE_BYTES} bytes of memory"
-        )
-
-
 def _child_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
     """``count`` independent child seeds of ``seed``, one per draw or trial,
     refused before they are made when they would not fit: a child seed
     takes about 380 bytes, and a draw keeps a few floats besides."""
-    _check_samples(count, 1024)
+    check_budget(count * 1024, f"{count} samples need")
     return np.random.SeedSequence(seed).spawn(count)
 
 
@@ -259,7 +249,8 @@ def sample_typical_error(
     """
     check_cap(h.n, cfg.cap_n)
     # about 80 bytes per state entry (Haar) or per basis draw
-    _check_samples(cfg.samples, 80 * (2**h.n if cfg.ensemble == "haar" else 1))
+    entries = cfg.samples * (2**h.n if cfg.ensemble == "haar" else 1)
+    check_budget(80 * entries, f"{cfg.samples} samples need")
     err_op = trotter_error_op(h, cfg.t, cfg.r, cfg.order, cfg.cap_n)
     spectral, pnorms = _spectral_and_pnorms(err_op, cfg.p_values)
 
@@ -328,7 +319,7 @@ def sample_random_hamiltonian(
         # matrices), above it at or below (5.02 against 4.0 at r = 107).
         err_op = evolve(h, cfg.t, cfg.cap_n)
         a = err_op[:, 0].copy()
-        err_op -= _trotter_power(h, cfg.t, cfg.r, cfg.order, cfg.cap_n)
+        err_op -= _trotter_power(h, cfg.t, cfg.r, cfg.order)
         spectral, pnorms = _spectral_and_pnorms(err_op, cfg.p_values)
         spectrals.append(spectral)
         for p in cfg.p_values:
@@ -422,7 +413,7 @@ def random_r_sweep(
         h = model.sample(child)
         exact_col = evolve(h, cfg.t, cfg.cap_n)[:, 0]
         for r in r_values:
-            approx = _trotter_power(h, cfg.t, r, cfg.order, cfg.cap_n)[:, 0]
+            approx = _trotter_power(h, cfg.t, r, cfg.order)[:, 0]
             per_r[r].append(float(np.linalg.norm(exact_col - approx)))
     means, ses = [], []
     for r in r_values:
@@ -479,7 +470,7 @@ def support_components(f: Union[PauliSum, np.ndarray]) -> dict[frozenset, np.nda
     m = to_matrix(f)
     n = sites_of(m)
     with np.errstate(over="ignore"):  # numpy's norm squares the entries
-        floor = 1e-14 * max(1.0, float(np.linalg.norm(m)))
+        floor = 1e-14 * float(np.linalg.norm(m))  # relative at every scale
     if math.isinf(floor):  # no component can be told negligible
         raise ValidationError("the operator's norm leaves the floating-point range")
     out: dict[frozenset, np.ndarray] = {}
@@ -716,7 +707,8 @@ def check_two_point_inequality(
 ) -> SmoothnessReport:
     """Scalar two-point inequality, vectorized:
     ((|a+b|^p + |a-b|^p)/2)^(2/p) <= a^2 + (p-1) b^2."""
-    _check_samples(trials, 80)  # about ten float arrays of one entry per trial
+    # about ten float arrays of one entry per trial
+    check_budget(80 * trials, f"{trials} samples need")
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(trials) * 10.0 ** rng.uniform(-2, 2, trials)
     b = rng.standard_normal(trials) * 10.0 ** rng.uniform(-2, 2, trials)

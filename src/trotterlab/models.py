@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ValidationError, check_budget
 from .pauli import (
     ANNIHILATE,
     CREATE,
@@ -38,10 +38,9 @@ from .pauli import (
 
 _X, _Z, _Y = 1, 2, 3  # letter codes x_bit + 2*z_bit
 
-# Memory a model and its JSON text may take.  Peaks of `trotterlab model`
+# Memory per term of a model and its JSON text.  Peaks of `trotterlab model`
 # under tracemalloc: about 300 + 4.5 n bytes per Pauli term on n sites, and
 # 2.4-2.9 KiB per fermionic term.
-_MODEL_BYTES = 1 << 30
 _FERMION_TERM_BYTES = 3072
 
 __all__ = [
@@ -56,14 +55,6 @@ __all__ = [
 ]
 
 
-def _check_size(gamma: int, term_bytes: int) -> None:
-    """Refuse a model whose terms would not fit in ``_MODEL_BYTES``."""
-    if gamma * term_bytes > _MODEL_BYTES:
-        raise ResourceCapError(
-            f"a model of {gamma} terms needs more than {_MODEL_BYTES} bytes of memory"
-        )
-
-
 def _pauli_term_bytes(n: int) -> int:
     return 600 + 5 * n
 
@@ -72,7 +63,8 @@ def chain_heisenberg(n: int) -> PauliHamiltonian:
     """Open Heisenberg chain: sum over bonds of XX + YY + ZZ, unit couplings."""
     if n < 2:
         raise ValidationError("chain requires n >= 2")
-    _check_size(3 * (n - 1), _pauli_term_bytes(n))
+    bonds = 3 * (n - 1)
+    check_budget(bonds * _pauli_term_bytes(n), f"a model of {bonds} terms needs")
     bond = np.repeat(np.arange(n - 1), 3)
     letters = np.tile([_X, _Y, _Z], n - 1)
     sites = np.stack([bond, bond + 1], axis=1)
@@ -133,7 +125,8 @@ def power_law(n: int, d: int, alpha: float) -> PauliHamiltonian:
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
     _lattice_side(n, d)
-    _check_size(n * (n - 1) // 2, _pauli_term_bytes(n))
+    pairs = n * (n - 1) // 2
+    check_budget(pairs * _pauli_term_bytes(n), f"a model of {pairs} terms needs")
     i, j, squared = _lattice_pairs(n, d)
     # Python float powers, term by term, of the exact distances
     coeffs = [math.sqrt(s) ** -alpha for s in squared.tolist()]
@@ -167,7 +160,9 @@ class KLocalGaussianModel:
             raise ValidationError("coupling J must be positive")
         if self.seed < 0:
             raise ValidationError(f"the seed must be a non-negative integer, got {self.seed}")
-        _check_size(self.gamma, _pauli_term_bytes(self.n))
+        check_budget(
+            self.gamma * _pauli_term_bytes(self.n), f"a model of {self.gamma} terms needs"
+        )
         subsets = itertools.combinations(range(self.n), self.k)
         sites = np.fromiter(itertools.chain.from_iterable(subsets), np.intp)
         sites = sites.reshape(-1, self.k)
@@ -223,7 +218,7 @@ def zxyz(m: int) -> PauliHamiltonian:
     coefficients 1.
     """
     s1, s2, s3 = (np.array(block) for block in _zxyz_blocks(m))
-    _check_size(2 * m * m, _pauli_term_bytes(3 * m))
+    check_budget(2 * m * m * _pauli_term_bytes(3 * m), f"a model of {2 * m * m} terms needs")
     group_a = np.stack([np.repeat(s1, m), np.tile(s2, m)], axis=1)
     group_b = np.stack([np.repeat(s2, m), np.tile(s3, m)], axis=1)
     sites = np.concatenate([group_a, group_b])
@@ -245,7 +240,7 @@ def fermi_hop(m: int) -> FermionHamiltonian:
     4 m**2 monomials in total.
     """
     s1, s2, s3 = _zxyz_blocks(m)
-    _check_size(4 * m * m, _FERMION_TERM_BYTES)
+    check_budget(4 * m * m * _FERMION_TERM_BYTES, f"a model of {4 * m * m} terms needs")
     n = 3 * m
     terms = []
     for pairs in ((s1, s2), (s2, s3)):

@@ -29,15 +29,10 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ResourceCapError, ValidationError
+from .errors import ValidationError, check_budget
 from .pauli import FermionHamiltonian, PauliHamiltonian, _jw_site_products
 
 AnyHamiltonian = Union[PauliHamiltonian, FermionHamiltonian]
-
-# Memory the subset sums of one c may take.  Measured, the kernel peaks at
-# about 40 (c + 1) bytes per (term, subset) incidence.
-_SUBSET_BYTES = 1 << 30
-
 
 @dataclass(frozen=True)
 class NormProfile:
@@ -144,7 +139,7 @@ def _subset_incidence(data: _TermData, c: int) -> tuple[np.ndarray, np.ndarray]:
     than the largest site (a fermionic document may give n far past every
     site); whenever the codes reach the incidence count m,
     np.unique renumbers them densely.  So every code stays below (m + 1) s,
-    far from overflow under ``_SUBSET_BYTES``, and bincount allocates at
+    far from overflow under the memory budget, and bincount allocates at
     most m bins.
     """
     weight = data.weight
@@ -172,16 +167,17 @@ def _norm_table(data: _TermData) -> dict[tuple[int, int], float]:
     """(c, q) -> ||H||_{(c),q} for 0 <= c <= k, one loop over the terms per c.
 
     A weight-w term has C(w, c) subsets, so wide terms are refused before
-    any is enumerated when the subsets would not fit in ``_SUBSET_BYTES``.
+    any is enumerated when the subsets would not fit in the memory budget.
     """
     counts = np.bincount(data.weight).tolist()  # terms per support size
     for c in range(1, data.k + 1):
         subsets = sum(count * math.comb(w, c) for w, count in enumerate(counts))
-        if subsets * 40 * (c + 1) > _SUBSET_BYTES:
-            raise ResourceCapError(
-                f"the c={c} local norm sums over {subsets} site subsets of the term "
-                f"supports, more than {_SUBSET_BYTES} bytes of memory allow"
-            )
+        # measured, the kernel peaks at about 40 (c + 1) bytes per incidence
+        check_budget(
+            subsets * 40 * (c + 1),
+            f"the c={c} local norm sums over {subsets} site subsets of the term "
+            "supports, needing",
+        )
     norms: dict[tuple[int, int], float] = {}
     for c in range(data.k + 1):
         norms[(c, 1)], norms[(c, 2)] = _norm_pair(data, c)

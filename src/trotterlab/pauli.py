@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PartitionError, ValidationError
+from .errors import DimensionMismatchError, PartitionError, ValidationError, check_finite
 
 MERGE_TOL = 1e-14
 _HERMITICITY_TOL = 1e-12
@@ -632,9 +632,7 @@ class FermionTerm:
 
     def __post_init__(self) -> None:
         for name in ("coeff", "eta"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            check_finite(name, float(getattr(self, name)))
         factors = tuple((int(s), str(kind)) for s, kind in self.factors)
         for site, kind in factors:
             if kind not in _FERMION_KINDS:
@@ -896,9 +894,11 @@ def pauli_from_json(data: Mapping) -> PauliHamiltonian:
         labels, coeffs = _json_columns(data["terms"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed Hamiltonian JSON: {exc}") from exc
-    # JSON parsers accept NaN and Infinity; PauliSum would drop a NaN term.
+    # JSON parsers accept NaN and Infinity; PauliSum would drop a NaN term,
+    # and the merge would drop a nonzero one below MERGE_TOL.
     lengths = _label_lengths(labels)
-    faulty = (lengths != n) | ~np.isfinite(coeffs)
+    tiny = (np.abs(coeffs) < MERGE_TOL) & (coeffs != 0)
+    faulty = (lengths != n) | ~np.isfinite(coeffs) | tiny
     if faulty.any():
         i = int(faulty.argmax())
         label, coeff = labels[i], float(coeffs[i])
@@ -906,7 +906,12 @@ def pauli_from_json(data: Mapping) -> PauliHamiltonian:
             raise ValidationError(
                 f"pauli label {label!r} has length {len(label)}, expected n={n}"
             )
-        raise ValidationError(f"coefficient {coeff!r} of {label!r} is not finite")
+        if not math.isfinite(coeff):
+            raise ValidationError(f"coefficient {coeff!r} of {label!r} is not finite")
+        raise ValidationError(
+            f"coefficient {coeff!r} of {label!r} is below {MERGE_TOL} in magnitude "
+            "and would be dropped; rescale the Hamiltonian"
+        )
     return PauliHamiltonian(n, _label_rows(n, labels, lengths, coeffs))
 
 

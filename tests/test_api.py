@@ -98,6 +98,12 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("bounds", "_ENUMERATION_CAP"),
         ("bounds", "_sphere_area"),
         ("bounds", "_lattice_pairs"),
+        ("models", "_MODEL_BYTES"),
+        ("models", "_check_size"),
+        ("lab", "_SAMPLE_BYTES"),
+        ("lab", "_check_samples"),
+        ("norms", "_SUBSET_BYTES"),
+        ("bounds", "_float_guard"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):
@@ -138,6 +144,29 @@ def test_gatecount_is_the_one_public_function_returning_a_result():
     assert returning == ["gatecount"]
 
 
+@pytest.mark.parametrize(
+    "function, parameter",
+    [("_trotter_power", "cap_n"), ("_schedule_product", "cap_n"), ("_assembled", "layout")],
+)
+def test_private_dense_helpers_take_no_cap_or_layout(function, parameter):
+    # The public dense entries check the cap once, before calling these.
+    fn = getattr(trotterlab.dense, function)
+    assert parameter not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        name
+        for name, value in vars(trotterlab.errors).items()
+        if isinstance(value, type) and issubclass(value, trotterlab.errors.TrotterlabError)
+    ],
+)
+def test_every_error_type_carries_the_readme_exit_code(name):
+    # README: 3 for an infeasible bound or a resource cap, 2 for invalid input.
+    assert name in trotterlab.__all__
+    error = getattr(trotterlab, name)
+    assert error.exit_code == (3 if name in ("ResourceCapError", "DivergentTailError") else 2)
 
 
 def test_distribution_is_named_after_its_package():

@@ -628,6 +628,9 @@ def test_verify_trial_counts_outside_the_contract_exit_cleanly(suite, trials, co
           "--samples", "3"], 2, "not finite"),
         (["simulate", "--family", "k-local-syk", "--n", "3", "--k", "2", "--t", "3", "--seed", "1",
           "--samples", "3", "--p", "1e308"], 2, "floating-point range"),
+        # t J overflows to an infinite step angle, which math.sin raised on
+        (["simulate", "--family", "k-local-syk", "--n", "1", "--k", "1", "--j", "1e15",
+          "--t", "1e300", "--seed", "0", "--samples", "7"], 2, "schedule step must be finite"),
         (["verify", "--suite", "smoothness", "--trials", "3", "--seed", "1", "--p", "1.7e308"], 2,
          "floating-point range"),
         # Lattice sides past 2**53, where a floating-point root is inexact:
@@ -852,6 +855,24 @@ def test_gatecount_empty_hamiltonian(capsys, monkeypatch):
     assert res["r"] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["gatecount", "-", "--t", "1e12", "--eps", "1e-6"], ["norms", "-"]],
+    ids=["gatecount", "norms"],
+)
+def test_sub_tolerance_coefficients_are_refused_not_dropped(argv, monkeypatch):
+    # The merge drops |c| < 1e-14; read as written, this document was the
+    # empty Hamiltonian: r = 0 and gamma 0 with exit 0.
+    doc = {"n": 2, "terms": [{"pauli": "XX", "coeff": 1e-15}, {"pauli": "ZY", "coeff": 2e-15}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = _call(argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: coefficient 1e-15 of 'XX' is below 1e-14 in magnitude and would be "
+        "dropped; rescale the Hamiltonian\n"
+    )
+
+
 def test_gatecount_first_order_regime_rejects_order_two(chain8, capsys):
     code, _, err = run(
         capsys,
@@ -1030,6 +1051,28 @@ def test_truncate_refuses_a_non_lattice_and_a_plan_past_the_byte_budget(n, code,
     got, out, err = _call(["truncate", "--n", n, "--d", "2", "--alpha", "2", "--t", "1", "--eps", "1"])
     assert (got, out) == (code, "")
     assert err.count("error:") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["model", "--family", "chain-heisenberg", "--n", "8"],  # 21 terms, 640 bytes each
+        ["norms", "{wide}"],  # C(10, 5) = 252 subsets at c = 5, 240 bytes each
+        ["simulate", "--family", "chain-heisenberg", "--n", "3", "--t", "1", "--seed", "1",
+         "--samples", "1000"],  # 80 bytes per basis draw
+        ["truncate", "--n", "100", "--d", "1", "--alpha", "2", "--t", "1", "--eps", "1"],
+    ],
+    ids=["model", "norms", "simulate", "truncate"],
+)
+def test_one_memory_budget_drives_every_byte_refusal(argv, tmp_path, monkeypatch):
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"n": 10, "terms": [{"pauli": "X" * 10, "coeff": 1.0}]}))
+    argv = [arg.format(wide=wide) for arg in argv]
+    assert _call(argv)[0] == 0
+    monkeypatch.setattr("trotterlab.errors._MEMORY_BYTES", 10_000)
+    code, out, err = _call(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.endswith("more than 10000 bytes of memory\n")
 
 
 def test_truncate_divergent_tail_exits_3(capsys):

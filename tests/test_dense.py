@@ -236,7 +236,7 @@ def test_schur_power_of_the_chain_segment_is_bit_identical_to_scipy_schur():
     expected = _scipy_schur_power(segment.copy(), r)
     assert np.array_equal(dense._schur_power(np.asfortranarray(segment), r), expected)
     # The consuming path: the segment assembled in Fortran order, overwritten.
-    fortran = dense._schedule_product(h, build_schedule(h.gamma, 2, 1.0 / r), 12, "F")
+    fortran = dense._schedule_product(h, build_schedule(h.gamma, 2, 1.0 / r), "F")
     assert fortran.flags.f_contiguous and np.array_equal(fortran, segment)
     assert np.array_equal(dense._schur_power(fortran, r), expected)
 
@@ -398,7 +398,7 @@ def _full_stack_schedule(h, schedule, layout):
         moved *= (1j * math.sin(angle) * rowvals)[:, :, None]
         out *= math.cos(angle)
         out += moved
-    return dense._assembled(index, out, layout)
+    return np.asarray(dense._assembled(index, out), order=layout)
 
 
 def _bits(a):
@@ -427,7 +427,7 @@ def _syk(n, seed):
 def test_schedule_panels_are_bit_identical_to_the_full_stack(make, n, layout):
     h = make(n)
     schedule = build_schedule(h.gamma, 2, 1.0 / 11436)
-    got = dense._schedule_product(h, schedule, 12, layout)
+    got = dense._schedule_product(h, schedule, layout)
     expected = _full_stack_schedule(h, schedule, layout)
     assert got.flags[f"{layout}_CONTIGUOUS"]
     assert np.array_equal(_bits(got), _bits(expected))
@@ -440,7 +440,7 @@ def test_schedule_panels_of_any_width_are_bit_identical_to_the_full_stack(width,
     for h in (chain_heisenberg(5), _syk(5, 3)):
         monkeypatch.setattr(dense, "_SCHEDULE_PANEL_BYTES", 16 * 2**h.n * width)
         schedule = build_schedule(h.gamma, 2, 0.37)
-        got = dense._schedule_product(h, schedule, 12, "C")
+        got = dense._schedule_product(h, schedule, "C")
         assert np.array_equal(_bits(got), _bits(_full_stack_schedule(h, schedule, "C")))
 
 

@@ -198,7 +198,7 @@ def test_random_hamiltonian_trace_distance_matches_mpmath(r):
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.samples):
         h = model.sample(child)
         a = evolve(h, cfg.t)[:, 0]
-        b = _trotter_power(h, cfg.t, r, cfg.order, cfg.cap_n)[:, 0]
+        b = _trotter_power(h, cfg.t, r, cfg.order)[:, 0]
         expected.append(_mp_trace_distance(a, b))
         violations += expected[-1] > 2.0 * float(np.linalg.norm(a - b)) + 1e-12
     assert rep.extras["trace_distance_mean"] == pytest.approx(np.mean(expected), rel=1e-9, abs=0)
@@ -252,6 +252,17 @@ def test_hypercontractivity_zero_operator_holds_with_equality():
         (res,) = check_hypercontractivity(zero, (4.0,))
         assert (res.lhs, res.rhs, res.margin, res.fact_rhs, res.two_norm_rhs) == (0, 0, 0, 0, 0)
         assert res.passed
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-10, 1e-13, 1e-15, 1e-20])
+def test_hypercontractivity_of_a_small_matrix_keeps_its_components(scale):
+    # The component floor is relative to the operator's norm: an absolute one
+    # dropped every component below norm 1e-14 and read rhs = 0.
+    f = PauliSum(2, [(PauliString.from_label("ZX"), 1.0), (PauliString.from_label("XI"), 0.5)])
+    (sym,) = check_hypercontractivity(f, (4.0,))
+    (res,) = check_hypercontractivity(scale * to_matrix(f), (4.0,))
+    assert res.passed
+    assert res.rhs == pytest.approx(scale**2 * sym.rhs, rel=1e-9)
 
 
 def test_hypercontractivity_symbolic_matches_matrix_path():

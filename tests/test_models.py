@@ -8,9 +8,8 @@ import pytest
 
 from trotterlab.errors import ResourceCapError, ValidationError
 from trotterlab.models import (
-    _MODEL_BYTES,
     KLocalGaussianModel,
-    _check_size,
+    _pauli_term_bytes,
     chain_heisenberg,
     fermi_hop,
     fermi_hop_groups,
@@ -308,10 +307,14 @@ def test_models_above_the_memory_budget_are_refused_before_building(build):
         build()
 
 
-def test_memory_budget_boundary_and_error_precedence():
-    _check_size(_MODEL_BYTES // 1000, 1000)
-    with pytest.raises(ResourceCapError):
-        _check_size(_MODEL_BYTES // 1000 + 1, 1000)
+def test_memory_budget_boundary_and_error_precedence(monkeypatch):
+    # The 9 terms of the 4-site chain fit a budget of exactly their bytes.
+    monkeypatch.setattr("trotterlab.errors._MEMORY_BYTES", 9 * _pauli_term_bytes(4))
+    assert chain_heisenberg(4).gamma == 9
+    monkeypatch.setattr("trotterlab.errors._MEMORY_BYTES", 9 * _pauli_term_bytes(4) - 1)
+    with pytest.raises(ResourceCapError, match="a model of 9 terms needs more than"):
+        chain_heisenberg(4)
+    monkeypatch.undo()
     # a malformed lattice is bad input, however large
     with pytest.raises(ValidationError, match="lattice"):
         power_law(20001, 2, 2.0)

@@ -422,15 +422,16 @@ def test_fermionic_bincount_norms_equal_oracle_with_zero_terms(seed):
 
 
 def test_wide_term_subsets_are_refused_before_enumeration(monkeypatch):
+    import trotterlab.errors
     import trotterlab.norms as norms_module
     from trotterlab.errors import ResourceCapError
 
     h = PauliHamiltonian.from_labels(12, [("XYZXYZXYZXII", 1.0), ("IIIIIIIIIIZZ", 0.5)])
     # The weight-10 term has C(10, 5) = 252 subsets at c = 5, the most of any
     # c, taking 252 * 40 * 6 = 60_480 bytes by the kernel's measure.
-    monkeypatch.setattr(norms_module, "_SUBSET_BYTES", 60_480)
+    monkeypatch.setattr(trotterlab.errors, "_MEMORY_BYTES", 60_480)
     assert norm_profile(h).norm(10, 1) == 1.0
-    monkeypatch.setattr(norms_module, "_SUBSET_BYTES", 60_479)
+    monkeypatch.setattr(trotterlab.errors, "_MEMORY_BYTES", 60_479)
     monkeypatch.setattr(
         norms_module,
         "_subset_incidence",

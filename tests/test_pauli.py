@@ -450,6 +450,11 @@ def _dict_ingest(data):
             )
         if not math.isfinite(coeff):
             raise ValidationError(f"coefficient {coeff!r} of {label!r} is not finite")
+        if 0 < abs(coeff) < 1e-14:
+            raise ValidationError(
+                f"coefficient {coeff!r} of {label!r} is below 1e-14 in magnitude "
+                "and would be dropped; rescale the Hamiltonian"
+            )
     if n < 0:
         raise ValidationError(f"negative qubit count {n}")
     merged = {}
