@@ -64,7 +64,7 @@ from .bounds import (
 # (PEP 562), so planner commands never import scipy at all.
 _LAZY = {
     "dense": (
-        "DEFAULT_CAP_N WeightedNormSpec apply_schedule evolve schatten_norm to_matrix "
+        "WeightedNormSpec apply_schedule evolve schatten_norm to_matrix "
         "trotter_error_op weighted_norm"
     ).split(),
     "lab": (
@@ -89,7 +89,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "CountingEstimate",
-    "DEFAULT_CAP_N",
     "ErrorReport",
     "ExperimentConfig",
     "GateCountQuery",

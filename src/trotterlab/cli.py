@@ -269,7 +269,7 @@ def _report_rows(rep) -> list[tuple]:
 
 
 def _cmd_simulate(args) -> tuple[int, str]:
-    from .dense import DEFAULT_CAP_N, check_cap
+    from .dense import _check_dense
     from .lab import ExperimentConfig, sample_random_hamiltonian, sample_typical_error
 
     if (args.family is None) == (args.hamiltonian is None):
@@ -283,14 +283,14 @@ def _cmd_simulate(args) -> tuple[int, str]:
         r=args.r,
         order=args.order,
         eps_grid=tuple(args.eps or (0.1,)),
-        cap_n=DEFAULT_CAP_N if args.cap_n is None else args.cap_n,
     )
     if args.family == "k-local-syk":
         rep = sample_random_hamiltonian(_syk_model(args), cfg)
     else:
         h = build_model(args) if args.family else load_hamiltonian(args.hamiltonian)
         if isinstance(h, FermionHamiltonian):
-            check_cap(h.n, cfg.cap_n)  # before the Jordan-Wigner strings, O(n) each
+            # One matrix, the least dense work holds, before the O(n) Jordan-Wigner strings
+            _check_dense(h.n, 1.0)
             h = h.to_pauli()
         rep = sample_typical_error(h, cfg)
     return 0, _csv_text(_report_rows(rep))
@@ -486,11 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_finite_float,
         action="append",
         help="tail threshold (repeatable; default 0.1)",
-    )
-    sub.add_argument(
-        "--cap-n",
-        type=int,
-        help="refuse dense work above this qubit count",
     )
 
     sub = new("verify", _cmd_verify, "inequality/closed-form suites (CSV)")

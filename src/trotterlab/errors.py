@@ -7,7 +7,8 @@ import functools
 import math
 
 # Memory one allocation may take, by the estimate next to it: a model's terms,
-# a local norm's site subsets, an experiment's samples, a plan's displacements.
+# a local norm's site subsets, an experiment's samples, a plan's displacements,
+# dense matrices.
 _MEMORY_BYTES = 1 << 30
 
 
@@ -34,7 +35,7 @@ class PartitionError(TrotterlabError):
 
 
 class ResourceCapError(TrotterlabError):
-    """A request exceeds the dense qubit cap or the memory budget."""
+    """A request exceeds the memory budget or a schedule's exponential count."""
 
     exit_code = 3
 

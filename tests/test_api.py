@@ -1,6 +1,9 @@
 """The public surface of the package: what ``trotterlab.__all__`` promises."""
 
+import contextlib
+import dataclasses
 import inspect
+import io
 import tomllib
 import typing
 from pathlib import Path
@@ -32,6 +35,8 @@ def test_every_exported_name_resolves(name):
         "is_hermitian",
         "strings_commute",
         "fermion_term_site_matrices",
+        "DEFAULT_CAP_N",
+        "check_cap",
     ],
 )
 def test_deleted_names_are_gone(name):
@@ -104,6 +109,8 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("lab", "_check_samples"),
         ("norms", "_SUBSET_BYTES"),
         ("bounds", "_float_guard"),
+        ("dense", "DEFAULT_CAP_N"),
+        ("dense", "check_cap"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):
@@ -152,6 +159,34 @@ def test_private_dense_helpers_take_no_cap_or_layout(function, parameter):
     # The public dense entries check the cap once, before calling these.
     fn = getattr(trotterlab.dense, function)
     assert parameter not in inspect.signature(fn).parameters
+
+
+def test_no_dense_entry_or_experiment_field_takes_a_qubit_cap():
+    # One memory budget refuses dense work, by each entry's byte estimate.
+    dense = trotterlab.dense
+    public = [
+        fn
+        for name, fn in inspect.getmembers(dense, inspect.isfunction)
+        if not name.startswith("_") and fn.__module__ == dense.__name__
+    ]
+    assert trotterlab.dense.to_matrix in public
+    assert all("cap_n" not in inspect.signature(fn).parameters for fn in public)
+    fields = [field.name for field in dataclasses.fields(trotterlab.ExperimentConfig)]
+    assert "seed" in fields and "cap_n" not in fields
+
+
+def test_simulate_has_no_cap_flag():
+    from trotterlab.cli import main
+
+    argv = ["simulate", "--family", "chain-heisenberg", "--n", "3", "--t", "1", "--seed", "1"]
+    assert main(argv) == 0
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:  # argparse exits on a bad flag
+            main(argv + ["--cap-n", "12"])
+    assert (info.value.code, out.getvalue()) == (2, "")
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert len(errors) == 1 and "unrecognized arguments: --cap-n" in errors[0]
 
 
 @pytest.mark.parametrize(

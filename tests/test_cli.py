@@ -546,7 +546,6 @@ def dense_flag_argv(draw):
         "t": _FUZZ_FLOAT,
         "r": _FUZZ_INT,
         "order": _FUZZ_ORDER,
-        "cap-n": _FUZZ_INT,
     }
     argv += [f"--{name}={draw(value)}" for name, value in flags.items()]
     for name in ("p", "eps"):
@@ -679,10 +678,27 @@ def test_simulate_markov_bound_with_a_huge_schatten_index(capsys):
     "doc", ['{"n": 600, "terms": []}', '{"n": %d, "eta": 0.5, "terms": []}' % 10**30]
 )
 def test_simulate_above_the_cap_exits_3_without_counting_bytes(monkeypatch, doc):
+    # The dense estimate never forms 4**n, so even n = 10**30 is refused at once.
     monkeypatch.setattr("sys.stdin", io.StringIO(doc))
     code, out, err = _call(["simulate", "-", "--t", "1", "--seed", "1"])
     assert (code, out) == (3, "")
-    assert "bytes (cap is n=12" in err
+    n = json.loads(doc)["n"]
+    assert err == f"error: dense work on {n} qubits needs more than {2**30} bytes of memory\n"
+
+
+@pytest.mark.parametrize("r, estimate", [(1, 4.25), (4097, 3.75)], ids=["binary", "schur"])
+def test_dense_estimate_boundary_of_a_four_site_error_operator(r, estimate, monkeypatch):
+    # trotter_error_op's estimate in matrices of 16 * 4**4 bytes: exactly
+    # that budget passes, one byte less exits 3 before anything is built.
+    argv = ["simulate", "--family", "chain-heisenberg", "--n", "4", "--t", "1",
+            "--seed", "1", "--samples", "1", "--r", str(r)]
+    nbytes = int(estimate * 16 * 4**4)
+    monkeypatch.setattr("trotterlab.errors._MEMORY_BYTES", nbytes)
+    assert _call(argv)[0] == 0
+    monkeypatch.setattr("trotterlab.errors._MEMORY_BYTES", nbytes - 1)
+    code, out, err = _call(argv)
+    assert (code, out) == (3, "")
+    assert err == f"error: dense work on 4 qubits needs more than {nbytes - 1} bytes of memory\n"
 
 
 def test_norms_of_a_fermionic_document_far_wider_than_its_sites(monkeypatch):

@@ -74,13 +74,21 @@ def test_to_matrix_sum_linearity():
 
 
 def test_cap_blocks_oversized_requests():
+    # to_matrix's estimate is 2.25 matrices: 2.25 GiB at n = 13, refused before
+    # anything is allocated, and 576 MiB at n = 12, within the 1 GiB budget.
     big = PauliHamiltonian.from_labels(13, [("I" * 12 + "Z", 1.0)])
-    with pytest.raises(ResourceCapError):
-        to_matrix(big)
-    # explicit higher cap allows it in principle (not executed to keep memory
-    # modest: n=9 is plenty to prove the override path)
-    ok = PauliHamiltonian.from_labels(9, [("I" * 8 + "Z", 1.0)])
-    assert to_matrix(ok, cap_n=9).shape == (512, 512)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="dense work on 13 qubits needs more than"):
+            to_matrix(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # A diagonal string writes one entry per row of the zeroed 256 MiB result
+    # (about 290 MiB resident at peak, for 0.2 s).
+    ok = PauliHamiltonian.from_labels(12, [("I" * 11 + "Z", 1.0)])
+    assert to_matrix(ok).shape == (4096, 4096)
 
 
 def test_evolve_diagonal_example():

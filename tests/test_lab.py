@@ -13,6 +13,7 @@ import trotterlab.dense
 from trotterlab.dense import (
     WeightedNormSpec,
     _trotter_power,
+    apply_schedule,
     basis_indices,
     evolve,
     schatten_norm,
@@ -52,6 +53,7 @@ from trotterlab.pauli import (
     PauliSum,
     commutator_sum,
 )
+from trotterlab.suzuki import build_schedule
 
 
 # ------------------------------------------------------------- config
@@ -222,6 +224,70 @@ def test_random_r_sweep_first_order_slope():
     sweep = random_r_sweep(model, cfg, r_values=(1, 2, 4, 8, 16))
     assert sweep.slope_vs_r == pytest.approx(-1.0, abs=0.1)
     assert all(a > b for a, b in zip(sweep.mean_errors, sweep.mean_errors[1:]))
+
+
+def _traced_peak(fn) -> int:
+    trotterlab.dense._actions.cache_clear()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_random_r_sweep_holds_no_full_matrix_past_its_line():
+    # A view of e^{iHt}'s first column kept the whole matrix alive through
+    # every power (5.01 matrices at r = 107, 6.01 with the last power's
+    # column view); with the columns copied, the binary power peaks: 4.01.
+    model = KLocalGaussianModel(n=8, k=2, seed=3)
+    cfg = ExperimentConfig(seed=3, samples=1, t=1.0, order=2)
+    assert _traced_peak(lambda: random_r_sweep(model, cfg, (107, 108))) <= 4.25 * 16 * 4**8
+
+
+_SYK8_MODEL = KLocalGaussianModel(n=8, k=2, seed=3)
+_PEAK_HAMILTONIANS = {
+    "chain": chain_heisenberg(8),
+    "syk": _SYK8_MODEL.sample(np.random.SeedSequence(1)),
+}
+_PEAK_RS = (1, 2, 107, 4096, 4097)
+
+
+def _dense_entries():
+    """(id, call) of every entry that checks a dense estimate, on the 8-site
+    chain and an 8-site k = 2 SYK draw (one complex coset block)."""
+    for name, h in _PEAK_HAMILTONIANS.items():
+        yield f"to_matrix-{name}", lambda h=h: to_matrix(h)
+        yield f"evolve-{name}", lambda h=h: evolve(h, 1.0)
+        yield f"apply_schedule-{name}", lambda h=h: apply_schedule(
+            h, build_schedule(h.gamma, 2, 0.1)
+        )
+        for r in _PEAK_RS:
+            yield f"trotter_error_op-{name}-r{r}", lambda h=h, r=r: trotter_error_op(h, 1.0, r, 2)
+    for r in _PEAK_RS:
+        cfg = ExperimentConfig(seed=3, samples=1, t=1.0, r=r, order=2)
+        yield f"sample_random_hamiltonian-r{r}", lambda cfg=cfg: sample_random_hamiltonian(
+            _SYK8_MODEL, cfg
+        )
+        yield f"random_r_sweep-r{r}", lambda cfg=cfg, r=r: random_r_sweep(
+            _SYK8_MODEL, cfg, (r, r + 1)
+        )
+
+
+@pytest.mark.parametrize("entry", [pytest.param(call, id=name) for name, call in _dense_entries()])
+def test_traced_peak_of_every_dense_entry_is_within_its_estimate(entry, monkeypatch):
+    check = trotterlab.dense._check_dense
+    estimates = []
+
+    def recording(n, matrices):
+        estimates.append(16 * 4**n * matrices)
+        check(n, matrices)
+
+    monkeypatch.setattr(trotterlab.dense, "_check_dense", recording)
+    monkeypatch.setattr(trotterlab.lab, "_check_dense", recording)
+    peak = _traced_peak(entry)
+    # The entry's own estimate is checked first, the dense calls inside it after.
+    assert peak <= estimates[0]
 
 
 # ------------------------------------------------------ hypercontractivity
@@ -520,8 +586,8 @@ def test_optimality_second_order_closed_forms():
 
 
 def test_optimality_cap_message_names_no_missing_knob():
-    # m = 5 has 15 sites; optimality_experiment takes no cap_n to raise.
-    with pytest.raises(ResourceCapError, match=r"bytes \(cap is n=12\)") as info:
+    # m = 5 has 15 sites; the commutator's dense matrix is past the budget.
+    with pytest.raises(ResourceCapError, match=r"^dense work on 15 qubits needs more than") as info:
         optimality_experiment(5, 1)
     assert "cap_n" not in str(info.value)
 

@@ -276,7 +276,7 @@ def test_fermi_hop_qubit_image_hermitian():
     from trotterlab.dense import to_matrix
 
     f = fermi_hop(1)
-    mat = to_matrix(jordan_wigner(f), cap_n=6)
+    mat = to_matrix(jordan_wigner(f))
     np.testing.assert_allclose(mat, mat.conj().T, rtol=0, atol=1e-10)
 
 
