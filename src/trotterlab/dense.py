@@ -56,9 +56,11 @@ def _check_dense(n: int, matrices: float) -> None:
     complex matrices, 16 * 4**n bytes each, past the one memory budget.
     Each estimate bounds the traced peaks stated next to its call, measured
     with one OpenBLAS thread on the 8-site chain and an 8-site k = 2 SYK
-    draw (one complex coset block); n = 10 reads the same or lower.  Above
-    n = 64 the bytes are counted at n = 64, 2^132 and more, so 4**n is
-    never formed."""
+    draw (one complex coset block); n = 10 reads the same or lower.  It
+    also bounds the same calls' resident peaks (VmHWM) at n = 10 and 11,
+    which read up to 0.4 matrices above the traced ones at n = 10: every
+    LAPACK workspace is a numpy array (see ``_eigh``).  Above n = 64 the
+    bytes are counted at n = 64, 2^132 and more, so 4**n is never formed."""
     nbytes = math.ceil(matrices * 16 * 4 ** min(n, 64))
     check_budget(nbytes, f"dense work on {n} qubits needs")
 
@@ -141,19 +143,77 @@ def _term_values(act: _Actions, t: int, index: np.ndarray, weight: complex) -> n
     return np.where(np.bitwise_count(index & act.z[t]) & 1, -weight, weight)
 
 
-def _blocks(act: _Actions) -> np.ndarray:
-    """The (blocks, k, k) stack of the sum, real when every term is."""
+def _weights(act: _Actions) -> np.ndarray:
+    """The terms' coefficients times their phases, real when every one is."""
     weights = act.coeff * np.array(act.phase, dtype=complex)
-    if not weights.imag.any():
-        weights = weights.real
+    return weights if weights.imag.any() else weights.real
+
+
+def _blocks(act: _Actions, transposed: bool = False) -> np.ndarray:
+    """The (blocks, k, k) stack of the sum, real when every term is; with
+    ``transposed``, the stack of the blocks' transposes, whose C-ordered
+    buffer is each block in Fortran order."""
+    weights = _weights(act)
     index = act.index
     blocks, k = index.shape
     out = np.zeros((blocks, k, k), weights.dtype)
     cols = np.arange(k)
     # Column a of P holds its value at row a ^ shift, one scatter per term.
     for t, weight in enumerate(weights.tolist()):
-        out[:, cols ^ act.shift[t], cols] += _term_values(act, t, index, weight)
+        rows = cols ^ act.shift[t]
+        entries = (slice(None), cols, rows) if transposed else (slice(None), rows, cols)
+        out[entries] += _term_values(act, t, index, weight)
     return out
+
+
+def _transpose_in_place(a: np.ndarray) -> None:
+    """Transpose a square C-ordered matrix in its own buffer, a strip of
+    ``_PANEL`` rows at a time, so one strip is held besides it."""
+    k = len(a)
+    for lo in range(0, k, _PANEL):
+        hi = min(lo + _PANEL, k)
+        a[lo:hi, lo:hi] = a[lo:hi, lo:hi].T.copy()
+        strip = a[lo:hi, hi:].copy()
+        a[lo:hi, hi:] = a[hi:, lo:hi].T
+        a[hi:, lo:hi] = strip.T
+
+
+# Coset blocks up to which ``_eigh`` calls LAPACK once per block.
+_EIGH_LOOP_BLOCKS = 16
+
+
+def _eigh(act: _Actions) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of the block stack, with ``np.linalg.eigh``'s bits at one BLAS
+    thread (with more, scipy's OpenBLAS may split the work otherwise).
+
+    ``np.linalg.eigh`` copies each block and mallocs LAPACK's workspace out
+    of tracemalloc's sight: three more matrices on a one-block H.  Here each
+    block is assembled transposed, so its buffer is the block in Fortran
+    order, which the same driver (``?heevd``/``?syevd``, lower triangle,
+    queried workspace) overwrites with the eigenvectors; they are then
+    transposed back in place.  Above ``_EIGH_LOOP_BLOCKS`` blocks numpy's
+    batched call takes the stack: its three blocks are at most 1/96 of a
+    matrix.
+    """
+    blocks, k = act.index.shape
+    if blocks > _EIGH_LOOP_BLOCKS:
+        return np.linalg.eigh(_blocks(act))
+    stack = _blocks(act, transposed=True)
+    if np.iscomplexobj(stack):
+        lwork, liwork, lrwork, _ = _flapack.zheevd_lwork(k, compute_v=1, lower=1)
+        driver = functools.partial(
+            _flapack.zheevd, lwork=int(lwork.real), liwork=int(liwork), lrwork=int(lrwork)
+        )
+    else:
+        lwork, liwork, _ = _flapack.dsyevd_lwork(k, compute_v=1, lower=1)
+        driver = functools.partial(_flapack.dsyevd, lwork=int(lwork), liwork=int(liwork))
+    w = np.empty((blocks, k))
+    for block, a in zip(w, stack):
+        block[:], _, info = driver(a.T, compute_v=1, lower=1, overwrite_a=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"eigenvalues not found (?heevd info={info})")
+        _transpose_in_place(a)
+    return w, stack
 
 
 def _block_entries(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,9 +327,9 @@ def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
     """e^{i H t} through a Hermitian eigendecomposition per coset block."""
     if not isinstance(h, PauliHamiltonian):
         raise TypeError(f"cannot evolve under {type(h).__name__}")
-    _check_dense(h.n, 3.5)  # 1.76 on the chain, 3.39 on SYK
+    _check_dense(h.n, 3.5)  # 1.76 on the chain, 3.39 on SYK (3.42 resident at n = 10)
     act = _actions(h)
-    w, v = np.linalg.eigh(_blocks(act))
+    w, v = _eigh(act)
     out = np.zeros((act.index.size, act.index.size), dtype=complex)
     _write_exact(out, act, w, v, t, add=False)
     return out
@@ -284,7 +344,7 @@ def apply_schedule(h: PauliHamiltonian, schedule: Schedule) -> np.ndarray:
     product is formed on the coset blocks, each entry by the same scalar
     operations as on the full matrix.
     """
-    _check_dense(h.n, 2.25)  # 1.87 on the chain, 1.93 on SYK
+    _check_dense(h.n, 2.25)  # 1.86 on the chain, 1.93 on SYK
     return _schedule_product(h, schedule, "C")
 
 
@@ -410,6 +470,13 @@ def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
     return q.T
 
 
+def _holds_binary_power(r: int) -> bool:
+    """Whether ``_trotter_power`` at r holds the binary power's extra
+    matrices: np.linalg.matrix_power returns r = 1 as it is, and above
+    ``_BINARY_POWER_MAX`` steps the Schur power takes over."""
+    return 1 < r <= _BINARY_POWER_MAX
+
+
 def _trotter_power(h: PauliHamiltonian, t: float, r: int, order: int) -> np.ndarray:
     """S_order(t/r)^r.  Up to 4096 steps ``np.linalg.matrix_power`` powers
     the segment; it returns it as it is at r = 1 and otherwise holds up to
@@ -429,20 +496,29 @@ def trotter_error_op(h: PauliHamiltonian, t: float, r: int, order: int) -> np.nd
     For r > 4096 the segment is assembled straight into Fortran order and
     powered in its own buffer, so at most two dim x dim matrices are alive
     at once (the segment or T, and Q or the power); at or below, up to four
-    (see ``_trotter_power``).  The power is then negated in place and the
-    exact evolution added one coset block (or run of small blocks) at a
-    time, so neither the full exact matrix nor its block stack is held next
-    to the power.
+    (see ``_trotter_power``).  ``_eigh``, H's block stack and two more of
+    workspace, runs after the power, next to its result, except on one
+    complex block (four matrices) where the binary power does not run:
+    there it runs first, and the power next to the eigenvectors only.  The
+    power is negated in place and the exact evolution added one coset
+    block (or run of small blocks) at a time, so neither the full exact
+    matrix nor its block stack is held next to the power.
     """
     if r < 1:
         raise ValidationError("need at least one segment (r >= 1)")
+    binary = _holds_binary_power(r)
     # Chain: 1.89 at r = 1, 2.01 at 2, 4.01 at 107 and 2.39 at 4097.  SYK:
-    # 3.64, but 4.01 at 107, where the binary power holds four matrices.
-    _check_dense(h.n, 4.25 if r <= _BINARY_POWER_MAX else 3.75)
-    out = _trotter_power(h, t, r, order)
-    np.negative(out, out=out)
+    # 3.64, but 4.03 where the binary power runs.  Resident at n = 10, SYK:
+    # 3.53 at r = 1, 3.58 at 4097 and 4.41 at 107.
+    _check_dense(h.n, 4.5 if binary else 3.75)
     act = _actions(h)
-    w, v = np.linalg.eigh(_blocks(act))
+    if binary or len(act.index) > 1 or not np.iscomplexobj(_weights(act)):
+        out = _trotter_power(h, t, r, order)
+        w, v = _eigh(act)
+    else:
+        w, v = _eigh(act)
+        out = _trotter_power(h, t, r, order)
+    np.negative(out, out=out)
     _write_exact(out, act, w, v, t, add=True)
     return out
 

@@ -686,7 +686,9 @@ def test_simulate_above_the_cap_exits_3_without_counting_bytes(monkeypatch, doc)
     assert err == f"error: dense work on {n} qubits needs more than {2**30} bytes of memory\n"
 
 
-@pytest.mark.parametrize("r, estimate", [(1, 4.25), (4097, 3.75)], ids=["binary", "schur"])
+@pytest.mark.parametrize(
+    "r, estimate", [(1, 3.75), (2, 4.5), (4097, 3.75)], ids=["segment", "binary", "schur"]
+)
 def test_dense_estimate_boundary_of_a_four_site_error_operator(r, estimate, monkeypatch):
     # trotter_error_op's estimate in matrices of 16 * 4**4 bytes: exactly
     # that budget passes, one byte less exits 3 before anything is built.

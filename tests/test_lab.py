@@ -585,6 +585,19 @@ def test_optimality_second_order_closed_forms():
         assert rep.norm2_matches and rep.spectral_matches
 
 
+def test_optimality_refuses_a_wide_model_before_its_commutator():
+    # At m = 100 the order-1 commutator's product alone has 10^8 rows; the
+    # dense estimate refuses its 300-qubit matrix before any is formed.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=r"^dense work on 300 qubits needs more than"):
+            optimality_experiment(100, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_optimality_cap_message_names_no_missing_knob():
     # m = 5 has 15 sites; the commutator's dense matrix is past the budget.
     with pytest.raises(ResourceCapError, match=r"^dense work on 15 qubits needs more than") as info:
