@@ -115,11 +115,9 @@ def _cosets(masks: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return reps[:, None] ^ span[None, :], shift
 
 
-@functools.lru_cache(maxsize=1)
 def _actions(obj: Union[PauliSum, PauliTerm, PauliString]) -> _Actions:
     """The coset actions of a Pauli string, term or sum, read off its bit
-    planes.  Cached for the last object, so that a Hamiltonian's evolution
-    and schedule share one; the cached arrays are read-only."""
+    planes."""
     if isinstance(obj, PauliString):
         obj = PauliTerm(obj, 1.0)
     rows = _ingest(obj.n, [obj]) if isinstance(obj, PauliTerm) else obj._rows
@@ -128,7 +126,6 @@ def _actions(obj: Union[PauliSum, PauliTerm, PauliString]) -> _Actions:
     x, z = _site_bits(rows.x, n), _site_bits(rows.z, n)
     y_count = (x & z).sum(axis=1, dtype=np.int64) % 4
     index, shift = _cosets(x.astype(np.int64) @ bit_values, n)
-    index.flags.writeable = False
     return _Actions(
         index,
         tuple(shift.tolist()),
@@ -178,10 +175,6 @@ def _transpose_in_place(a: np.ndarray) -> None:
         a[hi:, lo:hi] = strip.T
 
 
-# Coset blocks up to which ``_eigh`` calls LAPACK once per block.
-_EIGH_LOOP_BLOCKS = 16
-
-
 def _eigh(act: _Actions) -> tuple[np.ndarray, np.ndarray]:
     """(w, v) of the block stack, with ``np.linalg.eigh``'s bits at one BLAS
     thread (with more, scipy's OpenBLAS may split the work otherwise).
@@ -191,13 +184,9 @@ def _eigh(act: _Actions) -> tuple[np.ndarray, np.ndarray]:
     block is assembled transposed, so its buffer is the block in Fortran
     order, which the same driver (``?heevd``/``?syevd``, lower triangle,
     queried workspace) overwrites with the eigenvectors; they are then
-    transposed back in place.  Above ``_EIGH_LOOP_BLOCKS`` blocks numpy's
-    batched call takes the stack: its three blocks are at most 1/96 of a
-    matrix.
+    transposed back in place.
     """
     blocks, k = act.index.shape
-    if blocks > _EIGH_LOOP_BLOCKS:
-        return np.linalg.eigh(_blocks(act))
     stack = _blocks(act, transposed=True)
     if np.iscomplexobj(stack):
         lwork, liwork, lrwork, _ = _flapack.zheevd_lwork(k, compute_v=1, lower=1)
@@ -250,6 +239,17 @@ def sites_of(matrix: np.ndarray) -> int:
     return n
 
 
+def _checked_matrix(a: MatrixLike, matrices: float) -> tuple[np.ndarray, int]:
+    """(to_matrix(a), n), once the caller's estimate of its peak fits the
+    budget; an ndarray a counts as one of its matrices."""
+    if isinstance(a, np.ndarray):
+        _check_dense(sites_of(a), matrices)
+    elif isinstance(a, (PauliString, PauliTerm, PauliSum)):
+        _check_dense(a.n, matrices)
+    m = to_matrix(a)
+    return m, sites_of(m)
+
+
 # Columns of a product that ``_schur_power`` and ``_write_exact`` form at
 # once, at least.  Each product packs all of its left factor again, so a
 # large matrix takes panels of an eighth of its columns: at dim 4096, with
@@ -281,7 +281,7 @@ def _write_exact(
 ) -> None:
     """Write (or, with ``add``, add) e^{i H t} into the coset blocks of out.
 
-    (w, v) is the batched eigh of H's block stack; v is overwritten.  The
+    (w, v) is ``_eigh`` of H's block stack; v is overwritten.  The
     blocks are formed one at a time, or a run of at most ``_RUN_ENTRIES``
     entries at a time, so no full stack of them is held.  A real symmetric
     H (no term with an odd number of Y) takes a real eigh, and
@@ -662,8 +662,7 @@ def _pseudo_power(diag: np.ndarray, exponent: float) -> np.ndarray:
 def weighted_norm(a: MatrixLike, spec: WeightedNormSpec) -> float:
     """Schatten p-norm of rho^{(1-s)/p} A rho^{s/p} for the product diagonal
     rho, to which site i contributes (w_i, 1 - w_i)."""
-    m = to_matrix(a)
-    n = sites_of(m)
+    m, n = _checked_matrix(a, 3.5)  # 3.14 on the chain and on SYK (3.27 resident at n = 10)
     if len(spec.weights) != n:
         raise ValidationError(
             f"{len(spec.weights)} site weights for an n={n} operator"
@@ -718,8 +717,7 @@ def sector_norm(a: MatrixLike, m: int, p: float) -> SectorNormResult:
     exactly, so ||A Pbar^{1/p}||_p <= ||A rho_{m/n}^{1/p}||_p * b^{-1/p}; the
     second field reports that right-hand side.
     """
-    mat = to_matrix(a)
-    n = sites_of(mat)
+    mat, n = _checked_matrix(a, 4.5)  # 4.15 on the chain and on SYK (4.27 resident at n = 10)
     sector = ParticleSector(n, m)
     mask = sector.mask()
     projected = mat * mask[None, :]
@@ -737,21 +735,24 @@ def sector_norm(a: MatrixLike, m: int, p: float) -> SectorNormResult:
 
 
 def _with_identity(rest: np.ndarray, site: int, n: int) -> np.ndarray:
-    """I_site (x) an operator on the other n - 1 sites, in tensor layout."""
+    """The dim x dim matrix of I_site (x) an operator on the other n - 1
+    sites, given as a dim/2 x dim/2 matrix."""
+    rest = rest.reshape((2,) * (2 * n - 2))
     out = np.zeros((2,) * (2 * n), dtype=rest.dtype)
     idx: list = [slice(None)] * (2 * n)
     for b in (0, 1):
         idx[site] = idx[n + site] = b
         out[tuple(idx)] = rest
-    return out
+    return out.reshape(2**n, 2**n)
 
 
 def _conditional_expectation(
-    tensor: np.ndarray, site: int, n: int, weight: float = 0.5
+    m: np.ndarray, site: int, n: int, weight: float = 0.5
 ) -> np.ndarray:
-    """E_s[F] = I_s (x) Tr_s[(rho_s (x) I) F], in tensor layout, with rho_s
-    placing ``weight`` on the occupied basis vector (0.5: the normalized
-    partial trace)."""
+    """E_s[F] = I_s (x) Tr_s[(rho_s (x) I) F] of a dim x dim matrix, with
+    rho_s placing ``weight`` on the occupied basis vector (0.5: the
+    normalized partial trace)."""
+    tensor = m.reshape((2,) * (2 * n))
     row, col = site, n + site
     traced = weight * np.take(np.take(tensor, 0, axis=col), 0, axis=row) + (
         1.0 - weight
@@ -765,16 +766,14 @@ def subset_component(f: MatrixLike, subset: Iterable[int]) -> np.ndarray:
     The components over all subsets sum back to F; a Pauli term contributes
     exactly to the subset equal to its support.
     """
-    m = to_matrix(f)
-    n = sites_of(m)
+    m, n = _checked_matrix(f, 4.0)  # 3.25 on the chain and on SYK (3.78 resident at n = 10)
     subset = frozenset(subset)
     if subset and (min(subset) < 0 or max(subset) >= n):
         raise ValidationError(f"subset {sorted(subset)} outside 0..{n - 1}")
-    tensor = m.reshape((2,) * (2 * n))
     for s in range(n):
-        cond = _conditional_expectation(tensor, s, n)
-        tensor = (tensor - cond) if s in subset else cond
-    return tensor.reshape(2**n, 2**n)
+        cond = _conditional_expectation(m, s, n)
+        m = (m - cond) if s in subset else cond
+    return m
 
 
 # ---------------------------------------------------------------------------

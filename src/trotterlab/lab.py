@@ -408,6 +408,8 @@ def random_r_sweep(
     """
     if any(r < 1 for r in r_values):
         raise ValidationError("need r >= 1 throughout the sweep")
+    if len(set(r_values)) < 2:
+        raise ValidationError("the slope against r needs at least two distinct r")
     # The binary power, 4.02 at r = 107 (4.41 resident at n = 10); otherwise
     # evolve's 3.39.
     _check_dense(model.n, 4.5 if any(map(_holds_binary_power, r_values)) else 3.5)
@@ -667,18 +669,6 @@ def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def _with_identity_site(mat_rest: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Embed an operator on sites != site as (rest) tensor I_site."""
-    rest = mat_rest.reshape((2,) * (2 * (n - 1)))
-    return _with_identity(rest, site, n).reshape(2**n, 2**n)
-
-
-def _recenter_site(y: np.ndarray, site: int, n: int, weight: float = 0.5) -> np.ndarray:
-    """Remove the site marginal: subtract I_site (x) Tr_site[(rho_site (x) I) Y]."""
-    tensor = y.reshape((2,) * (2 * n))
-    return y - _conditional_expectation(tensor, site, n, weight).reshape(2**n, 2**n)
-
-
 def check_uniform_smoothness(
     site: int,
     p: float,
@@ -696,8 +686,9 @@ def check_uniform_smoothness(
     tally = _Tally("uniform-smoothness")
     for child in _child_seeds(seed, trials):
         rng = np.random.default_rng(child)
-        x = _with_identity_site(_ginibre(2 ** (n - 1), rng), site, n)
-        y = _recenter_site(_ginibre(2**n, rng), site, n)
+        x = _with_identity(_ginibre(2 ** (n - 1), rng), site, n)
+        y = _ginibre(2**n, rng)
+        y = y - _conditional_expectation(y, site, n)
         if rng.integers(0, 2):
             x = x + x.conj().T
             y = y + y.conj().T
@@ -744,8 +735,9 @@ def check_weighted_smoothness(
     tally = _Tally("weighted-smoothness")
     for child in _child_seeds(seed, trials):
         rng = np.random.default_rng(child)
-        x = _with_identity_site(_ginibre(2 ** (n - 1), rng), site, n)
-        y = _recenter_site(_ginibre(2**n, rng), site, n, weight=w)
+        x = _with_identity(_ginibre(2 ** (n - 1), rng), site, n)
+        y = _ginibre(2**n, rng)
+        y = y - _conditional_expectation(y, site, n, w)
         lhs = weighted_norm(x + y, spec) ** 2
         rhs = (
             weighted_norm(x, spec) ** 2

@@ -46,7 +46,6 @@ _FERMION_TERM_BYTES = 3072
 __all__ = [
     "chain_heisenberg",
     "power_law",
-    "lattice_coordinates",
     "KLocalGaussianModel",
     "zxyz",
     "zxyz_groups",
@@ -72,15 +71,6 @@ def chain_heisenberg(n: int) -> PauliHamiltonian:
     return PauliHamiltonian(n, _site_rows(n, sites, codes, np.ones(len(bond))))
 
 
-def lattice_coordinates(n: int, d: int) -> list[tuple[int, ...]]:
-    """Coordinates of the n sites of a d-dimensional cubic lattice.
-
-    Requires n to be a perfect d-th power; sites are enumerated in
-    row-major order.
-    """
-    return list(itertools.product(range(_lattice_side(n, d)), repeat=d))
-
-
 def _lattice_side(n: int, d: int) -> int:
     if n < 1 or d < 1:
         raise ValidationError(f"need n >= 1 sites and dimension d >= 1, got n={n}, d={d}")
@@ -96,8 +86,9 @@ def _lattice_side(n: int, d: int) -> int:
 
 def _lattice_pairs(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Site pairs i < j of the d-D lattice in ``np.triu_indices`` order
-    (that of ``itertools.combinations``), with exact squared distances."""
-    coords = np.array(lattice_coordinates(n, d)).reshape(n, d)
+    (that of ``itertools.combinations``), with exact squared distances; the
+    sites are numbered in row-major order of their lattice coordinates."""
+    coords = np.indices((_lattice_side(n, d),) * d).reshape(d, n).T
     i, j = np.triu_indices(n, 1)
     squared = np.zeros(i.shape, dtype=np.int64)
     for axis in coords.T:  # one axis at a time: no (pairs, d) temporaries

@@ -303,15 +303,18 @@ def _merged(n: int, rows: _Rows, hermitian: bool) -> _Rows:
     of zero included, as adding the Python numbers one by one.
     """
     x, z, c = rows
+    starts = np.ones(len(c), bool)
     # One stable sort of the key words puts equal strings next to each other,
-    # in occurrence order; a group's first row is its first occurrence.
-    columns = (*x.T, *z.T)
-    order = np.lexsort(columns)
-    starts = np.zeros(len(order), bool)
-    starts[:1] = True
-    for column in columns:
-        ordered = column[order]
-        starts[1:] |= ordered[1:] != ordered[:-1]
+    # in occurrence order; a group's first row is its first occurrence.  A
+    # table of fewer than two rows has nothing to merge: its key columns
+    # alone would cost O(n) time.
+    if len(c) > 1:
+        columns = (*x.T, *z.T)
+        order = np.lexsort(columns)
+        starts[1:] = False
+        for column in columns:
+            ordered = column[order]
+            starts[1:] |= ordered[1:] != ordered[:-1]
     if not starts.all():
         heads = order[starts]
         first = np.zeros(len(order), bool)
@@ -950,4 +953,12 @@ def fermion_from_json(data: Mapping) -> FermionHamiltonian:
     for value in (eta, *(coeff for _, coeff in raw)):
         if not math.isfinite(value):
             raise ValidationError(f"fermionic JSON holds the non-finite value {value!r}")
+    # The Jordan-Wigner merge would drop a nonzero coefficient below MERGE_TOL.
+    for factors, coeff in raw:
+        if 0 < abs(coeff) < MERGE_TOL:
+            ops = json.dumps([[kind, site] for site, kind in factors])
+            raise ValidationError(
+                f"coefficient {coeff!r} of the term {ops} is below {MERGE_TOL} in "
+                "magnitude and would be dropped; rescale the Hamiltonian"
+            )
     return FermionHamiltonian(n, (FermionTerm(factors, coeff, eta) for factors, coeff in raw))

@@ -111,6 +111,11 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("bounds", "_float_guard"),
         ("dense", "DEFAULT_CAP_N"),
         ("dense", "check_cap"),
+        ("models", "lattice_coordinates"),
+        ("dense", "_EIGH_LOOP_BLOCKS"),
+        ("lab", "_with_identity_site"),
+        ("lab", "_recenter_site"),
+        ("dense._actions", "cache_clear"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):

@@ -1,5 +1,6 @@
 """Gate-count calculators: independent arithmetic oracles and invariants."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from trotterlab.bounds import (
     truncation_plan,
 )
 from trotterlab.errors import DivergentTailError, ResourceCapError, ValidationError
-from trotterlab.models import chain_heisenberg, fermi_hop, lattice_coordinates
+from trotterlab.models import chain_heisenberg, fermi_hop
 from trotterlab.norms import norm_profile
 from trotterlab.pauli import PauliHamiltonian
 
@@ -519,7 +520,9 @@ def test_truncation_divergent_tail_rejected():
 def _truncation_oracle(n, d, alpha, t, eps):
     # Every site pair i < j of the lattice coordinates, one row i at a time,
     # with the far terms summed correctly rounded.
-    coords = np.asarray(lattice_coordinates(n, d), dtype=float).reshape(n, d)
+    side = round(n ** (1.0 / d))
+    assert side**d == n
+    coords = np.array(list(itertools.product(range(side), repeat=d)), dtype=float)
     ell_cut = max(1, math.ceil((n * t**2 / eps**2) ** (1.0 / (2.0 * alpha - d)) - 1e-12))
     dropped, terms = 0, []
     for i in range(n - 1):

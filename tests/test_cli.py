@@ -9,6 +9,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -686,6 +687,21 @@ def test_simulate_above_the_cap_exits_3_without_counting_bytes(monkeypatch, doc)
     assert err == f"error: dense work on {n} qubits needs more than {2**30} bytes of memory\n"
 
 
+def test_simulate_on_an_empty_document_of_2_24_qubits_exits_3_in_little_memory(monkeypatch):
+    # The merge lexsorted two key-column views per 64 qubits even with no
+    # rows: 4.5 s and 68 MiB traced at n = 2**24, and killed at n = 2**32.
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"n": %d, "terms": []}' % 2**24))
+    tracemalloc.start()
+    try:
+        code, out, err = _call(["simulate", "-", "--t", "1", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: dense work on {2**24} qubits needs more than")
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize(
     "r, estimate", [(1, 3.75), (2, 4.5), (4097, 3.75)], ids=["segment", "binary", "schur"]
 )
@@ -888,6 +904,28 @@ def test_sub_tolerance_coefficients_are_refused_not_dropped(argv, monkeypatch):
     assert err == (
         "error: coefficient 1e-15 of 'XX' is below 1e-14 in magnitude and would be "
         "dropped; rescale the Hamiltonian\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gatecount", "-", "--t", "1", "--eps", "0.1"],
+        ["norms", "-"],
+        ["simulate", "-", "--t", "1", "--seed", "1", "--samples", "2"],
+    ],
+    ids=["gatecount", "norms", "simulate"],
+)
+def test_sub_tolerance_fermionic_coefficients_are_refused_not_dropped(argv, monkeypatch):
+    # The planner read this hopping pair as written (gatecount exit 0), while
+    # its Jordan-Wigner image, merged, was the empty Hamiltonian.
+    hop = [{"ops": [["+", 0], ["-", 1]], "coeff": 1e-15}, {"ops": [["+", 1], ["-", 0]], "coeff": 1e-15}]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 2, "terms": hop})))
+    code, out, err = _call(argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        'error: coefficient 1e-15 of the term [["+", 0], ["-", 1]] is below 1e-14 in '
+        "magnitude and would be dropped; rescale the Hamiltonian\n"
     )
 
 

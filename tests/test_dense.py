@@ -94,6 +94,20 @@ def test_cap_blocks_oversized_requests():
     assert to_matrix(ok).shape == (4096, 4096)
 
 
+def test_sector_norm_at_twelve_sites_is_refused_before_its_matrix():
+    # Its own estimate, 4.5 matrices of 256 MiB, is past the budget; checked
+    # only by to_matrix's 2.25, it went on to take about 1.05 GiB.
+    h = PauliHamiltonian.from_labels(12, [("I" * 11 + "Z", 1.0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="dense work on 12 qubits needs more than"):
+            sector_norm(h, 6, 4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_evolve_diagonal_example():
     h = PauliHamiltonian.from_labels(1, [("Z", 1.0)])
     u = evolve(h, 0.7)
@@ -541,6 +555,36 @@ def test_trotter_error_op_is_bit_identical_to_public_parts(case, order, r):
         power = dense._schur_power(np.asfortranarray(segment), r)
     expected = evolve(h, 0.7) - power
     assert np.array_equal(trotter_error_op(h, 0.7, r, order), expected)
+
+
+def _extended_power(segment, r):
+    """segment**r by binary powering in np.clongdouble: the double-precision
+    segment's exact power, up to the extended format's roundoff."""
+    base = segment.astype(np.clongdouble)
+    power = np.eye(len(segment), dtype=np.clongdouble)
+    while r:
+        if r & 1:
+            power = power @ base
+        r >>= 1
+        if r:
+            base = base @ base
+    return power
+
+
+@pytest.mark.parametrize("r", [2, 107, 4096])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize(
+    "h",
+    [chain_heisenberg(6), KLocalGaussianModel(n=6, k=2, seed=0).sample(1)],
+    ids=["chain", "syk"],
+)
+def test_binary_power_entries_are_within_2e_12_of_an_extended_precision_power(h, order, r):
+    # The largest entry error measured on these cases was 5.1e-13.
+    assert dense._holds_binary_power(r)
+    segment = apply_schedule(h, build_schedule(h.gamma, order, 1.0 / r))
+    expected = evolve(h, 1.0) - _extended_power(segment, r)
+    error = trotter_error_op(h, 1.0, r, order)
+    assert np.abs(error - expected).max() <= 2e-12
 
 
 def _batched_evolve(h, t):

@@ -12,21 +12,23 @@ import pytest
 import trotterlab.dense
 from trotterlab.dense import (
     WeightedNormSpec,
+    _conditional_expectation,
     _trotter_power,
+    _with_identity,
     apply_schedule,
     basis_indices,
     evolve,
     schatten_norm,
     sector_norm,
+    subset_component,
     to_matrix,
     trotter_error_op,
+    weighted_norm,
 )
 from trotterlab.errors import ResourceCapError, ValidationError
 from trotterlab.lab import (
     ExperimentConfig,
     _Tally,
-    _recenter_site,
-    _with_identity_site,
     check_fermionic_smoothness,
     check_hypercontractivity,
     check_order_condition,
@@ -226,8 +228,18 @@ def test_random_r_sweep_first_order_slope():
     assert all(a > b for a, b in zip(sweep.mean_errors, sweep.mean_errors[1:]))
 
 
+@pytest.mark.parametrize("r_values", [(4,), (1, 1)], ids=["one-r", "repeated-r"])
+def test_random_r_sweep_needs_two_distinct_r(r_values, capfd):
+    # One r gave a slope fitted to one point, with numpy's RankWarning; (1, 1)
+    # raised numpy's LinAlgError after LAPACK printed to stderr.
+    model = KLocalGaussianModel(n=3, k=2, seed=2)
+    cfg = ExperimentConfig(seed=0, samples=4, t=1.0, order=1)
+    with pytest.raises(ValidationError, match="two distinct r"):
+        random_r_sweep(model, cfg, r_values)
+    assert capfd.readouterr().err == ""
+
+
 def _traced_peak(fn) -> int:
-    trotterlab.dense._actions.cache_clear()
     tracemalloc.start()
     try:
         fn()
@@ -264,6 +276,11 @@ def _dense_entries():
         )
         for r in _PEAK_RS:
             yield f"trotter_error_op-{name}-r{r}", lambda h=h, r=r: trotter_error_op(h, 1.0, r, 2)
+        yield f"sector_norm-{name}", lambda h=h: sector_norm(h, 4, 4.0)
+        yield f"subset_component-{name}", lambda h=h: subset_component(h, {0, 1})
+        yield f"weighted_norm-{name}", lambda h=h: weighted_norm(
+            h, WeightedNormSpec((0.3,) * 8, 0.5, 4.0)
+        )
     for r in _PEAK_RS:
         cfg = ExperimentConfig(seed=3, samples=1, t=1.0, r=r, order=2)
         yield f"sample_random_hamiltonian-r{r}", lambda cfg=cfg: sample_random_hamiltonian(
@@ -430,20 +447,20 @@ def test_hypercontractivity_rejects_small_p():
 # ---------------------------------------------------------- smoothness
 
 
-def test_with_identity_site_matches_kron():
+def test_with_identity_matches_kron():
     rng = np.random.default_rng(0)
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    left = _with_identity_site(m, 0, 3)
-    right = _with_identity_site(m, 2, 3)
+    left = _with_identity(m, 0, 3)
+    right = _with_identity(m, 2, 3)
     assert np.allclose(left, np.kron(np.eye(2), m))
     assert np.allclose(right, np.kron(m, np.eye(2)))
 
 
-def test_recenter_site_kills_weighted_marginal():
+def test_recentering_by_the_conditional_expectation_kills_weighted_marginal():
     rng = np.random.default_rng(1)
     y = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     for w in (0.5, 0.3):
-        yc = _recenter_site(y, 1, 3, weight=w)
+        yc = y - _conditional_expectation(y, 1, 3, w)
         t = yc.reshape((2,) * 6)
         marg = w * t[:, 0, :, :, 0, :] + (1 - w) * t[:, 1, :, :, 1, :]
         assert np.allclose(marg, 0.0, atol=1e-12)

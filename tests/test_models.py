@@ -9,11 +9,11 @@ import pytest
 from trotterlab.errors import ResourceCapError, ValidationError
 from trotterlab.models import (
     KLocalGaussianModel,
+    _lattice_pairs,
     _pauli_term_bytes,
     chain_heisenberg,
     fermi_hop,
     fermi_hop_groups,
-    lattice_coordinates,
     power_law,
     zxyz,
     zxyz_groups,
@@ -54,10 +54,14 @@ def test_chain_local_norms():
 
 
 def test_lattice_coordinates_1d_2d():
-    assert lattice_coordinates(4, 1) == [(0,), (1,), (2,), (3,)]
-    assert lattice_coordinates(4, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    # Sites in row-major order of their coordinates: (0, 0), (0, 1), (1, 0), (1, 1).
+    i, j, squared = _lattice_pairs(4, 1)
+    assert squared.tolist() == [(a - b) ** 2 for a, b in zip(i.tolist(), j.tolist())]
+    i, j, squared = _lattice_pairs(4, 2)
+    assert list(zip(i.tolist(), j.tolist())) == list(itertools.combinations(range(4), 2))
+    assert squared.tolist() == [1, 1, 2, 2, 1, 1]
     with pytest.raises(ValidationError):
-        lattice_coordinates(5, 2)
+        _lattice_pairs(5, 2)
 
 
 def test_power_law_1d_coefficients():
