@@ -5,7 +5,6 @@ Implements:
 - ``gatecount``: the one entry to a step and gate count.  Its regime
   selects typical inputs to a deterministic Hamiltonian, higher- or
   first-order random terms, or the coherent 1-norm baseline.
-- ``syk_first_order_gate_count``: the SYK-normalized first-order corollary.
 - ``table1_exponents``: the gate-complexity comparison table (golden).
 - ``truncation_plan``: power-law tail truncation planning.
 - ``counting_net_size``: the Bernstein collision-probability net-size
@@ -41,7 +40,6 @@ __all__ = [
     "Table1Cell",
     "TABLE1_METHODS",
     "gatecount",
-    "syk_first_order_gate_count",
     "table1_exponents",
     "table1_all",
     "truncation_plan",
@@ -375,32 +373,6 @@ def _random_first(
         "step_norm_ok": step_norm <= 4.0,
     }
     return _staged_result(q, profile, r, None, diagnostics)
-
-
-def syk_first_order_gate_count(
-    n: int,
-    k: int,
-    j_coupling: float,
-    t: float,
-    eps: float,
-    delta: float,
-    regime: str = "first-order-random-spectral",
-) -> float:
-    """SYK-normalized first-order gate count on n qubits.
-
-    G = (2 sqrt(2) / (k k!)) (n ln 2 + log(e^2/delta)) n^{k+1/2}
-    (J t)^2 / eps; the fixed-input variant keeps only log(e^2/delta).
-    """
-    log_term = _first_order_log_term(regime, n, delta)
-    return (
-        2.0
-        * math.sqrt(2.0)
-        / (k * math.factorial(k))
-        * log_term
-        * n ** (k + 0.5)
-        * (j_coupling * t) ** 2
-        / eps
-    )
 
 
 def _random_ho(

@@ -83,6 +83,8 @@ def _read_text(path: str) -> str:
         return p.read_text(encoding="utf-8")  # JSON text is UTF-8 (RFC 8259)
     except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read {path} as UTF-8: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _looks_fermionic(data: dict) -> bool:
@@ -148,7 +150,10 @@ def _csv_text(rows) -> str:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        pathlib.Path(out).write_text(text)
+        try:
+            pathlib.Path(out).write_text(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -533,6 +538,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         code, text = args.handler(args)
+        if text:
+            _emit(text, args.out)
     except json.JSONDecodeError as exc:
         print(
             f"error: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}",
@@ -542,8 +549,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except TrotterlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    if text:
-        _emit(text, args.out)
     return code
 
 

@@ -68,8 +68,6 @@ __all__ = [
     "TailRow",
     "sample_typical_error",
     "sample_random_hamiltonian",
-    "random_r_sweep",
-    "RSweepReport",
     "HypercontractivityCheck",
     "check_hypercontractivity",
     "fuzz_hypercontractivity",
@@ -384,55 +382,6 @@ def sample_random_hamiltonian(
             "gamma": model.gamma,
             "sigma": model.sigma,
         },
-    )
-
-
-@dataclass
-class RSweepReport:
-    r_values: tuple[int, ...]
-    mean_errors: tuple[float, ...]
-    standard_errors: tuple[float, ...]
-    slope_vs_r: float
-
-
-def random_r_sweep(
-    model: KLocalGaussianModel,
-    cfg: ExperimentConfig,
-    r_values: Sequence[int],
-) -> RSweepReport:
-    """Mean fixed-input error across a step-count sweep (paired draws).
-
-    The same Hamiltonian draws are reused at every r, so the fitted
-    log-log slope of mean error against r isolates the step-count
-    scaling (-1 at first order, leading behavior t^2/r).
-    """
-    if any(r < 1 for r in r_values):
-        raise ValidationError("need r >= 1 throughout the sweep")
-    if len(set(r_values)) < 2:
-        raise ValidationError("the slope against r needs at least two distinct r")
-    # The binary power, 4.02 at r = 107 (4.41 resident at n = 10); otherwise
-    # evolve's 3.39.
-    _check_dense(model.n, 4.5 if any(map(_holds_binary_power, r_values)) else 3.5)
-    seeds = _child_seeds(cfg.seed, cfg.samples)
-    per_r: dict[int, list[float]] = {r: [] for r in r_values}
-    for child in seeds:
-        h = model.sample(child)
-        # Columns are copied, so no full matrix outlives the line it is made on.
-        exact_col = evolve(h, cfg.t)[:, 0].copy()
-        for r in r_values:
-            approx = _trotter_power(h, cfg.t, r, cfg.order)[:, 0].copy()
-            per_r[r].append(float(np.linalg.norm(exact_col - approx)))
-    means, ses = [], []
-    for r in r_values:
-        m, s = _mean_se(per_r[r])
-        means.append(m)
-        ses.append(s)
-    slope = float(np.polyfit(np.log(np.asarray(r_values, dtype=float)), np.log(means), 1)[0])
-    return RSweepReport(
-        r_values=tuple(int(r) for r in r_values),
-        mean_errors=tuple(means),
-        standard_errors=tuple(ses),
-        slope_vs_r=slope,
     )
 
 

@@ -55,7 +55,6 @@ def test_deleted_names_are_gone(name):
         ("lab", "fuzz_hypercontractivity", "k_max"),
         ("lab", "fuzz_hypercontractivity", "p_values"),
         ("bounds", "gatecount", "n"),
-        ("bounds", "syk_first_order_gate_count", "d_local"),
         ("lab", "fermi_optimality_experiment", "cap_n"),
         ("lab", "check_order_condition", "cap_n"),
         ("lab", "optimality_experiment", "cap_n"),
@@ -116,6 +115,9 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("lab", "_with_identity_site"),
         ("lab", "_recenter_site"),
         ("dense._actions", "cache_clear"),
+        ("bounds", "syk_first_order_gate_count"),
+        ("lab", "random_r_sweep"),
+        ("lab", "RSweepReport"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):
@@ -135,7 +137,6 @@ def test_bounds_exports_are_pinned():
         "Table1Cell",
         "TABLE1_METHODS",
         "gatecount",
-        "syk_first_order_gate_count",
         "table1_exponents",
         "table1_all",
         "truncation_plan",

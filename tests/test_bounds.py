@@ -18,7 +18,6 @@ from trotterlab.bounds import (
     gatecount,
     markov_tail,
     solve_transcendental_floor,
-    syk_first_order_gate_count,
     table1_all,
     table1_exponents,
     truncation_plan,
@@ -303,27 +302,6 @@ def test_first_order_fixed_never_exceeds_spectral():
     qs = GateCountQuery(t=1.0, eps=0.1, order=1, regime="first-order-random-spectral")
     qf = GateCountQuery(t=1.0, eps=0.1, order=1, regime="first-order-random-fixed")
     assert gatecount(h, qf).r <= gatecount(h, qs).r
-
-
-def test_syk_first_order_gate_count_oracle():
-    n, k, j, t, eps, delta = 8, 2, 1.0, 1.0, 0.1, 0.1
-    log_term = n * math.log(2.0) + math.log(E**2 / delta)
-    expect = (
-        2 * math.sqrt(2.0) / (k * math.factorial(k))
-        * log_term
-        * n ** (k + 0.5)
-        * (j * t) ** 2
-        / eps
-    )
-    got = syk_first_order_gate_count(n, k, j, t, eps, delta)
-    assert got == pytest.approx(expect, rel=1e-12)
-    fixed = syk_first_order_gate_count(
-        n, k, j, t, eps, delta, regime="first-order-random-fixed"
-    )
-    assert fixed < got
-    assert fixed == pytest.approx(
-        expect * math.log(E**2 / delta) / log_term, rel=1e-12
-    )
 
 
 # ------------------------------------------------------------- baseline

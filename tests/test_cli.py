@@ -1193,6 +1193,64 @@ def test_missing_file_exits_2(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, out, message",
+    [
+        (
+            ["model", "--family", "chain-heisenberg", "--n", "4"],
+            "no/dir/x.json",
+            "No such file or directory",
+        ),
+        (["table1"], "no/t.json", "No such file or directory"),
+        (["table1"], "", "Is a directory"),
+    ],
+    ids=["model-missing-dir", "table1-missing-dir", "out-is-a-directory"],
+)
+def test_an_unwritable_out_exits_2(tmp_path, argv, out, message):
+    out_path = str(tmp_path / out)
+    code, stdout, err = _call([*argv, "--out", out_path])
+    assert (code, stdout) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write")
+    assert out_path in lines[0] and message in lines[0]
+    assert "Traceback" not in err
+
+
+def test_an_unreadable_file_exits_2(tmp_path, monkeypatch):
+    path = tmp_path / "h.json"
+    path.write_text('{"n": 1, "terms": [{"pauli": "X", "coeff": 1.0}]}')
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = _call(["norms", str(path)])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read")
+    assert str(path) in lines[0] and "Permission denied" in lines[0]
+    assert "Traceback" not in err
+
+
+class _FailingStdin(io.StringIO):
+    def read(self, *args):
+        raise OSError(5, "Input/output error")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["norms", "-"], ["gatecount", "-", "--t", "1", "--eps", "0.1"]],
+    ids=["norms", "gatecount"],
+)
+def test_an_unreadable_stdin_exits_2(argv, monkeypatch):
+    monkeypatch.setattr("sys.stdin", _FailingStdin())
+    code, out, err = _call(argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0] == "error: cannot read -: Input/output error"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "data, message",
     [
         (b'{"n": 1, "terms": [{"pauli": "X\xff", "coeff": 1.0}]}', "as UTF-8"),

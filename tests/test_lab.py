@@ -41,7 +41,6 @@ from trotterlab.lab import (
     pauli_two_norm,
     random_local_hamiltonian,
     random_local_operator,
-    random_r_sweep,
     sample_random_hamiltonian,
     sample_typical_error,
     support_components,
@@ -220,23 +219,18 @@ def test_random_hamiltonian_variance_scaling():
     assert ratio == pytest.approx(4.0, rel=0.15)
 
 
-def test_random_r_sweep_first_order_slope():
+def test_random_ensemble_first_order_slope():
     model = KLocalGaussianModel(n=4, k=2, seed=2)
-    cfg = ExperimentConfig(seed=17, samples=30, t=0.5, order=1)
-    sweep = random_r_sweep(model, cfg, r_values=(1, 2, 4, 8, 16))
-    assert sweep.slope_vs_r == pytest.approx(-1.0, abs=0.1)
-    assert all(a > b for a, b in zip(sweep.mean_errors, sweep.mean_errors[1:]))
-
-
-@pytest.mark.parametrize("r_values", [(4,), (1, 1)], ids=["one-r", "repeated-r"])
-def test_random_r_sweep_needs_two_distinct_r(r_values, capfd):
-    # One r gave a slope fitted to one point, with numpy's RankWarning; (1, 1)
-    # raised numpy's LinAlgError after LAPACK printed to stderr.
-    model = KLocalGaussianModel(n=3, k=2, seed=2)
-    cfg = ExperimentConfig(seed=0, samples=4, t=1.0, order=1)
-    with pytest.raises(ValidationError, match="two distinct r"):
-        random_r_sweep(model, cfg, r_values)
-    assert capfd.readouterr().err == ""
+    r_values = (1, 2, 4, 8, 16)
+    means = [
+        sample_random_hamiltonian(
+            model, ExperimentConfig(seed=17, samples=30, t=0.5, r=r, order=1)
+        ).mean_error
+        for r in r_values
+    ]
+    slope = np.polyfit(np.log(r_values), np.log(means), 1)[0]
+    assert slope == pytest.approx(-1.0, abs=0.1)
+    assert all(a > b for a, b in zip(means, means[1:]))
 
 
 def _traced_peak(fn) -> int:
@@ -246,15 +240,6 @@ def _traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-
-
-def test_random_r_sweep_holds_no_full_matrix_past_its_line():
-    # A view of e^{iHt}'s first column kept the whole matrix alive through
-    # every power (5.01 matrices at r = 107, 6.01 with the last power's
-    # column view); with the columns copied, the binary power peaks: 4.01.
-    model = KLocalGaussianModel(n=8, k=2, seed=3)
-    cfg = ExperimentConfig(seed=3, samples=1, t=1.0, order=2)
-    assert _traced_peak(lambda: random_r_sweep(model, cfg, (107, 108))) <= 4.25 * 16 * 4**8
 
 
 _SYK8_MODEL = KLocalGaussianModel(n=8, k=2, seed=3)
@@ -285,9 +270,6 @@ def _dense_entries():
         cfg = ExperimentConfig(seed=3, samples=1, t=1.0, r=r, order=2)
         yield f"sample_random_hamiltonian-r{r}", lambda cfg=cfg: sample_random_hamiltonian(
             _SYK8_MODEL, cfg
-        )
-        yield f"random_r_sweep-r{r}", lambda cfg=cfg, r=r: random_r_sweep(
-            _SYK8_MODEL, cfg, (r, r + 1)
         )
 
 
