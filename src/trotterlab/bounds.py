@@ -120,13 +120,16 @@ def _profile_of(h: HamiltonianLike) -> NormProfile:
 
 
 def _empty_result(regime: str, order: int) -> GateCountResult:
+    # The baseline counts one asymptotic exponential per term, empty or not.
+    baseline = regime == "spectral-1norm-baseline"
     return GateCountResult(
         regime=regime,
         r=0,
         gate_count=0.0,
         gamma=0,
-        upsilon=stage_count(order),
+        upsilon=1 if baseline else stage_count(order),
         p_star=None,
+        asymptotic=baseline,
         diagnostics={"empty_hamiltonian": True},
     )
 

@@ -59,7 +59,7 @@ def _check_dense(n: int, matrices: float) -> None:
     draw (one complex coset block); n = 10 reads the same or lower.  It
     also bounds the same calls' resident peaks (VmHWM) at n = 10 and 11,
     which read up to 0.4 matrices above the traced ones at n = 10: every
-    LAPACK workspace is a numpy array (see ``_eigh``).  Above n = 64 the
+    LAPACK workspace is a numpy array (see ``_heevd``).  Above n = 64 the
     bytes are counted at n = 64, 2^132 and more, so 4**n is never formed."""
     nbytes = math.ceil(matrices * 16 * 4 ** min(n, 64))
     check_budget(nbytes, f"dense work on {n} qubits needs")
@@ -146,20 +146,18 @@ def _weights(act: _Actions) -> np.ndarray:
     return weights if weights.imag.any() else weights.real
 
 
-def _blocks(act: _Actions, transposed: bool = False) -> np.ndarray:
-    """The (blocks, k, k) stack of the sum, real when every term is; with
-    ``transposed``, the stack of the blocks' transposes, whose C-ordered
-    buffer is each block in Fortran order."""
+def _blocks(act: _Actions) -> np.ndarray:
+    """The (blocks, k, k) stack of the blocks' transposes, real when every
+    term is: its C-ordered buffer holds each block in Fortran order, as
+    ``_heevd`` takes it."""
     weights = _weights(act)
     index = act.index
     blocks, k = index.shape
     out = np.zeros((blocks, k, k), weights.dtype)
     cols = np.arange(k)
-    # Column a of P holds its value at row a ^ shift, one scatter per term.
+    # Row a of the transpose holds P's column a, its value at a ^ shift.
     for t, weight in enumerate(weights.tolist()):
-        rows = cols ^ act.shift[t]
-        entries = (slice(None), cols, rows) if transposed else (slice(None), rows, cols)
-        out[entries] += _term_values(act, t, index, weight)
+        out[:, cols, cols ^ act.shift[t]] += _term_values(act, t, index, weight)
     return out
 
 
@@ -175,34 +173,43 @@ def _transpose_in_place(a: np.ndarray) -> None:
         a[hi:, lo:hi] = strip.T
 
 
-def _eigh(act: _Actions) -> tuple[np.ndarray, np.ndarray]:
-    """(w, v) of the block stack, with ``np.linalg.eigh``'s bits at one BLAS
-    thread (with more, scipy's OpenBLAS may split the work otherwise).
+def _heevd(stack: np.ndarray, vectors: bool) -> np.ndarray:
+    """The eigenvalues, ascending, of each Hermitian block of a C-ordered
+    (blocks, k, k) stack whose buffers hold the blocks in Fortran order, from
+    the lower triangle; with ``vectors``, the blocks become the eigenvectors,
+    as columns, in C order.
 
-    ``np.linalg.eigh`` copies each block and mallocs LAPACK's workspace out
-    of tracemalloc's sight: three more matrices on a one-block H.  Here each
-    block is assembled transposed, so its buffer is the block in Fortran
-    order, which the same driver (``?heevd``/``?syevd``, lower triangle,
-    queried workspace) overwrites with the eigenvectors; they are then
-    transposed back in place.
+    ``zheevd``, or ``dsyevd`` for a real stack, runs in each block's buffer
+    with the queried workspace, as ``np.linalg.eigh`` and ``scipy.linalg.eigh(
+    driver="evd")`` call it (their bits at one BLAS thread), with no copy and
+    no workspace out of tracemalloc's sight: three matrices fewer on a
+    one-block H.  The eigenvectors are transposed back in place: read in LAPACK's
+    layout, small blocks would take another OpenBLAS kernel and other bits.
     """
-    blocks, k = act.index.shape
-    stack = _blocks(act, transposed=True)
+    blocks, k, _ = stack.shape
+    compute_v = int(vectors)
     if np.iscomplexobj(stack):
-        lwork, liwork, lrwork, _ = _flapack.zheevd_lwork(k, compute_v=1, lower=1)
+        lwork, liwork, lrwork, _ = _flapack.zheevd_lwork(k, compute_v=compute_v, lower=1)
         driver = functools.partial(
             _flapack.zheevd, lwork=int(lwork.real), liwork=int(liwork), lrwork=int(lrwork)
         )
     else:
-        lwork, liwork, _ = _flapack.dsyevd_lwork(k, compute_v=1, lower=1)
+        lwork, liwork, _ = _flapack.dsyevd_lwork(k, compute_v=compute_v, lower=1)
         driver = functools.partial(_flapack.dsyevd, lwork=int(lwork), liwork=int(liwork))
     w = np.empty((blocks, k))
     for block, a in zip(w, stack):
-        block[:], _, info = driver(a.T, compute_v=1, lower=1, overwrite_a=1)
+        block[:], _, info = driver(a.T, compute_v=compute_v, lower=1, overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"eigenvalues not found (?heevd info={info})")
-        _transpose_in_place(a)
-    return w, stack
+        if vectors:
+            _transpose_in_place(a)
+    return w
+
+
+def _eigh(act: _Actions) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v) of H's block stack, v's blocks in C order."""
+    stack = _blocks(act)
+    return _heevd(stack, True), stack
 
 
 def _block_entries(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +235,7 @@ def to_matrix(obj: MatrixLike) -> np.ndarray:
         raise TypeError(f"cannot build a matrix from {type(obj).__name__}")
     _check_dense(obj.n, 2.25)  # 1.51 on the chain, 2.13 on SYK
     act = _actions(obj)
-    return _assembled(act.index, _blocks(act))
+    return _assembled(act.index, _blocks(act).swapaxes(1, 2))
 
 
 def sites_of(matrix: np.ndarray) -> int:
@@ -543,32 +550,13 @@ def _schatten_from_singular_values(
     return val
 
 
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """The eigenvalues of a Hermitian complex matrix, ascending, read from its
-    lower triangle; a Fortran-ordered a is overwritten.
-
-    This is the LAPACK call of ``scipy.linalg.eigh(a, driver="evd",
-    eigvals_only=True, overwrite_a=True)``: ``zheevd`` with the workspace
-    sizes ``zheevd_lwork`` returns, each rounded by ``int()``, so the bits
-    are the same.
-    """
-    lwork, liwork, lrwork, _ = _flapack.zheevd_lwork(len(a), compute_v=0, lower=1)
-    w, _, info = _flapack.zheevd(
-        a, compute_v=0, lower=1, lwork=int(lwork.real), liwork=int(liwork),
-        lrwork=int(lrwork), overwrite_a=1,
-    )
-    if info != 0:
-        raise np.linalg.LinAlgError(f"eigenvalues not found (zheevd info={info})")
-    return w
-
-
 def _singular_values(m: np.ndarray) -> np.ndarray:
     """The singular values of a finite matrix, descending, as
     sqrt(max(lambda, 0)) over the eigenvalues lambda of its Gram matrix.
 
     ``zherk`` forms the Gram matrix on m's own buffer (a C-ordered m is its
     transpose in Fortran order, which has the same singular values) and
-    ``_eigvalsh`` takes its eigenvalues in place, so one matrix of m's size
+    ``_heevd`` takes its eigenvalues in place, so one matrix of m's size
     is alive besides m.  Squaring costs precision: the largest singular
     value and every Schatten p-norm with p >= 2 are accurate to relative
     O(dim eps), while each sigma is accurate only to absolute
@@ -588,7 +576,7 @@ def _singular_values(m: np.ndarray) -> np.ndarray:
         del gram
         exponent = math.frexp(float(np.abs(a).max()))[1]
         gram = _fblas.zherk(1.0, a * math.ldexp(1.0, -exponent), trans=trans, lower=1)
-    lam = _eigvalsh(gram)
+    lam = _heevd(gram.T[None], False)[0]
     with np.errstate(over="ignore"):  # a sigma past the range reads inf
         return np.ldexp(np.sqrt(np.maximum(lam[::-1], 0.0)), exponent)
 

@@ -297,9 +297,17 @@ def sample_random_hamiltonian(
 
     Per draw: the exact error operator at (t, r, order), its spectral
     and normalized Schatten norms, the l2 error on the fixed input
-    |0...0>, and the pure-state trace distance (checked per sample
-    against its 2x l2-error ceiling).
+    |0...0>, and the pure-state trace distance.  The input is always
+    |0...0>, so only the default ``ensemble`` is accepted; "haar" raises
+    ``ValidationError``.  The trace distance is computed as
+    td = sqrt(max(0, l2^2 - |<a, d>|^2)) <= l2, so the count of draws past
+    its 2 l2 ceiling, ``trace_distance_violations``, is 0 by construction.
     """
+    if cfg.ensemble != "basis-1-design":
+        raise ValidationError(
+            f"the random-Hamiltonian ensemble reads only the fixed input |0...0>, "
+            f"not the {cfg.ensemble!r} ensemble"
+        )
     # The binary power next to the exact evolution: 5.01 at r = 107 and
     # 4.01 at 4096 (5.40 resident at r = 107 and n = 10).  Otherwise
     # evolve's 3.39 (3.48 resident at r = 4097 and n = 10).

@@ -30,7 +30,13 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PartitionError, ValidationError, check_finite
+from .errors import (
+    DimensionMismatchError,
+    PartitionError,
+    ValidationError,
+    check_budget,
+    check_finite,
+)
 
 MERGE_TOL = 1e-14
 _HERMITICITY_TOL = 1e-12
@@ -388,8 +394,13 @@ def _products(a: _Rows, b: _Rows) -> _Rows:
         k = |x_i & z_i| + |x'_i & z'_i| + 2 |z_i & x'_i| - |x & z|  (mod 4).
 
     Each coefficient is ``_times`` of the two factors', then of i**k where
-    k is nonzero, as ``_ingest`` folds a string's phase.
+    k is nonzero, as ``_ingest`` folds a string's phase.  The rows are
+    counted against the memory budget before any is formed.
     """
+    rows = math.prod(np.broadcast_shapes(a.c.shape, b.c.shape))
+    # The products and their merge traced 83-94, 110-131 and 163-196 bytes
+    # per row at 1, 2 and 4 plane words.
+    check_budget(rows * (64 + 40 * a.x.shape[-1]), f"{rows} Pauli products need")
     x, z = a.x ^ b.x, a.z ^ b.z
     k = _popcount(a.x & a.z) + _popcount(b.x & b.z) + 2 * _popcount(a.z & b.x)
     k = ((k - _popcount(x & z)) % 4).ravel()

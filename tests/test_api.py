@@ -59,10 +59,12 @@ def test_deleted_names_are_gone(name):
         ("lab", "check_order_condition", "cap_n"),
         ("lab", "optimality_experiment", "cap_n"),
         ("lab", "check_uniform_smoothness", "n"),
+        ("dense", "_blocks", "transposed"),
     ],
 )
 def test_parameters_the_input_fixes_are_gone(module, function, parameter):
-    # n is read off the Hamiltonian or the matrix; the sites are qubits.
+    # n is read off the Hamiltonian or the matrix; the sites are qubits; the
+    # coset block stack is built in one layout.
     fn = getattr(getattr(trotterlab, module), function)
     assert parameter not in inspect.signature(fn).parameters
 
@@ -118,6 +120,7 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("bounds", "syk_first_order_gate_count"),
         ("lab", "random_r_sweep"),
         ("lab", "RSweepReport"),
+        ("dense", "_eigvalsh"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):

@@ -317,6 +317,15 @@ def test_baseline_1norm_values_and_flags():
     assert zero.gate_count == 0.0 and zero.r == 0
 
 
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_empty_baseline_reports_the_baseline_flags(order):
+    q = GateCountQuery(t=1.0, eps=0.1, order=order, regime="spectral-1norm-baseline")
+    empty = gatecount(PauliHamiltonian(2, ()), q)
+    assert empty.r == 0 and empty.diagnostics["empty_hamiltonian"] is True
+    full = gatecount(chain8(), q)
+    assert (empty.upsilon, empty.asymptotic) == (full.upsilon, full.asymptotic) == (1, True)
+
+
 def test_baseline_equals_typical_for_disjoint_supports():
     # Commuting single-site field: per-site overlap norms agree in both
     # the 1-norm and 2-norm conventions, so the baseline matches the

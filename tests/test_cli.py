@@ -1034,6 +1034,17 @@ def test_simulate_random_family(capsys):
     assert violations and violations[0][2] == "0"
 
 
+def test_simulate_random_family_refuses_the_haar_ensemble(capsys):
+    # The random-Hamiltonian ensemble reads only |0...0>: a Haar request
+    # would print the basis-1-design numbers under another name.
+    code, out, err = run(
+        capsys, "simulate", "--family", "k-local-syk", "--n", "4", "--k", "2", "--seed", "3",
+        "--samples", "5", "--t", "0.5", "--r", "2", "--ensemble", "haar",
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'haar'" in err and len(err.splitlines()) == 1
+
+
 def test_simulate_requires_one_input(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", "--seed", "1", "--t", "0.5")
     assert code == 2 and "exactly one" in err

@@ -297,7 +297,7 @@ def test_schur_power_large_r_stays_unitary():
 def test_eigh_is_bit_identical_to_numpy(h):
     act = dense._actions(h)
     w, v = dense._eigh(act)
-    w0, v0 = np.linalg.eigh(dense._blocks(act))
+    w0, v0 = np.linalg.eigh(dense._blocks(act).swapaxes(1, 2))
     assert np.array_equal(w, w0) and np.array_equal(v, v0)
     assert v.flags.c_contiguous
 
@@ -591,7 +591,7 @@ def _batched_evolve(h, t):
     """evolve as it formed the whole block stack in one batched product,
     before it wrote the blocks one at a time; kept as the oracle."""
     act = dense._actions(h)
-    w, v = np.linalg.eigh(dense._blocks(act))
+    w, v = np.linalg.eigh(dense._blocks(act).swapaxes(1, 2))
     if np.iscomplexobj(v):
         blocks = (v * np.exp(1j * t * w)[:, None, :]) @ np.conjugate(v).swapaxes(1, 2)
     else:
@@ -725,7 +725,7 @@ def test_complex_exact_panels_are_bit_identical_to_the_whole_block_product(
     monkeypatch.setattr(dense, "_PANEL", panel)
     act = dense._actions(h)
     assert act.index.shape[0] == blocks
-    w, v = np.linalg.eigh(dense._blocks(act))
+    w, v = np.linalg.eigh(dense._blocks(act).swapaxes(1, 2))
     assert np.iscomplexobj(v)
     t = 1.3
     expected = _whole_block_exact(act, w, v.copy(), t)
@@ -840,7 +840,7 @@ def test_gram_eigenvalues_are_bit_identical_to_scipy_eigh(dim, order):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     gram = np.array(a.conj().T @ a, order=order)
     expected = scipy.linalg.eigh(gram.copy(order="K"), driver="evd", eigvals_only=True, overwrite_a=True)
-    assert np.array_equal(dense._eigvalsh(gram.copy(order="K")), expected)
+    assert np.array_equal(dense._heevd(gram.copy(order="K").T[None], False)[0], expected)
 
 
 def test_a_failed_eigenvalue_call_raises_linalg_error(monkeypatch):
@@ -855,6 +855,28 @@ def test_a_failed_eigenvalue_call_raises_linalg_error(monkeypatch):
     )
     with pytest.raises(np.linalg.LinAlgError, match="info=2"):
         dense._singular_values(np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "h, name",
+    [
+        (chain_heisenberg(4), "dsyevd"),
+        (KLocalGaussianModel(n=4, k=2, seed=3).sample(np.random.SeedSequence(1)), "zheevd"),
+    ],
+    ids=["real-blocks", "complex-block"],
+)
+def test_a_failed_eigenvector_call_raises_linalg_error(h, name, monkeypatch):
+    lapack = dense._flapack
+
+    def failing_driver(*args, **kwargs):
+        w, v, _ = getattr(lapack, name)(*args, **kwargs)
+        return w, v, 3
+
+    lwork = f"{name}_lwork"
+    stub = SimpleNamespace(**{lwork: getattr(lapack, lwork), name: failing_driver})
+    monkeypatch.setattr(dense, "_flapack", stub)
+    with pytest.raises(np.linalg.LinAlgError, match="info=3"):
+        evolve(h, 1.0)
 
 
 def test_schatten_norm_rejects_a_non_finite_matrix():
@@ -887,7 +909,7 @@ def test_schatten_norm_matches_an_svd_across_the_float_range(scale, p):
 def test_in_range_singular_values_take_one_unscaled_gram_matrix():
     a = np.asfortranarray(_square * 1e150)
     gram = dense._fblas.zherk(1.0, a, trans=0, lower=1)
-    expected = np.sqrt(np.maximum(dense._eigvalsh(gram)[::-1], 0.0))
+    expected = np.sqrt(np.maximum(dense._heevd(gram.T[None], False)[0][::-1], 0.0))
     assert np.array_equal(dense._singular_values(a), expected)
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from trotterlab.errors import (
     DimensionMismatchError,
     PartitionError,
+    ResourceCapError,
     ValidationError,
 )
 from trotterlab.norms import _term_data
@@ -965,6 +966,26 @@ def test_product_merge_memory_stays_near_the_product_rows():
         tracemalloc.stop()
     assert (op.gamma, product.gamma) == (457, 51046)
     assert peak < 100 * op.gamma**2
+
+
+@pytest.mark.parametrize(
+    "product", [PauliSum.__mul__, commutator_sum], ids=["mul", "commutator"]
+)
+def test_pauli_products_are_refused_past_the_budget_before_they_allocate(monkeypatch, product):
+    # 560 x 560 products of a 16-site k = 3 draw: about 25 MiB traced when
+    # they are formed and merged, against a 1 MiB budget.
+    from trotterlab.models import KLocalGaussianModel
+
+    f = KLocalGaussianModel(n=16, k=3, seed=0).sample(1)
+    monkeypatch.setattr("trotterlab.errors._MEMORY_BYTES", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="313600 Pauli products"):
+            product(f, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 # ---------------------------------------------------------------------------
