@@ -205,43 +205,24 @@ def _constrained_steps(q, k, ck, c1, eta, r, p_target, bp_of, c2_over_c1):
 
 
 def solve_transcendental_floor(k: int, order: int) -> float:
-    """Unique solution > e of x = 2 (e (order+1))**(k-1) ln**(k-1) (x).
+    """Unique solution > e of x = f(x) = 2 (e (order+1))**(k-1) ln**(k-1) (x).
 
-    Damped fixed-point iteration from the large side, with a bisection
-    fallback on [e, 1e15]; 1e-10 relative tolerance.
+    Damped fixed-point iteration x <- (x + f(x))/2 to 1e-12 relative.  f is
+    increasing and f(x) > x on [e, x*), so the iterates move monotonically
+    to the root from either side.  Raises ``OverflowError`` where f leaves
+    the float range before converging: the root is then past it as well.
     """
     if k < 2:
         raise ValidationError("transcendental floor requires k >= 2")
     coeff = 2.0 * (math.e * (order + 1.0)) ** (k - 1)
-
-    def fmap(x: float) -> float:
-        return coeff * math.log(x) ** (k - 1)
-
     x = (2.0 * math.e * (order + 1.0)) ** k
-    converged = False
-    for _ in range(500):
-        nx = fmap(x)
-        if nx <= math.e:
-            break
+    while True:
+        nx = coeff * math.log(x) ** (k - 1)
+        if not math.isfinite(nx):
+            raise OverflowError("the transcendental floor exceeds the float range")
         if abs(nx - x) <= 1e-12 * max(1.0, abs(x)):
-            x = nx
-            converged = True
-            break
+            return nx
         x = 0.5 * (x + nx)
-    if converged and abs(x - fmap(x)) <= 1e-10 * max(1.0, x):
-        return x
-    lo, hi = math.e, R_LIMIT
-    if lo - fmap(lo) > 0:
-        return lo
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if mid - fmap(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-10 * max(1.0, lo):
-            break
-    return 0.5 * (lo + hi)
 
 
 def _nonrandom(
@@ -344,16 +325,6 @@ def _nonrandom(
     return _staged_result(q, profile, r, p_star, diagnostics, feasible)
 
 
-def _first_order_log_term(regime: str, n: int, delta: float) -> float:
-    """log(e^2/delta), plus n ln 2 (the n qubits' ln dim) in the spectral regime."""
-    if regime not in ("first-order-random-spectral", "first-order-random-fixed"):
-        raise ValidationError("regime must be a first-order-random variant")
-    log_term = math.log(math.e**2 / delta)
-    if regime == "first-order-random-spectral":
-        log_term += n * math.log(2)
-    return log_term
-
-
 def _random_first(
     h: HamiltonianLike, profile: NormProfile, q: GateCountQuery
 ) -> GateCountResult:
@@ -363,7 +334,9 @@ def _random_first(
     |H|_(0),2 |H|_(1),2 t^2 / eps on the n = ``h.n`` qubits.  The
     fixed-input regime drops the n ln 2 term.  Logarithms are natural.
     """
-    log_term = _first_order_log_term(q.regime, h.n, q.delta)
+    log_term = math.log(math.e**2 / q.delta)
+    if q.regime == "first-order-random-spectral":
+        log_term += h.n * math.log(2)
     h02, h12 = profile.norm(0, 2), profile.norm(1, 2)
     r_real = 2.0 * math.sqrt(2.0) * log_term * h02 * h12 * q.t**2 / q.eps
     r = max(1, math.ceil(r_real)) if q.t > 0 else 0

@@ -267,7 +267,6 @@ def _report_rows(rep) -> list[tuple]:
     if rep.kind == "random-hamiltonian":
         extras = rep.extras
         rows.append(row("trace-distance-mean", None, extras["trace_distance_mean"]))
-        rows.append(row("trace-distance-violations", None, extras["trace_distance_violations"], 0))
         fixed = extras["fixed_quantiles"]
         rows += [row(f"fixed-quantile-{q}", None, fixed[q]) for q in sorted(fixed)]
     return rows

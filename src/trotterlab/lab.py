@@ -299,9 +299,7 @@ def sample_random_hamiltonian(
     and normalized Schatten norms, the l2 error on the fixed input
     |0...0>, and the pure-state trace distance.  The input is always
     |0...0>, so only the default ``ensemble`` is accepted; "haar" raises
-    ``ValidationError``.  The trace distance is computed as
-    td = sqrt(max(0, l2^2 - |<a, d>|^2)) <= l2, so the count of draws past
-    its 2 l2 ceiling, ``trace_distance_violations``, is 0 by construction.
+    ``ValidationError``.
     """
     if cfg.ensemble != "basis-1-design":
         raise ValidationError(
@@ -318,7 +316,6 @@ def sample_random_hamiltonian(
     fixed_errors: list[float] = []
     trace_distances: list[float] = []
     powers: dict[float, list[float]] = {p: [] for p in cfg.p_values}
-    td_violations = 0
     for child in seeds:
         h = model.sample(child)
         # The difference is formed in the exact evolution's buffer, keeping
@@ -339,10 +336,7 @@ def sample_random_hamiltonian(
         # equal for unit vectors, without the cancellation of 1 - |<a, b>|^2
         # when b is close to a.
         along = abs(complex(np.vdot(a, err_op[:, 0])))
-        td = math.sqrt(max(0.0, l2 * l2 - along * along))
-        trace_distances.append(td)
-        if td > 2.0 * l2 + 1e-12:
-            td_violations += 1
+        trace_distances.append(math.sqrt(max(0.0, l2 * l2 - along * along)))
 
     spectral_mean, spectral_se = _mean_se(spectrals)
     fixed_mean, fixed_se = _mean_se(fixed_errors)
@@ -386,7 +380,6 @@ def sample_random_hamiltonian(
                 for eps in cfg.eps_grid
             },
             "trace_distance_mean": _mean_se(trace_distances)[0],
-            "trace_distance_violations": td_violations,
             "gamma": model.gamma,
             "sigma": model.sigma,
         },

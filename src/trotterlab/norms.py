@@ -122,8 +122,6 @@ def _norm_pair(data: _TermData, c: int) -> tuple[float, float]:
     if c == 0:
         return _sequential_sum(b), math.sqrt(_sequential_sum(b2))
     index, owner = _subset_incidence(data, c)
-    if not len(index):
-        return 0.0, 0.0
     ones = np.bincount(index, weights=b[owner])
     twos = np.bincount(index, weights=b2[owner])
     return float(ones.max()), math.sqrt(twos.max())

@@ -383,6 +383,15 @@ def _anticommuting(a: _Rows, b: _Rows) -> np.ndarray:
     return _popcount((a.x & b.z) ^ (a.z & b.x)) % 2 == 1
 
 
+def _check_products(rows: int, words: int) -> None:
+    """Refuse ``rows`` products of ``words``-word planes over the memory budget.
+
+    The products and their merge traced 83-94, 110-131 and 163-196 bytes
+    per row at 1, 2 and 4 plane words.
+    """
+    check_budget(rows * (64 + 40 * words), f"{rows} Pauli products need")
+
+
 def _products(a: _Rows, b: _Rows) -> _Rows:
     """The products a_i b_i row by row, broadcast as numpy arrays are and
     flattened: rows shaped (m, 1, words), (1, n, words) give every a_i b_j.
@@ -397,10 +406,7 @@ def _products(a: _Rows, b: _Rows) -> _Rows:
     k is nonzero, as ``_ingest`` folds a string's phase.  The rows are
     counted against the memory budget before any is formed.
     """
-    rows = math.prod(np.broadcast_shapes(a.c.shape, b.c.shape))
-    # The products and their merge traced 83-94, 110-131 and 163-196 bytes
-    # per row at 1, 2 and 4 plane words.
-    check_budget(rows * (64 + 40 * a.x.shape[-1]), f"{rows} Pauli products need")
+    _check_products(math.prod(np.broadcast_shapes(a.c.shape, b.c.shape)), a.x.shape[-1])
     x, z = a.x ^ b.x, a.z ^ b.z
     k = _popcount(a.x & a.z) + _popcount(b.x & b.z) + 2 * _popcount(a.z & b.x)
     k = ((k - _popcount(x & z)) % 4).ravel()
@@ -599,6 +605,7 @@ def leading_error(
     if order == 1:
         # [H_b, H_a] = 2 H_b H_a where the strings anticommute, else 0.
         later, earlier = _anticommuting_pairs(rows)
+        _check_products(len(later), rows.x.shape[-1])
         doubled = rows._replace(c=_scaled(rows.c, 2.0))
         x, z, c = _products(_take(doubled, later), _take(rows, earlier))
         return LeadingError(PauliSum(n, _Rows(x, z, _scaled(c, -0.5))), 2)
@@ -697,17 +704,6 @@ class FermionTerm:
     def has_ladder(self) -> bool:
         """True iff the term contains any creation/annihilation factor."""
         return any(kind != OCCUPATION for _, kind in self.factors)
-
-    def adjoint(self) -> "FermionTerm":
-        flipped = []
-        for site, kind in reversed(self.factors):
-            if kind == CREATE:
-                flipped.append((site, ANNIHILATE))
-            elif kind == ANNIHILATE:
-                flipped.append((site, CREATE))
-            else:
-                flipped.append((site, kind))
-        return FermionTerm(tuple(flipped), self.coeff, self.eta)
 
 
 class FermionHamiltonian:
@@ -964,12 +960,17 @@ def fermion_from_json(data: Mapping) -> FermionHamiltonian:
     for value in (eta, *(coeff for _, coeff in raw)):
         if not math.isfinite(value):
             raise ValidationError(f"fermionic JSON holds the non-finite value {value!r}")
-    # The Jordan-Wigner merge would drop a nonzero coefficient below MERGE_TOL.
+    # On each site a term's ladder factors multiply to a raising or lowering
+    # operator or a projector, of Pauli coefficients 1/2, so each Jordan-Wigner
+    # string of a term on S sites has magnitude |coeff| 2**-S.  The merge
+    # would drop a nonzero one below MERGE_TOL.
     for factors, coeff in raw:
-        if 0 < abs(coeff) < MERGE_TOL:
+        size = abs(coeff) * 0.5 ** len({site for site, _ in factors})
+        if coeff and size < MERGE_TOL:
             ops = json.dumps([[kind, site] for site, kind in factors])
             raise ValidationError(
-                f"coefficient {coeff!r} of the term {ops} is below {MERGE_TOL} in "
-                "magnitude and would be dropped; rescale the Hamiltonian"
+                f"coefficient {coeff!r} of the term {ops} gives Jordan-Wigner strings of "
+                f"magnitude {size!r}, below {MERGE_TOL}, which would be dropped; "
+                "rescale the Hamiltonian"
             )
     return FermionHamiltonian(n, (FermionTerm(factors, coeff, eta) for factors, coeff in raw))

@@ -121,6 +121,8 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("lab", "random_r_sweep"),
         ("lab", "RSweepReport"),
         ("dense", "_eigvalsh"),
+        ("pauli.FermionTerm", "adjoint"),
+        ("bounds", "_first_order_log_term"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):

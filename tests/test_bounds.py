@@ -1,5 +1,6 @@
 """Gate-count calculators: independent arithmetic oracles and invariants."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -216,6 +217,46 @@ def test_transcendental_floor_k2_ell2_value():
     # x = 6 e ln x has its large root near 69.1
     x = solve_transcendental_floor(2, 2)
     assert 60 < x < 80
+
+
+def test_transcendental_floor_returns_a_root_or_overflows():
+    # Every k >= 2 whose start (2 e (order+1))**k is finite.  Below the first
+    # k of each order in `overflow_from` the iteration converges; the digest
+    # pins the 772 roots' reprs as the solver with a bisection fallback gave
+    # them.  From that k on the root lies past the float range.  The fallback
+    # returned its bracket end 999999999969496.8 for the first 468 of those,
+    # which is not a root; every one now raises OverflowError.
+    overflow_from = {
+        1: 87, 2: 83, 3: 81, 4: 79, 6: 76, 8: 74, 10: 73, 20: 68, 50: 63, 100: 60, 1000: 50
+    }
+    roots, overflows = [], 0
+    for ell, first in overflow_from.items():
+        for k in itertools.count(2):
+            try:
+                (2.0 * E * (ell + 1.0)) ** k
+            except OverflowError:
+                break
+            if k < first:
+                x = solve_transcendental_floor(k, ell)
+                rhs = 2.0 * (E * (ell + 1)) ** (k - 1) * math.log(x) ** (k - 1)
+                assert x == pytest.approx(rhs, rel=1e-10)
+                roots.append((k, ell, x))
+            else:
+                with pytest.raises(OverflowError):
+                    solve_transcendental_floor(k, ell)
+                overflows += 1
+    assert (len(roots), overflows) == (772, 1231)
+    digest = hashlib.sha256(repr(roots).encode()).hexdigest()
+    assert digest == "993f377c5858da0909a80cd4a416bb5beb21d8e36089b3e474d278c95738125f"
+
+
+def test_gatecount_reports_a_transcendental_floor_overflow_as_bad_input(monkeypatch):
+    def overflow(k, order):
+        raise OverflowError("the transcendental floor exceeds the float range")
+
+    monkeypatch.setattr("trotterlab.bounds.solve_transcendental_floor", overflow)
+    with pytest.raises(ValidationError, match="the transcendental floor exceeds the float range"):
+        gatecount(chain_heisenberg(4), GateCountQuery(t=1.0, eps=0.1, delta=0.1, order=2))
 
 
 # -------------------------------------------------------- random paths

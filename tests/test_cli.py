@@ -916,17 +916,39 @@ def test_sub_tolerance_coefficients_are_refused_not_dropped(argv, monkeypatch):
     ],
     ids=["gatecount", "norms", "simulate"],
 )
-def test_sub_tolerance_fermionic_coefficients_are_refused_not_dropped(argv, monkeypatch):
+@pytest.mark.parametrize("coeff, string", [(1e-15, "2.5e-16"), (1.5e-14, "3.75e-15")])
+def test_sub_tolerance_fermionic_coefficients_are_refused_not_dropped(argv, coeff, string, monkeypatch):
     # The planner read this hopping pair as written (gatecount exit 0), while
-    # its Jordan-Wigner image, merged, was the empty Hamiltonian.
-    hop = [{"ops": [["+", 0], ["-", 1]], "coeff": 1e-15}, {"ops": [["+", 1], ["-", 0]], "coeff": 1e-15}]
+    # its Jordan-Wigner image, merged, was the empty Hamiltonian.  Each string
+    # of a two-factor term is coeff/4, so 1.5e-14 merges away as well.
+    hop = [{"ops": [["+", 0], ["-", 1]], "coeff": coeff}, {"ops": [["+", 1], ["-", 0]], "coeff": coeff}]
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 2, "terms": hop})))
     code, out, err = _call(argv)
     assert (code, out) == (2, "")
     assert err == (
-        'error: coefficient 1e-15 of the term [["+", 0], ["-", 1]] is below 1e-14 in '
-        "magnitude and would be dropped; rescale the Hamiltonian\n"
+        f'error: coefficient {coeff!r} of the term [["+", 0], ["-", 1]] gives Jordan-Wigner '
+        f"strings of magnitude {string}, below 1e-14, which would be dropped; rescale the "
+        "Hamiltonian\n"
     )
+
+
+def test_gatecount_exits_3_when_the_constraint_doublings_pass_the_step_limit(
+    tmp_path, capsys, monkeypatch
+):
+    # This draw needs 5 doublings from r = 29332 at order 2 (r = 938624).
+    # Once r passes R_LIMIT the plan stops doubling and is printed as infeasible.
+    path = str(tmp_path / "syk8.json")
+    argv = ["--family", "k-local-syk", "--n", "8", "--k", "3", "--seed", "1", "--out", path]
+    run(capsys, "model", *argv)
+    monkeypatch.setattr("trotterlab.bounds.R_LIMIT", 1e5)
+    code, out, err = run(
+        capsys, "gatecount", path, "--t", "1", "--eps", "0.1",
+        "--regime", "random-spectral", "--order", "2",
+    )
+    res = json.loads(out)
+    assert (code, err, res["feasible"]) == (3, "", False)
+    assert (res["r"], res["diagnostics"]["constraint_doublings"]) == (117328, 2)
+    assert res["diagnostics"]["constraint_2_ok"] is False
 
 
 def test_gatecount_first_order_regime_rejects_order_two(chain8, capsys):
@@ -1029,9 +1051,9 @@ def test_simulate_random_family(capsys):
         "0.3",
     )
     assert code == 0
-    rows = [line.split(",") for line in out.splitlines()[2:]]
-    violations = [row for row in rows if row[0] == "trace-distance-violations"]
-    assert violations and violations[0][2] == "0"
+    names = [line.split(",")[0] for line in out.splitlines()[2:]]
+    # td <= l2 by construction, so a count of draws past 2 l2 could only read 0.
+    assert "trace-distance-mean" in names and "trace-distance-violations" not in names
 
 
 def test_simulate_random_family_refuses_the_haar_ensemble(capsys):

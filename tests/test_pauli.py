@@ -988,6 +988,33 @@ def test_pauli_products_are_refused_past_the_budget_before_they_allocate(monkeyp
     assert peak < 2**16
 
 
+def test_leading_error_refuses_its_products_before_taking_their_rows(monkeypatch):
+    # 453890 anticommuting pairs of a 24-site k = 3 draw.  Taking both
+    # factors' rows before the check peaked at 34.7 MiB traced; what is left
+    # is the pair list and its blocked mask, 14.1 MiB.
+    from trotterlab import pauli
+    from trotterlab.models import KLocalGaussianModel
+
+    h = KLocalGaussianModel(n=24, k=3, seed=0).sample(1)
+    monkeypatch.setattr("trotterlab.errors._MEMORY_BYTES", 2**20)
+    pairs = pauli._anticommuting_pairs
+
+    def pairs_then_no_takes(rows):
+        found = pairs(rows)
+        monkeypatch.setattr(pauli, "_take", None)  # a take from here on fails
+        return found
+
+    monkeypatch.setattr(pauli, "_anticommuting_pairs", pairs_then_no_takes)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match="453890 Pauli products"):
+            leading_error(h, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Leading error
 # ---------------------------------------------------------------------------
@@ -1262,6 +1289,19 @@ def test_json_loaders_reject_non_finite_values(bad):
         fermion_from_json({"n": 2, "eta": 0.5, "terms": [dict(term, coeff=bad)]})
     with pytest.raises(ValidationError, match="finite"):
         fermion_from_json({"n": 2, "eta": bad, "terms": [term]})
+
+
+def test_fermionic_terms_load_while_their_jordan_wigner_strings_survive_the_merge():
+    # Each string of a term on S sites is coeff / 2**S.  The hopping pair at
+    # 4e-14 (two sites) and the number operator at 2e-14 (two factors, one
+    # site) give strings of MERGE_TOL exactly, which the merge keeps.
+    hop = [{"ops": o, "coeff": 4e-14} for o in ([["+", 0], ["-", 1]], [["+", 1], ["-", 0]])]
+    assert fermion_from_json({"n": 2, "terms": hop}).to_pauli().gamma == 2
+    number = {"n": 1, "terms": [{"ops": [["+", 0], ["-", 0]], "coeff": 2e-14}]}
+    assert fermion_from_json(number).to_pauli().gamma == 2
+    number["terms"][0]["coeff"] = 1.9e-14
+    with pytest.raises(ValidationError, match="strings of magnitude 9.5e-15, below 1e-14"):
+        fermion_from_json(number)
 
 
 def test_fermion_json_round_trip():
