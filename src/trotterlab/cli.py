@@ -122,8 +122,6 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item") and not isinstance(obj, (int, float, bool, str)):
-        obj = obj.item()  # numpy scalars
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
@@ -136,8 +134,6 @@ def _json_text(obj) -> str:
 def _cell(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, float):
         return repr(v)
     return str(v)

@@ -335,7 +335,11 @@ def evolve(h: PauliHamiltonian, t: float) -> np.ndarray:
     if not isinstance(h, PauliHamiltonian):
         raise TypeError(f"cannot evolve under {type(h).__name__}")
     _check_dense(h.n, 3.5)  # 1.76 on the chain, 3.39 on SYK (3.42 resident at n = 10)
-    act = _actions(h)
+    return _exact(_actions(h), t)
+
+
+def _exact(act: _Actions, t: float) -> np.ndarray:
+    """e^{i H t} of H's coset actions; ``_eigh``'s blocks go on return."""
     w, v = _eigh(act)
     out = np.zeros((act.index.size, act.index.size), dtype=complex)
     _write_exact(out, act, w, v, t, add=False)
@@ -477,20 +481,14 @@ def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
     return q.T
 
 
-def _holds_binary_power(r: int) -> bool:
-    """Whether ``_trotter_power`` at r holds the binary power's extra
-    matrices: np.linalg.matrix_power returns r = 1 as it is, and above
-    ``_BINARY_POWER_MAX`` steps the Schur power takes over."""
-    return 1 < r <= _BINARY_POWER_MAX
-
-
 def _trotter_power(h: PauliHamiltonian, t: float, r: int, order: int) -> np.ndarray:
     """S_order(t/r)^r.  Up to 4096 steps ``np.linalg.matrix_power`` powers
-    the segment; it returns it as it is at r = 1 and otherwise holds up to
-    three more matrices.  Above, the Schur power overwrites the segment,
-    assembled in Fortran order: two matrices.  ``trotter_error_op`` on the
-    10-site chain, order 2, peaks at 24.2, 32.0, 48.0, 64.0, 48.0 and 34.5
-    MiB traced at r = 1, 2, 3, 107, 4096 and 4097 (16 MiB per matrix)."""
+    the segment; it returns it as it is at r = 1, holds one more matrix at
+    r = 2 and up to three more above.  Past 4096 the Schur power overwrites
+    the segment, assembled in Fortran order: two matrices.
+    ``trotter_error_op`` on the 10-site chain, order 2, peaks at 24.2, 32.0,
+    48.0, 64.0, 48.0 and 34.5 MiB traced at r = 1, 2, 3, 107, 4096 and 4097
+    (16 MiB per matrix)."""
     schedule = build_schedule(h.gamma, order, t / r)
     if r <= _BINARY_POWER_MAX:
         return np.linalg.matrix_power(_schedule_product(h, schedule, "C"), r)
@@ -498,36 +496,41 @@ def _trotter_power(h: PauliHamiltonian, t: float, r: int, order: int) -> np.ndar
 
 
 def trotter_error_op(h: PauliHamiltonian, t: float, r: int, order: int) -> np.ndarray:
-    """The exact error operator e^{iHt} - S_order(t/r)^r.
+    """The exact error operator e^{iHt} - S_order(t/r)^r."""
+    return _error_operator(h, t, r, order)[0]
 
-    For r > 4096 the segment is assembled straight into Fortran order and
-    powered in its own buffer, so at most two dim x dim matrices are alive
-    at once (the segment or T, and Q or the power); at or below, up to four
-    (see ``_trotter_power``).  ``_eigh``, H's block stack and two more of
-    workspace, runs after the power, next to its result, except on one
-    complex block (four matrices) where the binary power does not run:
-    there it runs first, and the power next to the eigenvectors only.  The
-    power is negated in place and the exact evolution added one coset
-    block (or run of small blocks) at a time, so neither the full exact
-    matrix nor its block stack is held next to the power.
+
+def _error_operator(
+    h: PauliHamiltonian, t: float, r: int, order: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(E, a): E = e^{iHt} - S_order(t/r)^r and a = e^{iHt}|0...0>, in the
+    order of the lower peak (E has the same bits either way).  Where the
+    power holds three or more matrices, or H has several or real coset
+    blocks, the power comes first: a copies its column, it is negated in
+    place and e^{iHt} is added a coset block (or run of small blocks) at a
+    time, next to the power only, and a adds E's column.  Otherwise (one
+    complex block, whose ``_eigh`` alone holds three matrices) e^{iHt} comes
+    first: a copies its column and the power is subtracted in its buffer.
     """
     if r < 1:
         raise ValidationError("need at least one segment (r >= 1)")
-    binary = _holds_binary_power(r)
-    # Chain: 1.89 at r = 1, 2.01 at 2, 4.01 at 107 and 2.39 at 4097.  SYK:
-    # 3.64, but 4.03 where the binary power runs.  Resident at n = 10, SYK:
-    # 3.53 at r = 1, 3.58 at 4097 and 4.41 at 107.
-    _check_dense(h.n, 4.5 if binary else 3.75)
+    heavy = 2 < r <= _BINARY_POWER_MAX  # three or four matrices (``_trotter_power``)
+    # Chain: 1.90 at r = 1, 2.01 at 2, 4.01 at 107 and 2.39 at 4097.  SYK:
+    # 4.04 where the power is heavy, else 3.40.  Resident at n = 10, SYK:
+    # 4.44 at r = 107, 3.42 at 1, 3.44 at 2 and 3.51 at 4097.
+    _check_dense(h.n, 4.5 if heavy else 3.75)
     act = _actions(h)
-    if binary or len(act.index) > 1 or not np.iscomplexobj(_weights(act)):
-        out = _trotter_power(h, t, r, order)
+    power_first = heavy or len(act.index) > 1 or not np.iscomplexobj(_weights(act))
+    out = _trotter_power(h, t, r, order) if power_first else _exact(act, t)
+    column = out[:, 0].copy()
+    if power_first:
         w, v = _eigh(act)
+        np.negative(out, out=out)
+        _write_exact(out, act, w, v, t, add=True)
+        column += out[:, 0]
     else:
-        w, v = _eigh(act)
-        out = _trotter_power(h, t, r, order)
-    np.negative(out, out=out)
-    _write_exact(out, act, w, v, t, add=True)
-    return out
+        out -= _trotter_power(h, t, r, order)
+    return out, column
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,14 +27,12 @@ from .bounds import markov_tail
 from .dense import (
     _check_dense,
     _conditional_expectation,
-    _holds_binary_power,
+    _error_operator,
     _spectral_and_pnorms,
-    _trotter_power,
     _with_identity,
     WeightedNormSpec,
     basis_indices,
     errors_for_states,
-    evolve,
     haar_states,
     schatten_norm,
     sites_of,
@@ -220,12 +218,13 @@ def _dump_counterexample(tag: str, arrays: dict[str, np.ndarray]) -> str:
 # ----------------------------------------------------- error experiments
 
 
-def _child_seeds(seed: int, count: int) -> list[np.random.SeedSequence]:
+def _child_seeds(seed: int, count: int) -> Iterator[np.random.SeedSequence]:
     """``count`` independent child seeds of ``seed``, one per draw or trial,
-    refused before they are made when they would not fit: a child seed
-    takes about 380 bytes, and a draw keeps a few floats besides."""
+    spawned as drawn (the children of one ``spawn(count)``).  The count is
+    refused first when its draws, a few floats each, would not fit."""
     check_budget(count * 1024, f"{count} samples need")
-    return np.random.SeedSequence(seed).spawn(count)
+    root = np.random.SeedSequence(seed)
+    return (root.spawn(1)[0] for _ in range(count))
 
 
 _experiment_float_guard = _float_guard(
@@ -306,10 +305,6 @@ def sample_random_hamiltonian(
             f"the random-Hamiltonian ensemble reads only the fixed input |0...0>, "
             f"not the {cfg.ensemble!r} ensemble"
         )
-    # The binary power next to the exact evolution: 5.01 at r = 107 and
-    # 4.01 at 4096 (5.40 resident at r = 107 and n = 10).  Otherwise
-    # evolve's 3.39 (3.48 resident at r = 4097 and n = 10).
-    _check_dense(model.n, 5.5 if _holds_binary_power(cfg.r) else 3.5)
     seeds = _child_seeds(cfg.seed, cfg.samples)
 
     spectrals: list[float] = []
@@ -317,22 +312,15 @@ def sample_random_hamiltonian(
     trace_distances: list[float] = []
     powers: dict[float, list[float]] = {p: [] for p in cfg.p_values}
     for child in seeds:
-        h = model.sample(child)
-        # The difference is formed in the exact evolution's buffer, keeping
-        # only a = e^{iHt}|0...0>.  On an 8-site k = 2 draw this order peaks
-        # below trotter_error_op's where the binary power does not run (3.39
-        # against 3.64 matrices), above it where it does (5.01 against 4.03).
-        err_op = evolve(h, cfg.t)
-        a = err_op[:, 0].copy()
-        err_op -= _trotter_power(h, cfg.t, cfg.r, cfg.order)
+        err_op, a = _error_operator(model.sample(child), cfg.t, cfg.r, cfg.order)
         spectral, pnorms = _spectral_and_pnorms(err_op, cfg.p_values)
         spectrals.append(spectral)
         for p in cfg.p_values:
             powers[p].append(pnorms[p] ** p)
         l2 = float(np.linalg.norm(err_op[:, 0]))
         fixed_errors.append(l2)
-        # The pure-state trace distance sqrt(1 - |<a, b>|^2) of a and
-        # b = S^r|0...0> = a - d, d = err_op[:, 0], as sqrt(|d|^2 - |<a, d>|^2):
+        # The pure-state trace distance sqrt(1 - |<a, b>|^2) of a = e^{iHt}|0...0>
+        # and b = S^r|0...0> = a - d, d = err_op[:, 0], as sqrt(|d|^2 - |<a, d>|^2):
         # equal for unit vectors, without the cancellation of 1 - |<a, b>|^2
         # when b is close to a.
         along = abs(complex(np.vdot(a, err_op[:, 0])))

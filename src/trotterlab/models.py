@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_budget
+from .errors import ValidationError, check_budget, check_finite
 from .pauli import (
     ANNIHILATE,
     CREATE,
+    MERGE_TOL,
     FermionHamiltonian,
     FermionTerm,
     PauliHamiltonian,
@@ -113,6 +114,7 @@ def _lattice_displacements(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def power_law(n: int, d: int, alpha: float) -> PauliHamiltonian:
     """All-pair ZZ interactions with coefficient dist**-alpha on a d-D lattice."""
+    check_finite("alpha", alpha)  # a NaN power is dropped by the merge
     if alpha <= 0:
         raise ValidationError("alpha must be positive")
     _lattice_side(n, d)
@@ -121,6 +123,11 @@ def power_law(n: int, d: int, alpha: float) -> PauliHamiltonian:
     i, j, squared = _lattice_pairs(n, d)
     # Python float powers, term by term, of the exact distances
     coeffs = [math.sqrt(s) ** -alpha for s in squared.tolist()]
+    if coeffs and min(coeffs) < MERGE_TOL:  # the merge would drop it
+        raise ValidationError(
+            f"the pair coefficient {min(coeffs)!r} is below {MERGE_TOL} in magnitude "
+            "and would be dropped; lower alpha or n"
+        )
     sites = np.stack([i, j], axis=1)
     return PauliHamiltonian(n, _site_rows(n, sites, np.full(sites.shape, _Z), coeffs))
 

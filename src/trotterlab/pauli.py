@@ -422,20 +422,26 @@ def _take(rows: _Rows, index: np.ndarray) -> _Rows:
     return _Rows(*(plane[index] for plane in rows))
 
 
-_PAIR_BLOCK = 1 << 16  # pairs per block of leading_error's anticommutation mask
+_PAIR_BLOCK = 1 << 16  # candidate pairs per block of leading_error's anticommutation mask
 
 
 def _anticommuting_pairs(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
-    """(later, earlier): every pair b > a whose strings anticommute, by b and
-    then a, masked about ``_PAIR_BLOCK`` pairs at a time to bound the memory."""
-    gamma, pairs = len(rows.c), [np.empty((2, 0), np.intp)]
+    """(later, earlier): every pair b > a whose strings anticommute, by b
+    and then a, masked about ``_PAIR_BLOCK`` candidate pairs at a time.
+    Before each block, the kept pairs (each a product row to come) and the
+    block's candidates (63-379 bytes each traced at 1-8 plane words, under
+    a row's figure) are checked against the budget as product rows."""
+    x, z, gamma, kept, pairs = rows.x, rows.z, len(rows.c), 0, [np.empty((2, 0), np.intp)]
     step = max(1, _PAIR_BLOCK // max(gamma, 1))
     for start in range(0, gamma, step):
-        # Row r of the block is term b = start + r against every a < b.
-        b, a = np.tril_indices(min(step, gamma - start), start - 1, gamma)
+        stop = min(start + step, gamma)
+        # Terms start <= b < stop, each against every a < b.
+        _check_products(kept + (start + stop - 1) * (stop - start) // 2, x.shape[-1])
+        b, a = np.tril_indices(stop - start, start - 1, gamma)
         b += start
-        hit = _anticommuting(_take(rows, b), _take(rows, a))
+        hit = _anticommuting(_Rows(x[b], z[b], None), _Rows(x[a], z[a], None))
         pairs.append(np.stack([b[hit], a[hit]]))
+        kept += pairs[-1].shape[1]
     return tuple(np.concatenate(pairs, axis=1))
 
 
@@ -604,8 +610,7 @@ def leading_error(
     n, rows = hamiltonian.n, hamiltonian._rows
     if order == 1:
         # [H_b, H_a] = 2 H_b H_a where the strings anticommute, else 0.
-        later, earlier = _anticommuting_pairs(rows)
-        _check_products(len(later), rows.x.shape[-1])
+        later, earlier = _anticommuting_pairs(rows)  # checks their products' rows
         doubled = rows._replace(c=_scaled(rows.c, 2.0))
         x, z, c = _products(_take(doubled, later), _take(rows, earlier))
         return LeadingError(PauliSum(n, _Rows(x, z, _scaled(c, -0.5))), 2)

@@ -123,6 +123,7 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("dense", "_eigvalsh"),
         ("pauli.FermionTerm", "adjoint"),
         ("bounds", "_first_order_log_term"),
+        ("dense", "_holds_binary_power"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):
@@ -130,6 +131,13 @@ def test_deleted_names_are_gone_from_their_modules(module, name):
     for part in module.split("."):
         owner = getattr(owner, part)
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("name", ["evolve", "_trotter_power", "_holds_binary_power"])
+def test_lab_builds_no_error_operator_of_its_own(name):
+    # The random ensemble takes e^{iHt} - S^r and e^{iHt}|0...0> from
+    # dense._error_operator, which chooses the power path and memory order.
+    assert not hasattr(trotterlab.lab, name)
 
 
 def test_bounds_exports_are_pinned():

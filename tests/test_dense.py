@@ -331,8 +331,12 @@ print(status("VmHWM:") - base)
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmRSS")
 @pytest.mark.parametrize(
     "call, estimate",
-    [("evolve(h, 1.0)", 3.5), ("trotter_error_op(h, 1.0, 1, 2)", 3.75)],
-    ids=["evolve", "trotter_error_op"],
+    [
+        ("evolve(h, 1.0)", 3.5),
+        ("trotter_error_op(h, 1.0, 1, 2)", 3.75),
+        ("trotter_error_op(h, 1.0, 4097, 2)", 3.75),
+    ],
+    ids=["evolve", "trotter_error_op", "trotter_error_op-schur"],
 )
 def test_resident_peak_on_one_complex_block_is_within_the_estimate(call, estimate):
     # tracemalloc sees numpy's arrays only.  np.linalg.eigh copied the block
@@ -580,7 +584,7 @@ def _extended_power(segment, r):
 )
 def test_binary_power_entries_are_within_2e_12_of_an_extended_precision_power(h, order, r):
     # The largest entry error measured on these cases was 5.1e-13.
-    assert dense._holds_binary_power(r)
+    assert 1 < r <= dense._BINARY_POWER_MAX
     segment = apply_schedule(h, build_schedule(h.gamma, order, 1.0 / r))
     expected = evolve(h, 1.0) - _extended_power(segment, r)
     error = trotter_error_op(h, 1.0, r, order)

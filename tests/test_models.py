@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from trotterlab.bounds import truncation_plan
 from trotterlab.errors import ResourceCapError, ValidationError
 from trotterlab.models import (
     KLocalGaussianModel,
@@ -100,6 +101,26 @@ def test_power_law_2d_diagonal_distance():
 def test_power_law_rejects_bad_alpha():
     with pytest.raises(ValidationError):
         power_law(4, 1, 0.0)
+    # NaN passed the sign check, and the merge dropped the pairs past distance 1.
+    with pytest.raises(ValidationError, match="alpha must be finite"):
+        power_law(4, 1, math.nan)
+
+
+@pytest.mark.parametrize("n, alpha", [(217, 6.0), (256, 6.0), (4, 1e308)])
+def test_power_law_refuses_a_pair_coefficient_the_merge_would_drop(n, alpha):
+    # 216**-6 = 9.8e-15: the model dropped such pairs silently, so
+    # power_law(256, 1, 6.0) held 31820 of its 32640 pairs.
+    with pytest.raises(ValidationError, match="below 1e-14 in magnitude and would be dropped"):
+        power_law(n, 1, alpha)
+
+
+@pytest.mark.parametrize(
+    "n, d, alpha", [(216, 1, 6.0), (70, 1, 6.0), (64, 1, 2.0), (64, 2, 3.0), (16, 2, 20.0)]
+)
+def test_truncation_plan_counts_every_pair_of_the_model(n, d, alpha):
+    # 215**-6 = 1.0e-14 is kept: a model that builds holds all n(n-1)/2 pairs.
+    plan = truncation_plan(n, d, alpha, 1.0, 0.1)
+    assert plan.kept_terms + plan.dropped_terms == power_law(n, d, alpha).gamma == n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("n, d", [(0, 1), (-1, 1), (-4, 2), (4, 0)])

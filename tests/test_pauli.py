@@ -988,31 +988,26 @@ def test_pauli_products_are_refused_past_the_budget_before_they_allocate(monkeyp
     assert peak < 2**16
 
 
-def test_leading_error_refuses_its_products_before_taking_their_rows(monkeypatch):
-    # 453890 anticommuting pairs of a 24-site k = 3 draw.  Taking both
-    # factors' rows before the check peaked at 34.7 MiB traced; what is left
-    # is the pair list and its blocked mask, 14.1 MiB.
+def test_leading_error_refuses_its_pairs_as_they_accumulate(monkeypatch):
+    # A 24-site k = 3 draw has 453890 anticommuting pairs.  Finding all of
+    # them before the product check peaked at 14.1 MiB traced against a
+    # 1 MiB budget.  Each kept pair is a product row to come, so the pairs
+    # are checked block by block: the peak stays within the budget plus one
+    # block of candidates, and no factor row is ever taken.
     from trotterlab import pauli
     from trotterlab.models import KLocalGaussianModel
 
     h = KLocalGaussianModel(n=24, k=3, seed=0).sample(1)
     monkeypatch.setattr("trotterlab.errors._MEMORY_BYTES", 2**20)
-    pairs = pauli._anticommuting_pairs
-
-    def pairs_then_no_takes(rows):
-        found = pairs(rows)
-        monkeypatch.setattr(pauli, "_take", None)  # a take from here on fails
-        return found
-
-    monkeypatch.setattr(pauli, "_anticommuting_pairs", pairs_then_no_takes)
+    monkeypatch.setattr(pauli, "_take", None)  # a take fails
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCapError, match="453890 Pauli products"):
+        with pytest.raises(ResourceCapError, match="Pauli products need"):
             leading_error(h, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20 * 2**20
+    assert peak <= 2**20 + pauli._PAIR_BLOCK * (64 + 40 * h._rows.x.shape[-1])
 
 
 # ---------------------------------------------------------------------------
