@@ -14,10 +14,10 @@ with c = 0 the global (max-free) sum.  Both are nonincreasing in c and the
     lambda_ferm(k) = lambda(k) + (2^{k/2+1}/(k-1)!) (1/k!) ||H_ladder||_{(0),2},
 
 where H_ladder keeps only the fermionic terms containing at least one
-creation or annihilation factor.  Per-term bounds: |coeff| for Pauli terms
-(strings are unitary); for fermionic terms, |coeff| times the product of the
-spectral norms of the per-site 2x2 Jordan-Wigner factor products (exact,
-since every fermionic monomial maps to a single tensor product).
+creation or annihilation factor.  Per-term bounds are the terms' own
+``bound``: |coeff| for Pauli terms (strings are unitary); for fermionic
+terms, |coeff| times the norms of the products of each site's own factors
+(exact, since the Jordan-Wigner Z strings are unitary).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .errors import ValidationError, check_budget
-from .pauli import FermionHamiltonian, PauliHamiltonian, _jw_site_products
+from .pauli import FermionHamiltonian, PauliHamiltonian
 
 AnyHamiltonian = Union[PauliHamiltonian, FermionHamiltonian]
 
@@ -78,26 +78,11 @@ def _term_data(h: AnyHamiltonian) -> _TermData:
             rank = {s: i for i, s in enumerate(sorted(set(sites)))}
             sites = [rank[s] for s in sites]
         site = np.fromiter(sites, np.intp)
-        bound = np.array([fermion_term_bound(t, h.n) for t in h.terms], dtype=float)
+        bound = np.array([t.bound for t in h.terms], dtype=float)
     else:
         raise TypeError(f"unsupported Hamiltonian type {type(h).__name__}")
     weight = np.bincount(term, minlength=len(bound))
     return _TermData(term, site, bound, weight, int(weight.max(initial=0)))
-
-
-def fermion_term_bound(term, n: int) -> float:
-    """b_gamma = |coeff| * prod_s ||M_s|| over the per-site JW factor products.
-
-    Zero terms (repeated same-site ladder factors) have bound 0.
-    """
-    if term.is_zero:
-        return 0.0
-    bound = abs(term.coeff)
-    support = term.support()
-    mats = _jw_site_products(term, support)
-    for site in support:
-        bound *= float(np.linalg.norm(mats[site], 2))
-    return bound
 
 
 def _sequential_sum(values: np.ndarray):

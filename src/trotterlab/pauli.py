@@ -25,7 +25,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from operator import itemgetter
+from itertools import groupby
+from operator import eq, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -637,6 +638,27 @@ def leading_error(
 # ---------------------------------------------------------------------------
 
 
+def _site_operator(kind: str, eta: float) -> tuple[tuple[str, complex], ...]:
+    """The Pauli letters and coefficients a fermionic factor puts on its own
+    site; a creation or annihilation also puts Z on every site above.
+
+        a^dagger = -(X + iY)/2,  a = -(X - iY)/2,  O^eta = ((1 - 2 eta)/2) I + Z/2
+    """
+    if kind == CREATE:
+        return ("X", -0.5), ("Y", -0.5j)
+    if kind == ANNIHILATE:
+        return ("X", -0.5), ("Y", 0.5j)
+    return ("I", (1.0 - 2.0 * eta) / 2.0), ("Z", 0.5)
+
+
+_SITE_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
 @dataclass(frozen=True)
 class FermionTerm:
     """An ordered product of fermionic factors with a real coefficient.
@@ -646,9 +668,12 @@ class FermionTerm:
     are stably sorted site-ascending; each transposition of two
     creation/annihilation factors flips the sign of the coefficient
     (occupation factors commute with everything off their own site, and
-    same-site factor order is preserved by the stable sort).  A term with two
-    creations or two annihilations on one site is the zero operator; it is
-    kept with a ``is_zero`` flag and a RuntimeWarning.
+    same-site factor order is preserved by the stable sort).  A term in which,
+    on one site, a creation follows a creation or an annihilation follows an
+    annihilation, with only occupation factors between, is the zero operator;
+    it is kept with a ``is_zero`` flag and a RuntimeWarning.  (a^dagger a
+    a^dagger = a^dagger is not zero.  A term that vanishes because eta is 0 or
+    1 is not flagged: its bound is 0 and its image empty by arithmetic.)
     """
 
     factors: tuple[tuple[int, str], ...]
@@ -678,15 +703,11 @@ class FermionTerm:
         sign = -1.0 if inversions % 2 else 1.0
         object.__setattr__(self, "factors", ordered)
         object.__setattr__(self, "coeff", float(self.coeff) * sign)
-        # Zero detection: >= 2 creations or >= 2 annihilations on one site.
-        per_site: dict[tuple[int, str], int] = {}
-        zero = False
-        for site, kind in ordered:
-            if kind == OCCUPATION:
-                continue
-            per_site[(site, kind)] = per_site.get((site, kind), 0) + 1
-            if per_site[(site, kind)] > 1:
-                zero = True
+        # Occupation factors are diagonal, so the term is zero when two
+        # ladder factors next to each other on one site are alike: a^dagger
+        # O^eta a^dagger = 0.
+        ladder = [f for f in ordered if f[1] != OCCUPATION]
+        zero = any(map(eq, ladder, ladder[1:]))
         if zero:
             warnings.warn(
                 "fermionic term with a repeated creation/annihilation on one "
@@ -704,6 +725,25 @@ class FermionTerm:
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted({s for s, _ in self.factors}))
+
+    @property
+    def bound(self) -> float:
+        """The term bound b_gamma = ||Jordan-Wigner image||, exactly.
+
+        The Z strings are unitary and stand left of each site's own factors,
+        so the norm is |coeff| times, site by site in ascending order, the
+        norm of the product of the site's own factors.  Every such product
+        has at most one nonzero entry per row and per column, so its norm is
+        its largest entry.
+        """
+        bound = abs(self.coeff)
+        for _, factors in groupby(self.factors, itemgetter(0)):
+            product = _SITE_MATRICES["I"]
+            for _, kind in factors:
+                local = sum(c * _SITE_MATRICES[p] for p, c in _site_operator(kind, self.eta))
+                product = product @ local
+            bound *= float(np.abs(product).max())
+        return bound
 
     @property
     def has_ladder(self) -> bool:
@@ -755,17 +795,13 @@ def _jw_factor(n: int, site: int, kind: str, eta: float) -> PauliSum:
     """Jordan-Wigner image of a single fermionic factor as a 2-term Pauli sum."""
     if site >= n:
         raise DimensionMismatchError(f"site {site} outside {n}-site system")
-    string_z = (1 << n) - (2 << site)  # Z on every site above
-    if kind == OCCUPATION:
-        z_here = PauliString(n, 0, 1 << site)
-        return PauliSum(n, [(PauliString.identity(n), (1.0 - 2.0 * eta) / 2.0), (z_here, 0.5)])
-    x_str = PauliString(n, 1 << site, string_z)
-    y_str = PauliString(n, 1 << site, string_z | (1 << site))
-    if kind == CREATE:
-        # a^dagger = -((X + iY)/2) (x) Z-string
-        return PauliSum(n, [(x_str, -0.5), (y_str, -0.5j)])
-    # a = -((X - iY)/2) (x) Z-string
-    return PauliSum(n, [(x_str, -0.5), (y_str, 0.5j)])
+    string_z = 0 if kind == OCCUPATION else (1 << n) - (2 << site)  # Z on every site above
+    terms = []
+    for letter, coeff in _site_operator(kind, eta):
+        code = _LABELS.index(letter)  # x_bit + 2*z_bit
+        x_here, z_here = (code & 1) << site, (code >> 1) << site
+        terms.append((PauliString(n, x_here, string_z | z_here), coeff))
+    return PauliSum(n, terms)
 
 
 def jordan_wigner(
@@ -791,39 +827,6 @@ def jordan_wigner(
     for site, kind in obj.factors:
         acc = acc * _jw_factor(n, site, kind, obj.eta)
     return acc
-
-
-def _jw_site_products(term: FermionTerm, sites: Iterable[int]):
-    """The per-site 2x2 factor products of a fermionic term on ``sites``.
-    Over all n sites their tensor product (up to the tracked phase) equals
-    the Jordan-Wigner image of the term divided by its coefficient; each
-    site's product is formed in the same order whichever sites are asked.
-
-    Every fermionic monomial maps to a single tensor product of per-site 2x2
-    factors (each factor of the monomial contributes its own site matrix and
-    Z factors on higher sites), so the spectral norm of the image is the
-    product of the 2x2 spectral norms.  Only sites in the term's support can
-    carry a non-unitary factor; all others are powers of Z.
-    """
-    sig_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    sig_y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-    sig_z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    lower = (sig_x - 1j * sig_y) / 2.0  # |empty><occupied|
-    raise_ = (sig_x + 1j * sig_y) / 2.0
-
-    site_mats = {s: eye.copy() for s in sites}
-    for site, kind in term.factors:
-        if kind == OCCUPATION:
-            local = ((1.0 - 2.0 * term.eta) / 2.0) * eye + 0.5 * sig_z
-            site_mats[site] = site_mats[site] @ local
-        else:
-            local = raise_ if kind == CREATE else lower
-            site_mats[site] = site_mats[site] @ -local
-            for j in site_mats:
-                if j > site:
-                    site_mats[j] = site_mats[j] @ sig_z
-    return site_mats
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import contextlib
 import dataclasses
 import inspect
 import io
-import tomllib
 import typing
 from pathlib import Path
 
@@ -124,6 +123,8 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("pauli.FermionTerm", "adjoint"),
         ("bounds", "_first_order_log_term"),
         ("dense", "_holds_binary_power"),
+        ("pauli", "_jw_site_products"),
+        ("norms", "fermion_term_bound"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):
@@ -131,6 +132,18 @@ def test_deleted_names_are_gone_from_their_modules(module, name):
     for part in module.split("."):
         owner = getattr(owner, part)
     assert not hasattr(owner, name)
+
+
+def test_norms_holds_no_private_object_of_pauli():
+    # Per-term bounds come from the terms themselves; the fermionic operator
+    # convention stays inside pauli.
+    private = {
+        id(v)
+        for name, v in vars(trotterlab.pauli).items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+    held = [name for name, v in vars(trotterlab.norms).items() if id(v) in private]
+    assert held == []
 
 
 @pytest.mark.parametrize("name", ["evolve", "_trotter_power", "_holds_binary_power"])
@@ -225,6 +238,7 @@ def test_every_error_type_carries_the_readme_exit_code(name):
 
 def test_distribution_is_named_after_its_package():
     # pip show, install and uninstall find the package by this name.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project["name"] == "trotterlab"

@@ -350,6 +350,22 @@ def test_json_with_wrong_value_types_exits_2(monkeypatch, doc, message):
 
 
 @pytest.mark.parametrize(
+    "ops, message",
+    [([["x", 0]], "invalid fermionic factor kind 'x'"), ([["+", -1]], "negative site index -1")],
+)
+def test_fermionic_factor_of_unknown_kind_or_negative_site_exits_2(monkeypatch, ops, message):
+    doc = _with(_FERMION_DOC, ops, "terms", 0, "ops")
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    assert _call(["norms", "-"]) == (2, "", f"error: {message}\n")
+
+
+def test_gatecount_order_below_one_exits_2(monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_PAULI_DOC)))
+    argv = ["gatecount", "-", "--t", "1", "--eps", "0.1", "--order", "0"]
+    assert _call(argv) == (2, "", "error: order must be >= 1\n")
+
+
+@pytest.mark.parametrize(
     "doc",
     [_with(_PAULI_DOC, 2, "terms", 0, "coeff"), _with(_FERMION_DOC, 0, "eta"), _with(_FERMION_DOC, -3, "terms", 0, "coeff")],
 )
@@ -766,6 +782,31 @@ def test_fermionic_zero_term_is_a_stderr_note_not_a_warning(monkeypatch):
         "on one site are the zero operator\n",
         "",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "-"],
+        ["gatecount", "-", "--t", "1", "--eps", "0.1"],
+        ["simulate", "-", "--seed", "1", "--samples", "4", "--t", "1", "--r", "4"],
+    ],
+    ids=["norms", "gatecount", "simulate"],
+)
+def test_alternating_ladder_factors_on_one_site_are_not_a_zero_term(argv, monkeypatch):
+    # a+_0 a_0 a+_0 = a+_0, so these four terms are the hopping pair twice.
+    # They read as two zero terms, with a note, a (0,1) norm of 2.0 and
+    # r = 5076 in place of 4.0 and 8536.
+    hop, back = [["+", 0], ["-", 1]], [["+", 1], ["-", 0]]
+    written = [hop, back, [["+", 0], ["-", 0], *hop], [*back, ["+", 0], ["-", 0]]]
+    outputs = []
+    for terms in (written, [hop, back, hop, back]):
+        doc = {"n": 2, "terms": [{"ops": ops, "coeff": 1.0} for ops in terms]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+        code, out, err = _call(argv)
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_norms_and_gatecount_of_a_fermionic_site_past_int64(monkeypatch):

@@ -358,6 +358,12 @@ def test_trotter_error_commuting_is_zero():
     np.testing.assert_allclose(e, 0, atol=1e-12)
 
 
+def test_trotter_error_needs_a_segment():
+    h = PauliHamiltonian.from_labels(1, [("X", 1.0)])
+    with pytest.raises(ValidationError, match=r"need at least one segment \(r >= 1\)"):
+        trotter_error_op(h, 1.0, 0, 1)
+
+
 def test_trotter_error_leading_term_magnitude():
     h = PauliHamiltonian.from_labels(1, [("X", 1.0), ("Z", 1.0)])
     tau = 1e-3

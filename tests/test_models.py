@@ -19,7 +19,7 @@ from trotterlab.models import (
     zxyz,
     zxyz_groups,
 )
-from trotterlab.norms import fermion_term_bound, norm_profile
+from trotterlab.norms import norm_profile
 from trotterlab.pauli import PauliHamiltonian, jordan_wigner, leading_error
 
 
@@ -162,6 +162,12 @@ def test_syk_model_deterministic_in_seed():
     assert a.strings != c.strings
 
 
+@pytest.mark.parametrize("j_coupling", [0.0, -1.0])
+def test_syk_model_needs_a_positive_coupling(j_coupling):
+    with pytest.raises(ValidationError, match="coupling J must be positive"):
+        KLocalGaussianModel(6, 2, j_coupling, seed=0)
+
+
 def _per_subset_strings(n, k, seed):
     """The SYK strings drawn one subset at a time: k letters per subset, in
     combinations order, from one generator."""
@@ -291,9 +297,7 @@ def test_fermi_hop_structure():
 
 def test_fermi_hop_all_bounds_unit():
     f = fermi_hop(2)
-    assert all(
-        fermion_term_bound(t, f.n) == pytest.approx(1.0) for t in f.terms
-    )
+    assert all(t.bound == pytest.approx(1.0) for t in f.terms)
     assert norm_profile(f).norm(0, 2) == pytest.approx(4.0)  # sqrt(16)
 
 

@@ -35,7 +35,6 @@ from trotterlab.pauli import (
     MERGE_TOL,
     _Rows,
     _ingest,
-    _jw_site_products,
     _pack_ints,
     fermion_from_json,
     fermion_to_json,
@@ -613,6 +612,16 @@ def test_negative_qubit_count_is_rejected():
         PauliSum(-1)
     with pytest.raises(ValidationError, match="negative qubit count -1"):
         pauli_from_json({"n": -1, "terms": []})
+    with pytest.raises(ValidationError, match="negative qubit count -1"):
+        PauliString(-1, 0, 0)
+
+
+@pytest.mark.parametrize("combine", [PauliSum.__add__, PauliSum.__mul__])
+def test_sums_on_different_qubit_counts_do_not_combine(combine):
+    a = PauliSum(2, [(PauliString.from_label("XX"), 1.0)])
+    b = PauliSum(3, [(PauliString.from_label("ZZZ"), 1.0)])
+    with pytest.raises(DimensionMismatchError, match="qubit counts differ: 2 vs 3"):
+        combine(a, b)
 
 
 @pytest.fixture
@@ -1122,6 +1131,21 @@ def test_fermion_double_create_is_zero():
     assert jordan_wigner(t, 2).is_empty
 
 
+def test_fermion_alternating_ladder_on_one_site_is_not_zero():
+    # a^+ a a^+ = a^+; a^+ O a^+ = 0, since O is diagonal.
+    t = FermionTerm(((0, "+"), (0, "-"), (0, "+")), 1.0)
+    assert not t.is_zero
+    created = FermionTerm(((0, "+"),), 1.0)
+    np.testing.assert_array_equal(
+        dense_sum(jordan_wigner(t, 2)), dense_sum(jordan_wigner(created, 2))
+    )
+    assert t.bound == created.bound == 1.0
+    with pytest.warns(RuntimeWarning):
+        t = FermionTerm(((0, "+"), (0, "z"), (0, "+")), 1.0)
+    assert t.is_zero and t.bound == 0.0
+    assert jordan_wigner(t, 2).is_empty
+
+
 def test_fermion_number_preserving_flag():
     assert FermionTerm(((0, "+"), (1, "-")), 1.0).is_number_preserving
     assert not FermionTerm(((0, "+"),), 1.0).is_number_preserving
@@ -1234,13 +1258,28 @@ def test_fermion_hamiltonian_to_pauli_hermitian():
 
 
 def test_fermion_site_matrices_reconstruct_image():
-    t = FermionTerm(((1, "+"), (3, "-"), (2, "z")), 0.9, eta=0.4)
+    # The oracle: each site carries a Z for every ladder factor below it,
+    # then its own factors in order.  Site 1's a^+ a a^+ is a^+, not zero.
+    eta = 0.4
+    t = FermionTerm(((1, "+"), (3, "-"), (2, "z"), (1, "-"), (1, "+")), 0.9, eta=eta)
     n = 4
-    mats = _jw_site_products(t, range(n))
+    own = {
+        "+": -(SX + 1j * SY) / 2,
+        "-": -(SX - 1j * SY) / 2,
+        "z": (1 - 2 * eta) / 2 * I2 + SZ / 2,
+    }
+    mats = [I2] * n
+    for site, kind in t.factors:
+        mats[site] = mats[site] @ own[kind]
+        if kind != "z":
+            for above in range(site + 1, n):
+                mats[above] = mats[above] @ SZ
     out = np.array([[1.0 + 0.0j]])
-    for s in range(n):
-        out = np.kron(out, mats[s])
-    np.testing.assert_allclose(dense_sum(jordan_wigner(t, n)), 0.9 * out, atol=1e-12)
+    for m in mats:
+        out = np.kron(out, m)
+    np.testing.assert_allclose(dense_sum(jordan_wigner(t, n)), t.coeff * out, atol=1e-12)
+    norms = [np.linalg.norm(m, 2) for m in mats]
+    assert t.bound == pytest.approx(abs(t.coeff) * math.prod(norms), rel=1e-12)
 
 
 @pytest.mark.parametrize("field", ["coeff", "eta"])
@@ -1255,6 +1294,20 @@ def test_fermion_term_rejects_non_finite_values(field, value):
 def test_fermion_hamiltonian_site_bounds():
     with pytest.raises(DimensionMismatchError):
         FermionHamiltonian(3, [FermionTerm(((0, "+"), (4, "-")), 1.0)])
+
+
+def test_jordan_wigner_of_one_term_needs_a_site_count_that_holds_it():
+    t = FermionTerm(((0, "+"), (2, "-")), 1.0)
+    with pytest.raises(ValidationError, match="requires the site count n"):
+        jordan_wigner(t)
+    with pytest.raises(DimensionMismatchError, match="site 2 outside 2-site system"):
+        jordan_wigner(t, 2)
+
+
+def test_fermion_to_json_refuses_differing_etas():
+    terms = [FermionTerm(((0, "z"),), 1.0, eta=0.5), FermionTerm(((1, "z"),), 1.0, eta=0.25)]
+    with pytest.raises(ValidationError, match="differing eta"):
+        fermion_to_json(FermionHamiltonian(2, terms))
 
 
 # ---------------------------------------------------------------------------
