@@ -356,7 +356,7 @@ def apply_schedule(h: PauliHamiltonian, schedule: Schedule) -> np.ndarray:
     operations as on the full matrix.
     """
     _check_dense(h.n, 2.25)  # 1.86 on the chain, 1.93 on SYK
-    return _schedule_product(h, schedule, "C")
+    return _schedule_product(_actions(h), schedule, "C")
 
 
 # Bytes of one panel of the schedule product: the segment columns that
@@ -410,15 +410,14 @@ def _apply_steps(panel: np.ndarray, steps: list[_Step]) -> None:
         panel += moved
 
 
-def _schedule_product(h: PauliHamiltonian, schedule: Schedule, layout: str) -> np.ndarray:
-    """``apply_schedule`` assembled in C or Fortran layout.
+def _schedule_product(act: _Actions, schedule: Schedule, layout: str) -> np.ndarray:
+    """``apply_schedule`` of the coset actions ``act``, in C or Fortran layout.
 
     The columns of the block stack are independent, so they are formed a
     panel of ``_SCHEDULE_PANEL_BYTES`` at a time, each taken through every
     step and then written into the assembled matrix; the full stack is never
     held.
     """
-    act = _actions(h)
     steps = _schedule_steps(act, schedule)
     index = act.index
     blocks, k = index.shape
@@ -481,7 +480,7 @@ def _schur_power(u: np.ndarray, r: int) -> np.ndarray:
     return q.T
 
 
-def _trotter_power(h: PauliHamiltonian, t: float, r: int, order: int) -> np.ndarray:
+def _trotter_power(act: _Actions, t: float, r: int, order: int) -> np.ndarray:
     """S_order(t/r)^r.  Up to 4096 steps ``np.linalg.matrix_power`` powers
     the segment; it returns it as it is at r = 1, holds one more matrix at
     r = 2 and up to three more above.  Past 4096 the Schur power overwrites
@@ -489,10 +488,10 @@ def _trotter_power(h: PauliHamiltonian, t: float, r: int, order: int) -> np.ndar
     ``trotter_error_op`` on the 10-site chain, order 2, peaks at 24.2, 32.0,
     48.0, 64.0, 48.0 and 34.5 MiB traced at r = 1, 2, 3, 107, 4096 and 4097
     (16 MiB per matrix)."""
-    schedule = build_schedule(h.gamma, order, t / r)
+    schedule = build_schedule(len(act.coeff), order, t / r)
     if r <= _BINARY_POWER_MAX:
-        return np.linalg.matrix_power(_schedule_product(h, schedule, "C"), r)
-    return _schur_power(_schedule_product(h, schedule, "F"), r)
+        return np.linalg.matrix_power(_schedule_product(act, schedule, "C"), r)
+    return _schur_power(_schedule_product(act, schedule, "F"), r)
 
 
 def trotter_error_op(h: PauliHamiltonian, t: float, r: int, order: int) -> np.ndarray:
@@ -521,7 +520,7 @@ def _error_operator(
     _check_dense(h.n, 4.5 if heavy else 3.75)
     act = _actions(h)
     power_first = heavy or len(act.index) > 1 or not np.iscomplexobj(_weights(act))
-    out = _trotter_power(h, t, r, order) if power_first else _exact(act, t)
+    out = _trotter_power(act, t, r, order) if power_first else _exact(act, t)
     column = out[:, 0].copy()
     if power_first:
         w, v = _eigh(act)
@@ -529,7 +528,7 @@ def _error_operator(
         _write_exact(out, act, w, v, t, add=True)
         column += out[:, 0]
     else:
-        out -= _trotter_power(h, t, r, order)
+        out -= _trotter_power(act, t, r, order)
     return out, column
 
 

@@ -125,6 +125,8 @@ def test_bounds_take_no_norm_profile_as_hamiltonian():
         ("dense", "_holds_binary_power"),
         ("pauli", "_jw_site_products"),
         ("norms", "fermion_term_bound"),
+        ("pauli", "_jw_factor"),
+        ("pauli", "_SITE_MATRICES"),
     ],
 )
 def test_deleted_names_are_gone_from_their_modules(module, name):

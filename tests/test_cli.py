@@ -190,17 +190,22 @@ def test_module_entry_point_exit_code():
         ["truncate", "--n", "4", "--d", "1", "--alpha", "2", "--t", "1", "--eps", "2"],
         ["table1"],
         ["lowerbound", "--n", "8", "--k", "2", "--eps", "0.1"],
+        ["norms", "{f}"],
+        ["gatecount", "{f}", "--t", "1", "--eps", "0.1"],
     ],
-    ids=lambda argv: argv[0],
+    ids=lambda argv: argv[0] + ("-fermionic" if "{f}" in argv else ""),
 )
 def test_planner_commands_never_import_scipy(tmp_path, argv):
     """Only the dense engine needs scipy, which is most of the import time;
-    `python -X importtime` lists every module the command imported."""
-    path = tmp_path / "h.json"
+    `python -X importtime` lists every module the command imported.  {f} is
+    a fermionic document, read through the terms' site tables."""
+    path, fermionic = tmp_path / "h.json", tmp_path / "f.json"
     if argv[0] != "model":
         assert main(["model", "--family", "chain-heisenberg", "--n", "4", "--out", str(path)]) == 0
+        assert main(["model", "--family", "fermi-hop", "--m", "1", "--out", str(fermionic)]) == 0
+    argv = [a.format(h=path, f=fermionic) for a in argv]
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "trotterlab", *(a.format(h=path) for a in argv)],
+        [sys.executable, "-X", "importtime", "-m", "trotterlab", *argv],
         capture_output=True,
         text=True,
         env=module_env(),
@@ -985,6 +990,31 @@ def test_sub_tolerance_fermionic_coefficients_are_refused_not_dropped(argv, coef
     assert err == (
         f'error: coefficient {coeff!r} of the term [["+", 0], ["-", 1]] gives Jordan-Wigner '
         f"strings of magnitude {string}, below 1e-14, which would be dropped; rescale the "
+        "Hamiltonian\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norms", "-"],
+        ["gatecount", "-", "--t", "1", "--eps", "0.1"],
+        ["simulate", "-", "--seed", "1", "--samples", "4", "--t", "1"],
+    ],
+    ids=["norms", "gatecount", "simulate"],
+)
+def test_an_occupation_term_whose_identity_string_merges_away_is_refused(argv, monkeypatch):
+    # At eta = 0.45 the occupation factor is 0.05 I + Z/2, so z_0 at 1e-13
+    # has an I string of 5e-15.  The document loaded, the merge dropped that
+    # string, and all three commands exited 0.
+    ops = ([["z", 0]], [["+", 0], ["-", 1]], [["+", 1], ["-", 0]])
+    terms = [{"ops": o, "coeff": c} for o, c in zip(ops, (1e-13, 1.0, 1.0))]
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"n": 2, "eta": 0.45, "terms": terms})))
+    code, out, err = _call(argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        'error: coefficient 1e-13 of the term [["z", 0]] gives Jordan-Wigner strings of '
+        "magnitude 4.999999999999999e-15, below 1e-14, which would be dropped; rescale the "
         "Hamiltonian\n"
     )
 

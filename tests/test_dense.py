@@ -261,7 +261,7 @@ def test_schur_power_of_the_chain_segment_is_bit_identical_to_scipy_schur():
     expected = _scipy_schur_power(segment.copy(), r)
     assert np.array_equal(dense._schur_power(np.asfortranarray(segment), r), expected)
     # The consuming path: the segment assembled in Fortran order, overwritten.
-    fortran = dense._schedule_product(h, build_schedule(h.gamma, 2, 1.0 / r), "F")
+    fortran = dense._schedule_product(dense._actions(h), build_schedule(h.gamma, 2, 1.0 / r), "F")
     assert fortran.flags.f_contiguous and np.array_equal(fortran, segment)
     assert np.array_equal(dense._schur_power(fortran, r), expected)
 
@@ -362,6 +362,19 @@ def test_trotter_error_needs_a_segment():
     h = PauliHamiltonian.from_labels(1, [("X", 1.0)])
     with pytest.raises(ValidationError, match=r"need at least one segment \(r >= 1\)"):
         trotter_error_op(h, 1.0, 0, 1)
+
+
+def test_trotter_error_builds_the_coset_actions_once(monkeypatch):
+    # The exact evolution and the Trotter power read one set of coset actions,
+    # on both build orders and both power paths.
+    calls = []
+    actions = dense._actions
+    monkeypatch.setattr(dense, "_actions", lambda h: calls.append(h) or actions(h))
+    for h in (chain_heisenberg(4), PauliHamiltonian.from_labels(2, [("XY", 1.0), ("ZX", 0.5)])):
+        for r in (1, 3, 5000):
+            calls.clear()
+            trotter_error_op(h, 1.0, r, 2)
+            assert calls == [h]
 
 
 def test_trotter_error_leading_term_magnitude():
@@ -525,7 +538,7 @@ def _syk(n, seed):
 def test_schedule_panels_are_bit_identical_to_the_full_stack(make, n, layout):
     h = make(n)
     schedule = build_schedule(h.gamma, 2, 1.0 / 11436)
-    got = dense._schedule_product(h, schedule, layout)
+    got = dense._schedule_product(dense._actions(h), schedule, layout)
     expected = _full_stack_schedule(h, schedule, layout)
     assert got.flags[f"{layout}_CONTIGUOUS"]
     assert np.array_equal(_bits(got), _bits(expected))
@@ -538,7 +551,7 @@ def test_schedule_panels_of_any_width_are_bit_identical_to_the_full_stack(width,
     for h in (chain_heisenberg(5), _syk(5, 3)):
         monkeypatch.setattr(dense, "_SCHEDULE_PANEL_BYTES", 16 * 2**h.n * width)
         schedule = build_schedule(h.gamma, 2, 0.37)
-        got = dense._schedule_product(h, schedule, "C")
+        got = dense._schedule_product(dense._actions(h), schedule, "C")
         assert np.array_equal(_bits(got), _bits(_full_stack_schedule(h, schedule, "C")))
 
 

@@ -12,6 +12,7 @@ import pytest
 import trotterlab.dense
 from trotterlab.dense import (
     WeightedNormSpec,
+    _actions,
     _conditional_expectation,
     _trotter_power,
     _with_identity,
@@ -183,7 +184,7 @@ def test_random_hamiltonian_trace_distance_matches_mpmath(r):
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.samples):
         h = model.sample(child)
         a = evolve(h, cfg.t)[:, 0]
-        b = _trotter_power(h, cfg.t, r, cfg.order)[:, 0]
+        b = _trotter_power(_actions(h), cfg.t, r, cfg.order)[:, 0]
         expected.append(_mp_trace_distance(a, b))
     assert rep.extras["trace_distance_mean"] == pytest.approx(np.mean(expected), rel=1e-9, abs=0)
 

@@ -5,6 +5,7 @@ oracle built directly from 2x2 numpy arrays inside this file (no reuse of the
 package's own dense engine).
 """
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -1282,6 +1283,84 @@ def test_fermion_site_matrices_reconstruct_image():
     assert t.bound == pytest.approx(abs(t.coeff) * math.prod(norms), rel=1e-12)
 
 
+# jordan_wigner(FermionTerm(factors, 0.7, eta), 4) at eta = 0, 0.5 and 1: each
+# string's label and the repr of its coefficient, signed zeros included, in
+# the image's order.
+_PINNED_IMAGES = {
+    ((0, "+"), (0, "-"), (0, "+")): (
+        "XZZZ:(-0.35+0j) YZZZ:-0.35j",
+        "XZZZ:(-0.35+0j) YZZZ:-0.35j",
+        "XZZZ:(-0.35+0j) YZZZ:-0.35j",
+    ),
+    ((1, "+"), (1, "-"), (1, "+"), (1, "-")): (
+        "IIII:(0.35+0j) IZII:(0.35-0j)",
+        "IIII:(0.35+0j) IZII:(0.35-0j)",
+        "IIII:(0.35+0j) IZII:(0.35-0j)",
+    ),
+    ((0, "z"), (0, "+"), (0, "z"), (0, "-")): (
+        "",
+        "IIII:(-0.0875+0j) ZIII:(-0.0875+0j)",
+        "",
+    ),
+    ((1, "+"), (2, "z"), (3, "-")): (
+        "IXZY:0.0875j IXZX:(-0.0875+0j) IXIY:0.0875j IXIX:(-0.0875+0j) IYZY:(-0.0875+0j) IYZX:-0.0875j IYIY:(-0.0875+0j) IYIX:-0.0875j",
+        "IXIY:0.0875j IXIX:(-0.0875+0j) IYIY:(-0.0875+0j) IYIX:-0.0875j",
+        "IXZY:(-0-0.0875j) IXZX:(0.0875-0j) IXIY:0.0875j IXIX:(-0.0875+0j) IYZY:(0.0875-0j) IYZX:0.0875j IYIY:(-0.0875+0j) IYIX:-0.0875j",
+    ),
+    ((3, "-"), (0, "+")): (
+        "XZZY:(-0-0.175j) XZZX:(0.175-0j) YZZY:(0.175-0j) YZZX:0.175j",
+        "XZZY:(-0-0.175j) XZZX:(0.175-0j) YZZY:(0.175-0j) YZZX:0.175j",
+        "XZZY:(-0-0.175j) XZZX:(0.175-0j) YZZY:(0.175-0j) YZZX:0.175j",
+    ),
+    ((0, "+"), (1, "+"), (2, "-"), (3, "-")): (
+        "XYXY:(-0.04375+0j) XYXX:(-0-0.04375j) XYYY:0.04375j XYYX:(-0.04375+0j) XXXY:0.04375j XXXX:(-0.04375+0j) XXYY:(0.04375-0j) XXYX:0.04375j YYXY:(-0-0.04375j) YYXX:(0.04375-0j) YYYY:(-0.04375+0j) YYYX:(-0-0.04375j) YXXY:(-0.04375+0j) YXXX:(-0-0.04375j) YXYY:0.04375j YXYX:(-0.04375+0j)",
+        "XYXY:(-0.04375+0j) XYXX:(-0-0.04375j) XYYY:0.04375j XYYX:(-0.04375+0j) XXXY:0.04375j XXXX:(-0.04375+0j) XXYY:(0.04375-0j) XXYX:0.04375j YYXY:(-0-0.04375j) YYXX:(0.04375-0j) YYYY:(-0.04375+0j) YYYX:(-0-0.04375j) YXXY:(-0.04375+0j) YXXX:(-0-0.04375j) YXYY:0.04375j YXYX:(-0.04375+0j)",
+        "XYXY:(-0.04375+0j) XYXX:(-0-0.04375j) XYYY:0.04375j XYYX:(-0.04375+0j) XXXY:0.04375j XXXX:(-0.04375+0j) XXYY:(0.04375-0j) XXYX:0.04375j YYXY:(-0-0.04375j) YYXX:(0.04375-0j) YYYY:(-0.04375+0j) YYYX:(-0-0.04375j) YXXY:(-0.04375+0j) YXXX:(-0-0.04375j) YXYY:0.04375j YXYX:(-0.04375+0j)",
+    ),
+    ((2, "+"),): (
+        "IIXZ:(-0.35+0j) IIYZ:-0.35j",
+        "IIXZ:(-0.35+0j) IIYZ:-0.35j",
+        "IIXZ:(-0.35+0j) IIYZ:-0.35j",
+    ),
+    ((1, "-"), (3, "z")): (
+        "IXZZ:(-0.175+0j) IXZI:(-0.175+0j) IYZZ:0.175j IYZI:0.175j",
+        "IXZI:(-0.175+0j) IYZI:0.175j",
+        "IXZZ:(0.175-0j) IXZI:(-0.175+0j) IYZZ:(-0-0.175j) IYZI:0.175j",
+    ),
+    ((2, "z"), (0, "-"), (2, "+"), (0, "z")): (
+        "XZYI:0.175j XZXI:(0.175-0j) YZYI:(0.175-0j) YZXI:(-0-0.175j)",
+        "YZXI:(-0-0.04375j) YZYI:(0.04375-0j) XZXI:(0.04375-0j) XZYI:0.04375j",
+        "",
+    ),
+    ((1, "z"), (1, "+"), (3, "+"), (3, "z"), (3, "-")): (
+        "",
+        "IYZI:0.04375j IYZZ:0.04375j IXZI:(0.04375+0j) IXZZ:(0.04375-0j)",
+        "",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:fermionic term with a repeated:RuntimeWarning")
+@pytest.mark.parametrize("factors", list(_PINNED_IMAGES))
+def test_jordan_wigner_images_are_pinned(factors):
+    for eta, expected in zip((0.0, 0.5, 1.0), _PINNED_IMAGES[factors]):
+        image = jordan_wigner(FermionTerm(factors, 0.7, eta), 4)
+        got = " ".join(f"{t.string.label()}:{t.coeff!r}" for t in image.terms)
+        assert got == expected, eta
+
+
+def test_fermi_hop_document_is_pinned():
+    from trotterlab.models import fermi_hop
+
+    labels = [
+        "XZXIII", "YZYIII", "XZZXII", "YZZYII", "IXXIII", "IYYIII", "IXZXII", "IYZYII",
+        "IIXZXI", "IIYZYI", "IIXZZX", "IIYZZY", "IIIXXI", "IIIYYI", "IIIXZX", "IIIYZY",
+    ]
+    doc = {"n": 6, "terms": [{"coeff": -0.5, "pauli": p} for p in labels]}
+    expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert _pauli_json_text(fermi_hop(2).to_pauli()) == expected
+
+
 @pytest.mark.parametrize("field", ["coeff", "eta"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_fermion_term_rejects_non_finite_values(field, value):
@@ -1300,7 +1379,7 @@ def test_jordan_wigner_of_one_term_needs_a_site_count_that_holds_it():
     t = FermionTerm(((0, "+"), (2, "-")), 1.0)
     with pytest.raises(ValidationError, match="requires the site count n"):
         jordan_wigner(t)
-    with pytest.raises(DimensionMismatchError, match="site 2 outside 2-site system"):
+    with pytest.raises(DimensionMismatchError, match="term touches site beyond the 2-site system"):
         jordan_wigner(t, 2)
 
 
@@ -1340,9 +1419,10 @@ def test_json_loaders_reject_non_finite_values(bad):
 
 
 def test_fermionic_terms_load_while_their_jordan_wigner_strings_survive_the_merge():
-    # Each string of a term on S sites is coeff / 2**S.  The hopping pair at
-    # 4e-14 (two sites) and the number operator at 2e-14 (two factors, one
-    # site) give strings of MERGE_TOL exactly, which the merge keeps.
+    # Each string of a ladder term on S sites is coeff / 2**S.  The hopping
+    # pair at 4e-14 (two sites) and the number operator at 2e-14 (two
+    # factors, one site) give strings of MERGE_TOL exactly, which the merge
+    # keeps.
     hop = [{"ops": o, "coeff": 4e-14} for o in ([["+", 0], ["-", 1]], [["+", 1], ["-", 0]])]
     assert fermion_from_json({"n": 2, "terms": hop}).to_pauli().gamma == 2
     number = {"n": 1, "terms": [{"ops": [["+", 0], ["-", 0]], "coeff": 2e-14}]}
@@ -1350,6 +1430,44 @@ def test_fermionic_terms_load_while_their_jordan_wigner_strings_survive_the_merg
     number["terms"][0]["coeff"] = 1.9e-14
     with pytest.raises(ValidationError, match="strings of magnitude 9.5e-15, below 1e-14"):
         fermion_from_json(number)
+    # At eta = 0.45 an occupation factor is 0.05 I + Z/2: at 1e-13 its I
+    # string is 5e-15, which the merge dropped while the estimate
+    # coeff / 2 = 5e-14 let the term load.
+    occupation = {"n": 1, "eta": 0.45, "terms": [{"ops": [["z", 0]], "coeff": 1e-13}]}
+    with pytest.raises(ValidationError, match="magnitude 4.999999999999999e-15, below 1e-14"):
+        fermion_from_json(occupation)
+    occupation["terms"][0]["coeff"] = 2.1e-13
+    assert fermion_from_json(occupation).to_pauli().gamma == 2
+
+
+@pytest.mark.filterwarnings("ignore:fermionic term with a repeated:RuntimeWarning")
+@pytest.mark.parametrize("eta", [0.45, 0.1, 0.5, 0.0])
+def test_a_fermionic_term_loads_exactly_when_the_merge_keeps_every_string(eta):
+    # Every term of 1-3 factors on two sites, at coefficients whose smallest
+    # strings fall on both sides of MERGE_TOL: the document is refused exactly
+    # when the term's image at that coefficient has fewer strings than at 1.
+    # A zero term (a+ a+ on one site) has no string, so it loads at any
+    # coefficient.
+    ops = [[kind, site] for site in (0, 1) for kind in "+-z"]
+    for size in (1, 2, 3):
+        for term in itertools.product(ops, repeat=size):
+            factors = tuple((site, kind) for kind, site in term)
+            full = jordan_wigner(FermionTerm(factors, 1.0, eta), 2).gamma
+            for coeff in (1e-13, -3e-14, 1.5e-14, 1e-15):
+                doc = {"n": 2, "eta": eta, "terms": [{"ops": list(term), "coeff": coeff}]}
+                kept = jordan_wigner(FermionTerm(factors, coeff, eta), 2).gamma
+                if kept < full:
+                    with pytest.raises(ValidationError, match="would be dropped"):
+                        fermion_from_json(doc)
+                else:
+                    assert jordan_wigner(fermion_from_json(doc)).gamma == full
+
+
+def test_jordan_wigner_refuses_more_strings_than_the_memory_budget_holds():
+    # 26 creations on 26 sites have 2**26 strings.
+    term = FermionTerm(tuple((site, "+") for site in range(26)), 1.0)
+    with pytest.raises(ResourceCapError, match="67108864 Jordan-Wigner strings need"):
+        jordan_wigner(term, 26)
 
 
 def test_fermion_json_round_trip():
